@@ -30,12 +30,8 @@ Config format (INI sections; scalars or comma-separated per-step lists)::
     N_f = 0, 0.1, 1, inf
 
 Flags override file keys (``--set section.key=value``).  Exit codes:
-0 success, 1 I/O failure, 2 validation error, 3 stationarity mode reported
-an unbounded system or a non-converged solver.
-
-The environment variable ``STATECAST_MAX_THREADS``, when set, is exported
-to the usual BLAS/OpenMP thread caps at startup (best effort; the hot loops
-here are elementwise and single-threaded regardless).
+0 success, 1 I/O failure, 2 validation error (including a value that does
+not parse as a number), 3 stationarity mode reported an unbounded system.
 """
 
 from __future__ import annotations
@@ -43,7 +39,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
-import os
 import sys
 from dataclasses import dataclass
 from typing import Optional
@@ -98,12 +93,29 @@ class ExperimentSpec:
     sweep_N_f: Optional[list[float]] = None
 
 
-def _floats(text: str) -> object:
+def _numbers(text: str, key: str, conv=float) -> list:
+    """The comma-separated numbers in ``text``; ``key`` names it in errors."""
     parts = [p.strip() for p in text.split(",") if p.strip() != ""]
-    if not parts:
-        raise ValidationError(f"empty numeric value {text!r}")
-    vals = [float(p) for p in parts]
+    try:
+        return [conv(p) for p in parts]
+    except ValueError:
+        kind = "an integer" if conv is int else "numeric"
+        raise ValidationError(f"{key} must be {kind}, got {text!r}") from None
+
+
+def _floats(text: str, key: str) -> object:
+    """A scalar or a per-step list of floats."""
+    vals = _numbers(text, key)
+    if not vals:
+        raise ValidationError(f"empty numeric value for {key}: {text!r}")
     return vals[0] if len(vals) == 1 else np.array(vals)
+
+
+def _scalar(text: str, key: str, conv=float):
+    vals = _numbers(text, key, conv)
+    if len(vals) != 1:
+        raise ValidationError(f"{key} must be a single value, got {text!r}")
+    return vals[0]
 
 
 def _require(section, key: str, section_name: str) -> str:
@@ -153,20 +165,15 @@ def parse_config(path: str, overrides: Optional[dict] = None) -> ExperimentSpec:
     sched_sec = cp["schedule"]
     exp = cp["experiment"]
 
-    T_raw = _require(sched_sec, "t", "schedule")
-    try:
-        T = int(T_raw)
-    except ValueError:
-        raise ValidationError(f"T must be an integer, got {T_raw!r}")
     schedule = validate_schedule(
         SystemSchedule(
-            T=T,
-            a=_floats(_require(sched_sec, "a", "schedule")),
-            b=_floats(_require(sched_sec, "b", "schedule")),
-            P=_floats(_require(sched_sec, "p", "schedule")),
-            N=_floats(_require(sched_sec, "n", "schedule")),
-            N_f=_floats(_require(sched_sec, "n_f", "schedule")),
-            V_xx0=float(_require(sched_sec, "v_xx0", "schedule")),
+            T=_scalar(_require(sched_sec, "t", "schedule"), "schedule.T", int),
+            a=_floats(_require(sched_sec, "a", "schedule"), "schedule.a"),
+            b=_floats(_require(sched_sec, "b", "schedule"), "schedule.b"),
+            P=_floats(_require(sched_sec, "p", "schedule"), "schedule.P"),
+            N=_floats(_require(sched_sec, "n", "schedule"), "schedule.N"),
+            N_f=_floats(_require(sched_sec, "n_f", "schedule"), "schedule.N_f"),
+            V_xx0=_scalar(_require(sched_sec, "v_xx0", "schedule"), "schedule.V_xx0"),
         )
     )
 
@@ -174,11 +181,11 @@ def parse_config(path: str, overrides: Optional[dict] = None) -> ExperimentSpec:
     if cp.has_section("measurement"):
         msec = cp["measurement"]
         measurement = MeasurementModel(
-            c=float(_require(msec, "c", "measurement")),
-            d=float(_require(msec, "d", "measurement")),
-            V_ww=_floats(msec.get("v_ww", "1.0")),
-            V_wv=_floats(msec.get("v_wv", "0.0")),
-            V_vv=_floats(msec.get("v_vv", "0.0")),
+            c=_scalar(_require(msec, "c", "measurement"), "measurement.c"),
+            d=_scalar(_require(msec, "d", "measurement"), "measurement.d"),
+            V_ww=_floats(msec.get("v_ww", "1.0"), "measurement.V_ww"),
+            V_wv=_floats(msec.get("v_wv", "0.0"), "measurement.V_wv"),
+            V_vv=_floats(msec.get("v_vv", "0.0"), "measurement.V_vv"),
         )
 
     mode = _require(exp, "mode", "experiment").strip().lower()
@@ -197,8 +204,8 @@ def parse_config(path: str, overrides: Optional[dict] = None) -> ExperimentSpec:
 
     trials = seed = 0
     if mode == "simulate":
-        trials = int(_require(exp, "trials", "experiment"))
-        seed = int(_require(exp, "seed", "experiment"))
+        trials = _scalar(_require(exp, "trials", "experiment"), "experiment.trials", int)
+        seed = _scalar(_require(exp, "seed", "experiment"), "experiment.seed", int)
         if trials < 1:
             raise ValidationError("trials must be >= 1")
 
@@ -207,9 +214,7 @@ def parse_config(path: str, overrides: Optional[dict] = None) -> ExperimentSpec:
 
     sweep = None
     if cp.has_section("sweep"):
-        raw = cp["sweep"].get("n_f", "")
-        vals = [p.strip() for p in raw.split(",") if p.strip() != ""]
-        sweep = [float(v) for v in vals]
+        sweep = _numbers(cp["sweep"].get("n_f", ""), "sweep.N_f")
 
     return ExperimentSpec(
         schedule=schedule,
@@ -397,15 +402,7 @@ def compare(spec: ExperimentSpec) -> int:
     return EXIT_OK
 
 
-def _apply_thread_cap() -> None:
-    cap = os.environ.get("STATECAST_MAX_THREADS")
-    if cap:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
-
-
 def main(argv: Optional[list[str]] = None) -> int:
-    _apply_thread_cap()
     parser = argparse.ArgumentParser(
         prog="statecast",
         description="Run channel-communication experiments from a config file.",

@@ -316,14 +316,7 @@ def predict_separation(s: SystemSchedule, m: MeasurementModel) -> VariancePredic
     Exact when V_wv = 0; with cross-correlated (w, v) the stated filter is
     not the conditional mean, so the additive split is an approximation.
     """
-    inner, kf = separation_schedule(s, m)
-    comm = predict_output_fb(inner)
-    extra = kf.V_xixi_filt[1:]
-    return VariancePrediction(
-        sigma2=comm.sigma2,
-        vbar=comm.vbar + extra,
-        mse=comm.mse + extra,
-    )
+    return separation_total(s, m)[0]
 
 
 def separation_total(

@@ -11,9 +11,12 @@ stays bounded as the horizon grows.  Thresholds:
   no-feedback case the transmit-side variance sigma2 alone would stay
   bounded up to |a| < (P+N)/N, but the reported error includes the residual
   and diverges at |a| >= 1.)
-* state-estimate feedback: existence of a solution to the coupled pair of
-  stationary equations, located by damped fixed-point iteration of the time
-  recursions with a Newton polish.
+* state-estimate feedback: the recursion from (0, 0) is monotone, so it
+  converges to the least stationary pair when one exists.  Eliminating
+  sigma2 leaves a quadratic in sigbar2 whose least nonnegative root is that
+  pair, in closed form.  For the default residual form it exists iff
+  |a| < a*(P, N), the positive root of P N u^2 + N^2 u = (P+N)^2 in
+  u = a^2 (a* ~ 1.2496 at P = N = 1), independent of N_f.
 """
 
 from __future__ import annotations
@@ -21,8 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Optional
-
-import numpy as np
 
 from .model import SystemSchedule, ValidationError, validate_schedule
 from .recursions import SIGBAR_FORMS, ntilde_variance, se_step
@@ -53,7 +54,6 @@ class StationaryReport:
     capacity: float
     fixed_point: Optional[tuple[float, float]] = None
     residuals: tuple[float, ...] = ()
-    iterations: int = 0
 
     @property
     def mse(self) -> Optional[float]:
@@ -90,7 +90,8 @@ def _constants(s: SystemSchedule) -> tuple[float, float, float, float, float]:
     s = validate_schedule(s)
     if not s.is_constant():
         raise ValidationError("stationarity checks require a constant schedule")
-    return s.constants()
+    a, b, P, N, N_f = s.constants()
+    return float(a), float(b), float(P), float(N), float(N_f)
 
 
 def check_noiseless(s: SystemSchedule) -> StationaryReport:
@@ -190,38 +191,44 @@ def _se_residuals(
     return (abs(f1 - v[0]), abs(f2 - v[1]))
 
 
-def _se_jacobian(v, a, b, P, N, N_f, form) -> np.ndarray:
-    """Jacobian of the one-step map at v (analytic)."""
-    s2, sb = v
-    a2 = a * a
-    c_s = a2 * N * N / (P + N) ** 2
-    c_v = a2 * P * N / (P + N) ** 2
-    den = sb + N_f
-    if den > 0.0:
-        d11 = c_s
-        d12 = a2 * sb * (sb + 2.0 * N_f) / den**2
-        nf_fac = N_f if form == "proof" else N_f * N_f
-        d22 = a2 * nf_fac * N_f / den**2
-    else:
-        d11, d12, d22 = c_s, 0.0, 0.0
-    return np.array([[d11, d12], [c_v, d22]])
+def _a_star(P: float, N: float) -> float:
+    """Largest |a| with a stationary point under the "proof" residual form.
+
+    1 - k a^2 > 0 reads P N u^2 + N^2 u - (P+N)^2 < 0 in u = a^2; this is
+    its positive root, written without cancellation.
+    """
+    r = math.sqrt(N**4 + 4.0 * P * N * (P + N) ** 2)
+    return math.sqrt(2.0 * (P + N) ** 2 / (N * N + r))
 
 
-def solve_state_estimate_fp(
-    s: SystemSchedule,
-    form: str = "proof",
-    damping: float = 0.5,
-    max_iter: int = 100_000,
-    ceiling: float = 1e12,
-    tol: float = 1e-13,
-) -> StationaryReport:
+def _least_root(A: float, B: float, C: float) -> Optional[float]:
+    """Least nonnegative root of A x^2 + B x + C, or None if it has none."""
+    disc = B * B - 4.0 * A * C
+    if disc < 0.0:
+        return None
+    q = -0.5 * (B + math.copysign(math.sqrt(disc), B))
+    if q == 0.0:  # B = 0 and A*C = 0
+        return 0.0 if C == 0.0 else None
+    roots = [C / q] + ([q / A] if A != 0.0 else [])
+    return min((abs(x) for x in roots if x >= 0.0), default=None)  # abs: -0.0 -> 0.0
+
+
+def solve_state_estimate_fp(s: SystemSchedule, form: str = "proof") -> StationaryReport:
     """Stationary pair (sigma2, sigbar2) for state-estimate feedback.
 
-    Damped fixed-point iteration of the time recursions from (0, 0), the
-    physically reached solution, followed by a two-variable Newton polish
-    on the stationary residuals.  Divergence past ``ceiling`` or failure to
-    converge within ``max_iter`` iterations is reported as unbounded, not
-    raised.
+    ``se_step`` is monotone in (sigma2, sigbar2), so the recursion from
+    (0, 0) converges to the least fixed point when one exists and diverges
+    otherwise.  With c_s = a^2 N^2/(P+N)^2, c_v = a^2 P N/(P+N)^2 and
+    k = c_v/(1 - c_s), eliminating
+    sigma2 = (a^2 sb^2/(sb + N_f) + b^2)/(1 - c_s) leaves
+
+        h(sb) = (1 - k a^2) sb^2 + (N_f - a^2 f - k b^2) sb - k b^2 N_f
+
+    with f = N_f for ``form="proof"`` and N_f^2 for ``"stated"``.  A fixed
+    point exists iff c_s < 1 and h has a nonnegative root; sigbar2 is the
+    least one.  For "proof" that holds iff |a| < a*(P, N), whatever N_f and
+    b != 0.  The residuals of the stationary equations at the returned
+    point are reported.
     """
     a, b, P, N, N_f = _constants(s)
     if math.isinf(N_f):
@@ -231,57 +238,41 @@ def solve_state_estimate_fp(
     C = channel_capacity(P, N)
     regime = RegimeKind.STATE_ESTIMATE_FEEDBACK
 
-    v = np.zeros(2)
-    iters = 0
-    converged = False
-    for iters in range(1, max_iter + 1):
-        f = np.array(se_step(v[0], v[1], a, b, P, N, N_f, form))
-        v_next = (1.0 - damping) * v + damping * f
-        if not np.all(np.isfinite(v_next)) or np.max(v_next) > ceiling:
-            return StationaryReport(
-                regime=regime,
-                bounded=False,
-                condition=f"iteration diverged past {ceiling:g} after {iters} steps",
-                capacity=C,
-                iterations=iters,
-            )
-        if np.max(np.abs(v_next - v)) <= tol * (1.0 + np.max(np.abs(v_next))):
-            v = v_next
-            converged = True
-            break
-        v = v_next
-    if not converged:
-        return StationaryReport(
-            regime=regime,
-            bounded=False,
-            condition=f"no convergence within {max_iter} iterations",
-            capacity=C,
-            iterations=iters,
+    a2, b2 = a * a, b * b
+    c_s = a2 * N * N / (P + N) ** 2
+    if b == 0.0:
+        point = (0.0, 0.0)
+        cond = "b = 0: nothing drives the recursion, which stays at (0, 0)"
+    else:
+        sb = None
+        if c_s < 1.0:
+            k = a2 * P * N / (P + N) ** 2 / (1.0 - c_s)
+            f = N_f if form == "proof" else N_f * N_f
+            A, B = 1.0 - k * a2, N_f - a2 * f - k * b2
+            # At N_f = 0, h = sb (A sb + B), and sb = 0 is no fixed point
+            # (se_step takes its den = 0 branch), so only A sb + B counts.
+            sb = _least_root(A, B, -k * b2 * N_f) if N_f > 0.0 else _least_root(0.0, A, B)
+        point = None
+        if sb is not None:
+            # se_step(0, sb)[0] = a^2 sb^2/(sb + N_f) + b^2, guarded at sb + N_f = 0
+            point = (se_step(0.0, sb, a, b, P, N, N_f, form)[0] / (1.0 - c_s), sb)
+        cond = (
+            "sigbar2 is the least nonnegative root of the stationary quadratic h"
+            if point is not None
+            else "no stationary point, so the recursion from (0, 0) diverged"
         )
-
-    # Newton polish on G(v) = F(v) - v.
-    for _ in range(30):
-        f = np.array(se_step(v[0], v[1], a, b, P, N, N_f, form))
-        gvec = f - v
-        if np.max(np.abs(gvec)) < 1e-15 * (1.0 + np.max(np.abs(v))):
-            break
-        J = _se_jacobian(v, a, b, P, N, N_f, form) - np.eye(2)
-        try:
-            step = np.linalg.solve(J, -gvec)
-        except np.linalg.LinAlgError:
-            break
-        v_new = np.maximum(v + step, 0.0)
-        if not np.all(np.isfinite(v_new)):
-            break
-        v = v_new
-
-    residuals = _se_residuals((v[0], v[1]), a, b, P, N, N_f, form)
+        if form == "proof":
+            cond = (
+                f"|a| = {abs(a):.6g} {'<' if point is not None else '>='} "
+                f"a*(P, N) = {_a_star(P, N):.6g}; {cond}"
+            )
+    if point is None:
+        return StationaryReport(regime=regime, bounded=False, condition=cond, capacity=C)
     return StationaryReport(
         regime=regime,
         bounded=True,
-        condition=f"damped fixed-point iteration converged in {iters} steps (Newton-polished)",
+        condition=cond,
         capacity=C,
-        fixed_point=(float(v[0]), float(v[1])),
-        residuals=residuals,
-        iterations=iters,
+        fixed_point=point,
+        residuals=_se_residuals(point, a, b, P, N, N_f, form),
     )

@@ -114,6 +114,27 @@ def test_bad_regime_and_mode_rejected(tmp_path, capsys):
     assert main(["run", str(cfg2)]) == EXIT_VALIDATION
 
 
+@pytest.mark.parametrize(
+    "override",
+    [
+        "schedule.a=abc",
+        "schedule.t=2.5",
+        "schedule.v_xx0=1,2",
+        "experiment.trials=1.5",
+        "experiment.seed=seven",
+        "measurement.c=x",
+        "sweep.n_f=x,1",
+    ],
+)
+def test_unparsable_number_is_one_line_validation_error(tmp_path, capsys, override):
+    ini = str(GOLDEN_DIR / "output_fb_compare.ini")
+    out = str(tmp_path / "out.csv")
+    assert main(["compare", ini, "--set", override, "--output", out]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert override.split("=")[0] in err.lower()
+
+
 def test_unreadable_config_is_io_error(tmp_path):
     assert main(["run", str(tmp_path / "nope.ini")]) == 1
 

@@ -186,6 +186,14 @@ def test_se_divergence_reported_not_raised():
     assert "diverged" in rep.condition or "convergence" in rep.condition
 
 
+def test_se_undriven_recursion_stays_at_origin():
+    # with b = 0 the recursion from (0, 0) never moves, even past a*(P, N)
+    for a in (0.5, 2.0):
+        for N_f in (0.0, 0.5):
+            rep = solve_state_estimate_fp(_const(a, b=0.0, N_f=N_f))
+            assert rep.bounded and rep.fixed_point == (0.0, 0.0)
+
+
 def test_se_rejects_infinite_feedback_noise():
     with pytest.raises(ValidationError):
         solve_state_estimate_fp(_const(0.5, N_f=math.inf))
@@ -200,3 +208,31 @@ def test_report_serialization():
     assert d["fixed_point"]["mse"] == pytest.approx(rep.mse)
     rep2 = check_output_fb(_const(1.5, N_f=0.1))
     assert rep2.to_dict()["fixed_point"] is None
+
+
+def _a_star(P, N):
+    # positive root u of P N u^2 + N^2 u - (P+N)^2, the "proof"-form threshold on a^2
+    return math.sqrt((-N * N + math.sqrt(N**4 + 4.0 * P * N * (P + N) ** 2)) / (2.0 * P * N))
+
+
+@pytest.mark.parametrize("P,N,N_f", [(1.0, 1.0, 0.5), (2.5, 0.7, 1.5)])
+def test_se_verdict_matches_threshold_next_to_it(P, N, N_f):
+    a_star = _a_star(P, N)
+    inside = solve_state_estimate_fp(_const(a_star * (1.0 - 6e-5), P=P, N=N, N_f=N_f))
+    outside = solve_state_estimate_fp(_const(a_star * (1.0 + 6e-5), P=P, N=N, N_f=N_f))
+    assert inside.bounded and not outside.bounded
+    assert outside.fixed_point is None
+    assert max(inside.residuals) < 1e-12 * inside.mse
+    assert f"{a_star:.6g}" in inside.condition and f"{a_star:.6g}" in outside.condition
+
+
+def test_se_stated_form_takes_least_of_two_positive_roots():
+    # 1 - k a^2 < 0 here, yet the stationary quadratic has two positive roots;
+    # the recursion from (0, 0) stops at the smaller one
+    kw = dict(a=3.0, b=0.01, P=10.0, N=1.0, N_f=0.05)
+    rep = solve_state_estimate_fp(_const(**kw), form="stated")
+    assert rep.bounded
+    long = predict_state_estimate_fb(SystemSchedule(T=20_000, V_xx0=0.0, **kw), form="stated")
+    assert abs(long.sigma2[-1] - rep.fixed_point[0]) < 1e-10
+    assert abs(long.vbar[-1] - rep.fixed_point[1]) < 1e-10
+    assert rep.fixed_point == pytest.approx((1.1250e-4, 1.5177e-4), rel=1e-4)
