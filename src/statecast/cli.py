@@ -422,8 +422,9 @@ def main(argv: Optional[list[str]] = None) -> int:
             help="override a config key (repeatable)",
         )
         p.add_argument("--output", help="override [experiment] output")
-        p.add_argument("--seed", type=int, help="override [experiment] seed")
-        p.add_argument("--trials", type=int, help="override [experiment] trials")
+        # Parsed by parse_config, so a bad value gets its one-line error.
+        p.add_argument("--seed", help="override [experiment] seed")
+        p.add_argument("--trials", help="override [experiment] trials")
     args = parser.parse_args(argv)
 
     overrides = {}
@@ -436,9 +437,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     if args.output is not None:
         overrides["experiment.output"] = args.output
     if args.seed is not None:
-        overrides["experiment.seed"] = str(args.seed)
+        overrides["experiment.seed"] = args.seed
     if args.trials is not None:
-        overrides["experiment.trials"] = str(args.trials)
+        overrides["experiment.trials"] = args.trials
 
     try:
         spec = parse_config(args.config, overrides)

@@ -31,6 +31,7 @@ __all__ = [
     "SchemeState",
     "VariancePrediction",
     "TrajectoryRecord",
+    "constant_values",
     "validate_schedule",
     "validate_measurement",
 ]
@@ -81,17 +82,23 @@ class SystemSchedule:
 
     def is_constant(self) -> bool:
         """True when every parameter sequence is constant over the horizon."""
-        s = validate_schedule(self)
-        return all(
-            np.all(seq == seq[0]) for seq in (s.a, s.b, s.P, s.N, s.N_f)
-        )
+        return constant_values(validate_schedule(self)) is not None
 
     def constants(self) -> tuple[float, float, float, float, float]:
         """(a, b, P, N, N_f) of a constant schedule."""
-        s = validate_schedule(self)
-        if not s.is_constant():
+        values = constant_values(validate_schedule(self))
+        if values is None:
             raise ValidationError("schedule is not constant over the horizon")
-        return (s.a[0], s.b[0], s.P[0], s.N[0], s.N_f[0])
+        return values
+
+
+def constant_values(s: SystemSchedule) -> Optional[tuple]:
+    """(a, b, P, N, N_f) of an already validated schedule, or None when
+    some parameter changes over the horizon."""
+    seqs = (s.a, s.b, s.P, s.N, s.N_f)
+    if all(np.all(seq == seq[0]) for seq in seqs):
+        return tuple(seq[0] for seq in seqs)
+    return None
 
 
 def validate_schedule(s: SystemSchedule) -> SystemSchedule:

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .model import SystemSchedule, ValidationError, validate_schedule
+from .model import SystemSchedule, ValidationError, constant_values, validate_schedule
 from .recursions import SIGBAR_FORMS, ntilde_variance, se_step
 from .schemes import RegimeKind
 
@@ -87,11 +87,10 @@ def channel_capacity(P: float, N: float) -> float:
 
 
 def _constants(s: SystemSchedule) -> tuple[float, float, float, float, float]:
-    s = validate_schedule(s)
-    if not s.is_constant():
+    values = constant_values(validate_schedule(s))
+    if values is None:
         raise ValidationError("stationarity checks require a constant schedule")
-    a, b, P, N, N_f = s.constants()
-    return float(a), float(b), float(P), float(N), float(N_f)
+    return tuple(float(v) for v in values)
 
 
 def check_noiseless(s: SystemSchedule) -> StationaryReport:

@@ -124,15 +124,18 @@ def test_bad_regime_and_mode_rejected(tmp_path, capsys):
         "experiment.seed=seven",
         "measurement.c=x",
         "sweep.n_f=x,1",
+        "--seed=abc",
+        "--trials=x",
     ],
 )
 def test_unparsable_number_is_one_line_validation_error(tmp_path, capsys, override):
     ini = str(GOLDEN_DIR / "output_fb_compare.ini")
     out = str(tmp_path / "out.csv")
-    assert main(["compare", ini, "--set", override, "--output", out]) == EXIT_VALIDATION
+    flags = [override] if override.startswith("--") else ["--set", override]
+    assert main(["compare", ini, *flags, "--output", out]) == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
-    assert override.split("=")[0] in err.lower()
+    assert override.split("=")[0].replace("--", "experiment.") in err.lower()
 
 
 def test_unreadable_config_is_io_error(tmp_path):

@@ -1,4 +1,11 @@
+import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,11 +16,14 @@ from statecast import (
     RegimeKind,
     SystemSchedule,
     ValidationError,
+    build_plan,
     monte_carlo,
     predict_noiseless_fb,
     run_regime,
     sample_gaussian_streams,
 )
+from statecast import simulate
+from statecast.schemes import run_closed_loop
 from statecast.simulate import CSV_HEADER, format_float, summary_csv
 
 
@@ -169,3 +179,161 @@ def test_mc_mse_against_independent_prediction_path():
     summary = monte_carlo(s, RegimeKind.NOISELESS_FEEDBACK, McConfig(trials=2_000, seed=8))
     assert np.array_equal(summary.pred.mse, predict_noiseless_fb(s).mse)
     assert np.array_equal(summary.delta_mse, summary.emp_mse - summary.pred.mse)
+
+
+# ---------------------------------------------------------------------------
+# Streamed rows: monte_carlo draws each step's rows inside the loop
+# ---------------------------------------------------------------------------
+
+T_STREAMED = 13
+# N_f(t) mixing 0, finite and +inf steps (index 0 carries no transmission).
+NF_MIXED = np.array([0.0, 0.0, 0.4, math.inf, 1.3, 0.0, math.inf, 0.7, 0.0, 2.0, math.inf, 0.1, 0.5])
+NF_FINITE = np.where(np.isinf(NF_MIXED), 0.9, NF_MIXED)
+STREAMED_CASES = [
+    (RegimeKind.OUTPUT_FEEDBACK, NF_MIXED, None),
+    (RegimeKind.NO_FEEDBACK, math.inf, None),
+    (RegimeKind.NOISELESS_FEEDBACK, 0.0, None),
+    (RegimeKind.STATE_ESTIMATE_FEEDBACK, NF_FINITE, None),
+    (
+        RegimeKind.SEPARATION_OUTPUT_FEEDBACK,
+        NF_MIXED,
+        MeasurementModel(c=0.8, d=0.6, V_ww=1.2, V_wv=0.5, V_vv=0.9),
+    ),
+]
+STREAMED_IDS = [kind.value for kind, _, _ in STREAMED_CASES]
+# 500 trials: one block, drawn inline; 20000: blocks of 4 steps, drawn ahead.
+STREAMED_TRIALS = (500, 20_000)
+
+
+def _streamed_case(nf):
+    a = np.linspace(0.6, 1.1, T_STREAMED)
+    return SystemSchedule(T=T_STREAMED, a=a, b=0.9, P=1.3, N=0.8, N_f=nf, V_xx0=1.1)
+
+
+def _materialized_summary(s, kind, cfg, m):
+    """(emp_mse, emp_se, emp_zpow, emp_zpow_se) from the (T, M) streams."""
+    rec = simulate._MomentRecorder(cfg.trials)
+    plan = build_plan(s, kind, measurement=m)
+    run_closed_loop(plan, sample_gaussian_streams(s, cfg, measurement=m), rec)
+    mse, _, se = simulate._mean_se(rec.s2_err, rec.s4_err, cfg.trials)
+    zpow, _, zse = simulate._mean_se(rec.s2_z, rec.s4_z, cfg.trials)
+    zpow[-1] = zse[-1] = np.nan
+    return mse, se, zpow, zse
+
+
+def _assert_same_summary(summary, ref):
+    got = (summary.emp_mse, summary.emp_se, summary.emp_zpow, summary.emp_zpow_se)
+    for g, r in zip(got, ref):
+        np.testing.assert_array_equal(g, r)
+
+
+@pytest.mark.parametrize("trials", STREAMED_TRIALS)
+@pytest.mark.parametrize("kind, nf, m", STREAMED_CASES, ids=STREAMED_IDS)
+def test_streamed_rows_match_materialized_streams(kind, nf, m, trials):
+    s = _streamed_case(nf)
+    cfg = McConfig(trials=trials, seed=606)
+    summary = monte_carlo(s, kind, cfg, measurement=m)
+    _assert_same_summary(summary, _materialized_summary(s, kind, cfg, m))
+
+
+@pytest.mark.parametrize("cpus, trials", [(1, 20_000), (None, 500)], ids=["one_cpu", "few_trials"])
+def test_rows_drawn_inline_create_no_pool(monkeypatch, cpus, trials):
+    kind, nf, m = STREAMED_CASES[-1]
+    s = _streamed_case(nf)
+    cfg = McConfig(trials=trials, seed=607)
+    monkeypatch.setattr(simulate, "_pool", None)
+    if cpus == 1:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    summary = monte_carlo(s, kind, cfg, measurement=m)
+    assert simulate._pool is None
+    _assert_same_summary(summary, _materialized_summary(s, kind, cfg, m))
+
+
+def test_many_helpers_and_fast_switching_keep_the_bytes(monkeypatch):
+    # more helpers than CPUs and a tiny switch interval interleave the
+    # helpers' blocks and this thread's take-overs as much as possible
+    kind, nf, m = STREAMED_CASES[-1]
+    s = _streamed_case(nf)
+    cfg = McConfig(trials=1 << 16, seed=608)  # one step per block
+    monkeypatch.setattr(simulate, "_pool", None)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(6)), raising=False)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        summary = monte_carlo(s, kind, cfg, measurement=m)
+    finally:
+        sys.setswitchinterval(interval)
+        if simulate._pool is not None:
+            simulate._pool.shutdown(wait=True)
+    _assert_same_summary(summary, _materialized_summary(s, kind, cfg, m))
+
+
+def test_helper_exception_comes_out_unchanged(monkeypatch):
+    class Boom(Exception):
+        pass
+
+    boom = Boom("a helper failed")
+    helper_raised = threading.Event()
+    philox = simulate.Philox
+
+    def failing_philox(key):
+        if threading.current_thread() is not threading.main_thread():
+            helper_raised.set()
+            raise boom
+        if int(key[1]) == (simulate._STREAM_W << 48) | 1:
+            # block 0 is drawn on the calling thread: let a helper fail first
+            helper_raised.wait(timeout=30)
+        return philox(key=key)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(simulate, "Philox", failing_philox)
+    s = _streamed_case(0.5)
+    with pytest.raises(Boom) as info:
+        monte_carlo(s, RegimeKind.OUTPUT_FEEDBACK, McConfig(trials=20_000, seed=1))
+    assert info.value is boom
+    assert helper_raised.is_set()
+
+
+_THREAD_PROBE = textwrap.dedent(
+    """
+    import json, os, sys
+    import numpy
+    tasks = lambda: len(os.listdir("/proc/self/task"))
+    before = tasks()
+    import statecast
+    imported = tasks()
+    s = statecast.SystemSchedule(T=40, a=0.9, b=1.0, P=1.0, N=1.0, N_f=0.5, V_xx0=1.0)
+    statecast.monte_carlo(s, statecast.RegimeKind.OUTPUT_FEEDBACK,
+                          statecast.McConfig(trials=8192, seed=5))
+    print(json.dumps({"before": before, "imported": imported, "after": tasks(),
+                      "cpus": len(os.sched_getaffinity(0))}))
+    """
+)
+
+
+@pytest.fixture(scope="module")
+def thread_counts():
+    """OS thread counts of a fresh interpreter around ``import statecast`` and
+    one multi-block ``monte_carlo``, with numpy's BLAS pools capped at one
+    thread so that only statecast's own threads are counted."""
+    if not Path("/proc/self/task").is_dir() or not hasattr(os, "sched_getaffinity"):
+        pytest.skip("needs /proc/self/task and os.sched_getaffinity")
+    env = dict(os.environ)
+    caps = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    env.update({var: "1" for var in caps})
+    src = str(Path(simulate.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c", _THREAD_PROBE],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_import_starts_no_thread(thread_counts):
+    assert thread_counts["imported"] == thread_counts["before"]
+
+
+def test_monte_carlo_threads_at_most_usable_cpus(thread_counts):
+    assert thread_counts["after"] <= thread_counts["cpus"]
