@@ -4,7 +4,6 @@ absent feedback, plus the variance recursions, stationarity solvers, Monte
 Carlo harness and exact-conditioning oracle that validate them."""
 
 from .model import (
-    Cov2,
     MeasurementModel,
     SchemeState,
     SystemSchedule,
@@ -23,7 +22,6 @@ from .recursions import (
     predict_output_fb,
     predict_separation,
     predict_state_estimate_fb,
-    propagate_cov_output_fb,
 )
 from .schemes import (
     RegimeKind,
@@ -60,7 +58,6 @@ from .stationarity import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Cov2",
     "Gains",
     "KalmanPrefilter",
     "McConfig",
@@ -96,7 +93,6 @@ __all__ = [
     "predict_output_fb",
     "predict_separation",
     "predict_state_estimate_fb",
-    "propagate_cov_output_fb",
     "run_regime",
     "sample_gaussian_streams",
     "select_regime",

@@ -51,7 +51,7 @@ from .model import (
     ValidationError,
     validate_schedule,
 )
-from .schemes import RegimeKind, check_regime_consistency
+from .schemes import PREDICTORS, RegimeKind, check_regime_consistency
 from .simulate import (
     CSV_HEADER,
     McConfig,
@@ -230,15 +230,8 @@ def parse_config(path: str, overrides: Optional[dict] = None) -> ExperimentSpec:
 
 
 def _prediction(spec: ExperimentSpec):
-    s, regime = spec.schedule, spec.regime
-    check_regime_consistency(s, regime)
-    if regime is RegimeKind.NOISELESS_FEEDBACK:
-        return recursions.predict_noiseless_fb(s)
-    if regime in (RegimeKind.OUTPUT_FEEDBACK, RegimeKind.NO_FEEDBACK):
-        return recursions.predict_output_fb(s)
-    if regime is RegimeKind.STATE_ESTIMATE_FEEDBACK:
-        return recursions.predict_state_estimate_fb(s, form=spec.form)
-    return recursions.predict_separation(s, spec.measurement)
+    s = check_regime_consistency(spec.schedule, spec.regime)
+    return PREDICTORS[spec.regime](s, spec.measurement, spec.form)[0]
 
 
 def _predict_csv(pred) -> str:
@@ -273,15 +266,13 @@ def _oracle_csv(spec: ExperimentSpec) -> str:
 
 
 def _stationarity_report(spec: ExperimentSpec):
-    s, regime = spec.schedule, spec.regime
-    check_regime_consistency(s, regime)
-    if regime is RegimeKind.STATE_ESTIMATE_FEEDBACK:
-        return stationarity.solve_state_estimate_fp(s, form=spec.form)
-    if regime is RegimeKind.NOISELESS_FEEDBACK:
-        return stationarity.check_noiseless(s)
-    if regime in (RegimeKind.OUTPUT_FEEDBACK, RegimeKind.NO_FEEDBACK):
-        return stationarity.check_output_fb(s)
-    raise ValidationError(f"stationarity mode does not support regime {regime.value}")
+    s = check_regime_consistency(spec.schedule, spec.regime)
+    check = stationarity.STATIONARITY_CHECKS.get(spec.regime)
+    if check is None:
+        raise ValidationError(
+            f"stationarity mode does not support regime {spec.regime.value}"
+        )
+    return check(s, spec.form)
 
 
 def _write(path: str, text: str) -> None:
@@ -320,17 +311,16 @@ def _sweep_csv(spec: ExperimentSpec) -> str:
         raise ValidationError("empty N_f sweep")
     lines = ["N_f,bounded,sigma2,sigbar2,mse"]
     base = spec.schedule
+    # A swept N_f may be 0, finite or +inf: only output feedback accepts all three.
+    kind = spec.regime
+    if kind is not RegimeKind.STATE_ESTIMATE_FEEDBACK:
+        kind = RegimeKind.OUTPUT_FEEDBACK
+    check = stationarity.STATIONARITY_CHECKS[kind]
     for nf in spec.sweep_N_f:
-        sched = validate_schedule(
-            SystemSchedule(
-                T=base.T, a=base.a, b=base.b, P=base.P, N=base.N, N_f=nf,
-                V_xx0=base.V_xx0,
-            )
+        sched = SystemSchedule(
+            T=base.T, a=base.a, b=base.b, P=base.P, N=base.N, N_f=nf, V_xx0=base.V_xx0
         )
-        if spec.regime is RegimeKind.STATE_ESTIMATE_FEEDBACK:
-            rep = stationarity.solve_state_estimate_fp(sched, form=spec.form)
-        else:
-            rep = stationarity.check_output_fb(sched)
+        rep = check(sched, spec.form)
         if rep.fixed_point is None:
             cells = [format_float(nf), "false", "nan", "nan", "nan"]
         else:

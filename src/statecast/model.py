@@ -1,5 +1,5 @@
-"""Domain types shared by every regime: parameter schedules, covariance
-containers, filter state, prediction series, and their validation.
+"""Domain types shared by every regime: parameter schedules, filter state,
+prediction series, and their validation.
 
 Time convention used throughout the package
 -------------------------------------------
@@ -18,7 +18,7 @@ length ``T`` store the value for time ``t`` at index ``t-1``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -27,7 +27,6 @@ __all__ = [
     "ValidationError",
     "SystemSchedule",
     "MeasurementModel",
-    "Cov2",
     "SchemeState",
     "VariancePrediction",
     "TrajectoryRecord",
@@ -178,62 +177,18 @@ def validate_measurement(m: MeasurementModel, T: int) -> MeasurementModel:
     return MeasurementModel(c=float(m.c), d=float(m.d), V_ww=V_ww, V_wv=V_wv, V_vv=V_vv)
 
 
-@dataclass(frozen=True)
-class Cov2:
-    """Symmetric 2x2 covariance of the stacked pair (s(t), x(t)).
-
-    Only one off-diagonal entry is stored; symmetry is implicit.
-    """
-
-    V_ss: float
-    V_sx: float
-    V_xx: float
-
-    @classmethod
-    def initial(cls, V_xx0: float) -> "Cov2":
-        return cls(0.0, 0.0, float(V_xx0))
-
-    def as_matrix(self) -> np.ndarray:
-        return np.array([[self.V_ss, self.V_sx], [self.V_sx, self.V_xx]])
-
-    def sigma2(self) -> float:
-        """Variance of x - s implied by the stored covariance."""
-        return self.V_ss - 2.0 * self.V_sx + self.V_xx
-
-    def is_psd(self, tol: float = 1e-9) -> bool:
-        scale = max(self.V_ss, self.V_xx, 1.0)
-        if self.V_ss < -tol * scale or self.V_xx < -tol * scale:
-            return False
-        return self.V_sx**2 <= self.V_ss * self.V_xx + tol * scale**2
-
-    def check(self) -> "Cov2":
-        if not self.is_psd():
-            raise ValidationError(f"Cov2{(self.V_ss, self.V_sx, self.V_xx)} is not PSD")
-        return self
-
-
 @dataclass
 class SchemeState:
     """Joint encoder/decoder internal state at one time step.
 
     ``enc`` is regime-dependent: the tracker ``s(t)`` for the output-feedback
     family, the pair ``(xcheck(t), x(t))`` for state-estimate feedback, and
-    ``(s(t), xbreve_pred(t))`` for the separation regime.  ``sigma2`` /
-    ``sigbar2`` are the deterministic variances the gains at step ``t`` were
-    computed from; ``cov`` carries the 2x2 covariance in the output-feedback
-    family.  Fields hold floats, or (trials,) arrays in vectorized runs.
+    ``(s(t), xbreve_pred(t))`` for the separation regime.  Fields hold
+    floats, or (trials,) arrays in vectorized runs.
     """
 
-    t: int
     xhat: Scalarish
     enc: object
-    sigma2: float
-    sigbar2: float = 0.0
-    cov: Optional[Cov2] = None
-
-    def advanced(self, **changes) -> "SchemeState":
-        changes.setdefault("t", self.t + 1)
-        return replace(self, **changes)
 
 
 @dataclass(frozen=True, eq=False)

@@ -35,7 +35,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
-    Cov2,
     MeasurementModel,
     SystemSchedule,
     ValidationError,
@@ -50,7 +49,6 @@ __all__ = [
     "gains",
     "nhat_variance",
     "ntilde_variance",
-    "propagate_cov_output_fb",
     "predict_output_fb",
     "predict_noiseless_fb",
     "predict_state_estimate_fb",
@@ -104,53 +102,48 @@ def ntilde_variance(N: float, N_f: float) -> float:
     return N * N_f / (N + N_f)
 
 
-def _transition(a: float, P: float, N: float) -> np.ndarray:
-    return np.array([[a * N / (P + N), a * P / (P + N)], [0.0, a]])
-
-
-def propagate_cov_output_fb(
-    cov: Cov2, a: float, b: float, P: float, N: float, N_f: float, K: float
-) -> Cov2:
-    """One transmission step of the 2x2 covariance of (s, x).
-
-    Update: A cov A' + diag(K^2 * N^2/(N+N_f), b^2) with
-    A = [[aN/(P+N), aP/(P+N)], [0, a]].  PSD in, PSD out.
-    """
-    cov.check()
-    A = _transition(a, P, N)
-    m = A @ cov.as_matrix() @ A.T
-    return Cov2(
-        V_ss=m[0, 0] + K * K * nhat_variance(N, N_f),
-        V_sx=m[0, 1],
-        V_xx=m[1, 1] + b * b,
-    )
-
-
 def predict_output_fb(s: SystemSchedule) -> VariancePrediction:
     """Variance series for output feedback (any N_f, including 0 and +inf).
 
-    Iterates the 2x2 covariance from (0, 0, V_xx0); step 0 is a pure plant
-    propagation (no transmission), then each step t = 1..T-1 applies the
-    transmission update with its own parameters.  vbar accumulates the
-    unestimable channel-noise remainder: vbar(t+1) = a^2 vbar(t)
-    + K(t)^2 * Var(ntilde).
+    Iterates the 2x2 covariance of (s, x) from (0, 0, V_xx0); step 0 is a
+    pure plant propagation (no transmission), then each step t = 1..T-1
+    applies the transmission update with its own parameters:
+    A cov A' + diag(K^2 * Var(nhat), b^2) with
+    A = [[aN/(P+N), aP/(P+N)], [0, a]], kept symmetric through its (0, 1)
+    entry.  The numpy 2x2 product defines the bits.  sigma2 = V_ss - 2 V_sx
+    + V_xx, and vbar accumulates the unestimable channel-noise remainder:
+    vbar(t+1) = a^2 vbar(t) + K(t)^2 * Var(ntilde).  A covariance that stops
+    being finite and PSD is a ``ValidationError`` naming its step.
     """
     s = validate_schedule(s)
     T = s.T
     sigma2 = np.empty(T)
     vbar = np.empty(T)
-    cov = Cov2(0.0, 0.0, s.a[0] ** 2 * s.V_xx0 + s.b[0] ** 2)
-    sigma2[0] = cov.sigma2()
+    vss, vsx, vxx = 0.0, 0.0, s.a[0] ** 2 * s.V_xx0 + s.b[0] ** 2
+    sigma2[0] = vss - 2.0 * vsx + vxx
     vbar[0] = 0.0
     for t in range(1, T):
-        g = gains(s.a[t], s.P[t], s.N[t], sigma2[t - 1])
-        cov = propagate_cov_output_fb(
-            cov, s.a[t], s.b[t], s.P[t], s.N[t], s.N_f[t], g.K
-        )
-        sigma2[t] = cov.sigma2()
-        vbar[t] = s.a[t] ** 2 * vbar[t - 1] + g.K**2 * ntilde_variance(
-            s.N[t], s.N_f[t]
-        )
+        a, b, P, N, N_f = s.a[t], s.b[t], s.P[t], s.N[t], s.N_f[t]
+        K = gains(a, P, N, sigma2[t - 1]).K
+        A = np.array([[a * N / (P + N), a * P / (P + N)], [0.0, a]])
+        m = A @ np.array([[vss, vsx], [vsx, vxx]]) @ A.T
+        vss = m[0, 0] + K * K * nhat_variance(N, N_f)
+        vsx = m[0, 1]
+        vxx = m[1, 1] + b * b
+        scale = max(vss, vxx, 1.0)  # PSD up to a rounding allowance
+        if not (
+            math.isfinite(vss)
+            and math.isfinite(vsx)
+            and math.isfinite(vxx)
+            and min(vss, vxx) >= -1e-9 * scale
+            and vsx**2 <= vss * vxx + 1e-9 * scale**2
+        ):
+            raise ValidationError(
+                f"covariance of (s, x) at step {t} is not finite and PSD: "
+                f"V_ss = {vss:.6g}, V_sx = {vsx:.6g}, V_xx = {vxx:.6g}"
+            )
+        sigma2[t] = vss - 2.0 * vsx + vxx
+        vbar[t] = a**2 * vbar[t - 1] + K**2 * ntilde_variance(N, N_f)
     return VariancePrediction(sigma2=sigma2, vbar=vbar, mse=sigma2 + vbar)
 
 
@@ -191,14 +184,14 @@ def se_step(
     a2 = a * a
     den = sigbar2 + N_f
     quart = a2 * sigbar2**2 / den if den > 0.0 else 0.0
-    sigma2_next = a2 * N * N / (P + N) ** 2 * sigma2 + quart + b * b
+    next_sigma2 = a2 * N * N / (P + N) ** 2 * sigma2 + quart + b * b
     drive = a2 * P * N / (P + N) ** 2 * sigma2
     if den > 0.0:
         nf_fac = N_f if form == "proof" else N_f * N_f
-        sigbar2_next = a2 * nf_fac * sigbar2 / den + drive
+        next_sigbar2 = a2 * nf_fac * sigbar2 / den + drive
     else:
-        sigbar2_next = drive
-    return sigma2_next, sigbar2_next
+        next_sigbar2 = drive
+    return next_sigma2, next_sigbar2
 
 
 def predict_state_estimate_fb(
@@ -321,12 +314,13 @@ def predict_separation(s: SystemSchedule, m: MeasurementModel) -> VariancePredic
 
 def separation_total(
     s: SystemSchedule, m: MeasurementModel
-) -> tuple[VariancePrediction, VariancePrediction, KalmanPrefilter]:
-    """(total, communication-stage, prefilter) pieces of the separation prediction."""
+) -> tuple[VariancePrediction, KalmanPrefilter]:
+    """(total prediction, prefilter) of the separation pipeline; the total
+    carries the communication stage's sigma2, which sets its gains."""
     inner, kf = separation_schedule(s, m)
     comm = predict_output_fb(inner)
     extra = kf.V_xixi_filt[1:]
     total = VariancePrediction(
         sigma2=comm.sigma2, vbar=comm.vbar + extra, mse=comm.mse + extra
     )
-    return total, comm, kf
+    return total, kf

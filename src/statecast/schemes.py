@@ -22,7 +22,6 @@ from typing import Optional
 import numpy as np
 
 from .model import (
-    Cov2,
     MeasurementModel,
     SchemeState,
     SystemSchedule,
@@ -36,6 +35,7 @@ from . import recursions
 
 __all__ = [
     "RegimeKind",
+    "PREDICTORS",
     "StepIO",
     "StepParams",
     "RegimePlan",
@@ -62,12 +62,20 @@ class RegimeKind(Enum):
     SEPARATION_OUTPUT_FEEDBACK = "separation_output_feedback"
 
 
-#: Regimes sharing the output-feedback filter structure.
-OUTPUT_FAMILY = (
-    RegimeKind.OUTPUT_FEEDBACK,
-    RegimeKind.NO_FEEDBACK,
-    RegimeKind.NOISELESS_FEEDBACK,
-)
+#: Each regime's variance predictor: ``PREDICTORS[kind](s, measurement, form)``
+#: returns the prediction and the separation pipeline's pre-filter (None in
+#: the other regimes).  The lambdas look the predictors up in ``recursions``
+#: at call time, so a wrapper installed there is seen.
+PREDICTORS = {
+    RegimeKind.OUTPUT_FEEDBACK: lambda s, m, form: (recursions.predict_output_fb(s), None),
+    RegimeKind.NO_FEEDBACK: lambda s, m, form: (recursions.predict_output_fb(s), None),
+    RegimeKind.NOISELESS_FEEDBACK: lambda s, m, form: (recursions.predict_noiseless_fb(s), None),
+    RegimeKind.STATE_ESTIMATE_FEEDBACK: lambda s, m, form: (
+        recursions.predict_state_estimate_fb(s, form=form),
+        None,
+    ),
+    RegimeKind.SEPARATION_OUTPUT_FEEDBACK: lambda s, m, form: recursions.separation_total(s, m),
+}
 
 
 def select_regime(s: SystemSchedule, feedback: str = "output") -> RegimeKind:
@@ -116,7 +124,6 @@ class StepIO:
     y_f_prev: object = None
     n_t: object = 0.0
     n_f_t: object = 0.0
-    w_t: object = 0.0
 
 
 @dataclass(frozen=True)
@@ -129,9 +136,6 @@ class StepParams:
     K: float
     rho: float  # channel-noise estimation coefficient N/(N+N_f); 0 without feedback
     no_feedback: bool = False
-    sigma2_next: float = 0.0
-    sigbar2_next: float = 0.0
-    cov_next: Optional[Cov2] = None
     # state-estimate regime
     g: float = 0.0  # residual correction gain a*sigbar2/(sigbar2+N_f)
     c1: float = 0.0  # tracker pole aN/(P+N)
@@ -161,9 +165,7 @@ def encoder_step_output_fb(
         y_f = z + io.n_t + io.n_f_t
         nhat = p.rho * (y_f - z)
     s_next = p.a * state.enc + p.K * (z + nhat)
-    return z, state.advanced(
-        t=state.t, enc=s_next, sigma2=p.sigma2_next, cov=p.cov_next
-    )
+    return z, SchemeState(state.xhat, s_next)
 
 
 def encoder_step_noiseless_fb(
@@ -175,9 +177,7 @@ def encoder_step_noiseless_fb(
     z = p.scale * xtilde
     y_f = z + io.n_t
     s_next = p.a * state.enc + p.K * y_f
-    return z, state.advanced(
-        t=state.t, enc=s_next, sigma2=p.sigma2_next, cov=p.cov_next
-    )
+    return z, SchemeState(state.xhat, s_next)
 
 
 def encoder_step_state_estimate_fb(
@@ -198,12 +198,7 @@ def encoder_step_state_estimate_fb(
         + p.g * (x_prev - xck - io.y_f_prev)
     )
     z = p.scale_next * xck_next
-    return z, state.advanced(
-        t=state.t,
-        enc=(xck_next, io.x_t),
-        sigma2=p.sigma2_next,
-        sigbar2=p.sigbar2_next,
-    )
+    return z, SchemeState(state.xhat, (xck_next, io.x_t))
 
 
 def encoder_step_separation(
@@ -221,12 +216,7 @@ def encoder_step_separation(
         y_f = z + io.n_t + io.n_f_t
         nhat = p.rho * (y_f - z)
     s_next = p.a * s + p.K * (z + nhat)
-    return z, state.advanced(
-        t=state.t,
-        enc=(s_next, p.a * xb_filt),
-        sigma2=p.sigma2_next,
-        cov=p.cov_next,
-    )
+    return z, SchemeState(state.xhat, (s_next, p.a * xb_filt))
 
 
 def decoder_step(
@@ -234,7 +224,7 @@ def decoder_step(
 ) -> tuple[object, SchemeState]:
     """Shared decoder update xhat(t+1) = a xhat(t) + K(t) y(t)."""
     xhat_next = p.a * state.xhat + p.K * y_t
-    return xhat_next, state.advanced(xhat=xhat_next)
+    return xhat_next, SchemeState(xhat_next, state.enc)
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,12 +243,10 @@ class RegimePlan:
     K: np.ndarray
     rho: np.ndarray
     no_feedback: np.ndarray
-    covs: Optional[list] = None
     g: Optional[np.ndarray] = None
     c1: Optional[np.ndarray] = None
     measurement: Optional[MeasurementModel] = None
     prefilter: Optional[recursions.KalmanPrefilter] = None
-    comm: Optional[VariancePrediction] = None
 
     def step(self, t: int) -> StepParams:
         """Parameters for the transmission step at time t (1 <= t <= T-1)."""
@@ -272,9 +260,6 @@ class RegimePlan:
             K=self.K[i],
             rho=self.rho[i],
             no_feedback=bool(self.no_feedback[i]),
-            sigma2_next=self.prediction.sigma2[min(i + 1, s.T - 1)],
-            sigbar2_next=self.prediction.vbar[min(i + 1, s.T - 1)],
-            cov_next=self.covs[i + 1] if self.covs is not None else None,
             g=self.g[i] if self.g is not None else 0.0,
             c1=self.c1[i] if self.c1 is not None else 0.0,
             scale_next=self.scale[nxt],
@@ -293,58 +278,29 @@ def build_plan(
     """Precompute predictions and per-step gains for a regime."""
     s = check_regime_consistency(s, kind)
     T = s.T
-    kf = None
-    comm = None
-    covs = None
     g = None
     c1 = None
-
+    predictor = PREDICTORS.get(kind)
+    if predictor is None:
+        raise ValidationError(f"unknown regime {kind!r}")
     if kind is RegimeKind.SEPARATION_OUTPUT_FEEDBACK:
         if measurement is None:
             raise ValidationError("separation regime requires a measurement model")
         measurement = validate_measurement(measurement, T)
-        prediction, comm, kf = recursions.separation_total(s, measurement)
-        gain_sigma2 = comm.sigma2
-    elif kind is RegimeKind.STATE_ESTIMATE_FEEDBACK:
-        prediction = recursions.predict_state_estimate_fb(s, form=form)
-        gain_sigma2 = prediction.sigma2
-    elif kind is RegimeKind.NOISELESS_FEEDBACK:
-        prediction = recursions.predict_noiseless_fb(s)
-        gain_sigma2 = prediction.sigma2
-    elif kind in (RegimeKind.OUTPUT_FEEDBACK, RegimeKind.NO_FEEDBACK):
-        prediction = recursions.predict_output_fb(s)
-        gain_sigma2 = prediction.sigma2
-    else:
-        raise ValidationError(f"unknown regime {kind!r}")
+    prediction, kf = predictor(s, measurement, form)
 
     scale = np.zeros(T)
     K = np.zeros(T)
     rho = np.zeros(T)
     nofb = np.zeros(T, dtype=bool)
     for t in range(1, T):
-        gn = recursions.gains(s.a[t], s.P[t], s.N[t], gain_sigma2[t - 1])
+        gn = recursions.gains(s.a[t], s.P[t], s.N[t], prediction.sigma2[t - 1])
         scale[t - 1] = gn.scale
         K[t - 1] = gn.K
         if math.isinf(s.N_f[t]) or kind is RegimeKind.NO_FEEDBACK:
             nofb[t - 1] = True
         else:
             rho[t - 1] = s.N[t] / (s.N[t] + s.N_f[t])
-
-    if kind in OUTPUT_FAMILY or kind is RegimeKind.SEPARATION_OUTPUT_FEEDBACK:
-        base = s if kind is not RegimeKind.SEPARATION_OUTPUT_FEEDBACK else None
-        covs = [Cov2(0.0, 0.0, gain_sigma2[0])]
-        for t in range(1, T):
-            covs.append(
-                recursions.propagate_cov_output_fb(
-                    covs[-1],
-                    s.a[t],
-                    (s.b[t] if base is not None else kf.beta[t]),
-                    s.P[t],
-                    s.N[t],
-                    s.N_f[t],
-                    K[t - 1],
-                )
-            )
 
     if kind is RegimeKind.STATE_ESTIMATE_FEEDBACK:
         g = np.zeros(T)
@@ -363,12 +319,10 @@ def build_plan(
         K=K,
         rho=rho,
         no_feedback=nofb,
-        covs=covs,
         g=g,
         c1=c1,
         measurement=measurement,
         prefilter=kf,
-        comm=comm,
     )
 
 
@@ -430,9 +384,7 @@ def run_closed_loop(plan: RegimePlan, streams, recorder: Recorder) -> None:
     xhat = zeros + 0.0
 
     if kind is RegimeKind.STATE_ESTIMATE_FEEDBACK:
-        state = SchemeState(
-            t=1, xhat=xhat, enc=(x, x), sigma2=plan.prediction.sigma2[0]
-        )
+        state = SchemeState(xhat=xhat, enc=(x, x))
         z = plan.scale[0] * x
         for t in range(1, T):
             recorder.error(t, x - state.xhat)
@@ -443,7 +395,7 @@ def run_closed_loop(plan: RegimePlan, streams, recorder: Recorder) -> None:
             xhat, state = decoder_step(state, y, p)
             x_next = s.a[t] * x + s.b[t] * streams.w[t]
             if t < T - 1:
-                io = StepIO(x_t=x_next, y_f_prev=y_f, w_t=streams.w[t])
+                io = StepIO(x_t=x_next, y_f_prev=y_f)
                 z, state = encoder_step_state_estimate_fb(state, io, p)
             x = x_next
         recorder.error(T, x - state.xhat)
@@ -455,22 +407,10 @@ def run_closed_loop(plan: RegimePlan, streams, recorder: Recorder) -> None:
         m = plan.measurement
         gamma0 = m.c * streams.x0 + m.d * streams.v[0]
         xb_filt = plan.prefilter.L[0] * gamma0
-        state = SchemeState(
-            t=1,
-            xhat=xhat,
-            enc=(zeros + 0.0, s.a[0] * xb_filt),
-            sigma2=plan.comm.sigma2[0],
-            cov=plan.covs[0],
-        )
+        state = SchemeState(xhat=xhat, enc=(zeros + 0.0, s.a[0] * xb_filt))
         step_fn = encoder_step_separation
     else:
-        state = SchemeState(
-            t=1,
-            xhat=xhat,
-            enc=zeros + 0.0,
-            sigma2=plan.prediction.sigma2[0],
-            cov=plan.covs[0] if plan.covs else None,
-        )
+        state = SchemeState(xhat=xhat, enc=zeros + 0.0)
         step_fn = (
             encoder_step_noiseless_fb
             if kind is RegimeKind.NOISELESS_FEEDBACK
@@ -484,9 +424,7 @@ def run_closed_loop(plan: RegimePlan, streams, recorder: Recorder) -> None:
             x_in = plan.measurement.c * x + plan.measurement.d * streams.v[t]
         else:
             x_in = x
-        io = StepIO(
-            x_t=x_in, n_t=streams.n[t], n_f_t=streams.n_f[t], w_t=streams.w[t]
-        )
+        io = StepIO(x_t=x_in, n_t=streams.n[t], n_f_t=streams.n_f[t])
         z, state = step_fn(state, io, p)
         y = z + streams.n[t]
         if p.no_feedback:

@@ -532,15 +532,13 @@ class OracleResult:
 
     ``mse[t-1]``: error of the best (conditional-mean) estimate of x(t) from
     y(1..t-1).  ``scheme_mse[t-1]``: error of the realized recursive decoder.
-    ``open_loop_var[t-1]``: unconditional Var x(t).  ``cond_cov[t-1]``: the
-    conditioning covariance of y(1..t-1) used for step t.
+    ``open_loop_var[t-1]``: unconditional Var x(t).
     """
 
     kind: RegimeKind
     mse: np.ndarray
     scheme_mse: np.ndarray
     open_loop_var: np.ndarray
-    cond_cov: list
 
 
 class _Unroller:
@@ -727,7 +725,7 @@ def exact_conditioning_oracle(
     the true transmit variance, so the perturbed encoder still meets the
     per-symbol power constraint exactly.
     """
-    s = check_regime_consistency(validate_schedule(s), kind)
+    s = check_regime_consistency(s, kind)
     if s.T > ORACLE_HORIZON_MAX:
         raise ValidationError(
             f"oracle horizon T={s.T} exceeds the supported maximum {ORACLE_HORIZON_MAX}"
@@ -742,7 +740,6 @@ def exact_conditioning_oracle(
     mse = np.empty(T)
     scheme = np.empty(T)
     open_loop = np.empty(T)
-    cond = []
     for t in range(1, T + 1):
         xc = xs[t - 1]
         open_loop[t - 1] = float(xc @ xc)
@@ -751,13 +748,9 @@ def exact_conditioning_oracle(
         past = ys[: t - 1]
         if not past:
             mse[t - 1] = open_loop[t - 1]
-            cond.append(np.zeros((0, 0)))
             continue
         Y = np.vstack(past)
         Syy = Y @ Y.T
         c = Y @ xc
         mse[t - 1] = open_loop[t - 1] - float(c @ np.linalg.pinv(Syy, rcond=pinv_rcond) @ c)
-        cond.append(Syy)
-    return OracleResult(
-        kind=kind, mse=mse, scheme_mse=scheme, open_loop_var=open_loop, cond_cov=cond
-    )
+    return OracleResult(kind=kind, mse=mse, scheme_mse=scheme, open_loop_var=open_loop)

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from statecast import (
-    Cov2,
     MeasurementModel,
     SystemSchedule,
     ValidationError,
@@ -93,18 +92,6 @@ def test_constant_helpers():
     assert not tv.is_constant()
     with pytest.raises(ValidationError):
         tv.constants()
-
-
-def test_cov2_psd_check():
-    Cov2(1.0, 0.5, 1.0).check()
-    Cov2(0.0, 0.0, 0.0).check()
-    with pytest.raises(ValidationError):
-        Cov2(1.0, 2.0, 1.0).check()
-    with pytest.raises(ValidationError):
-        Cov2(-1.0, 0.0, 1.0).check()
-    assert Cov2(1.0, 0.5, 1.0).sigma2() == 1.0
-    m = Cov2(2.0, 0.5, 3.0).as_matrix()
-    assert m[0, 1] == m[1, 0] == 0.5
 
 
 def test_measurement_validation():

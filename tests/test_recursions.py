@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from statecast import (
-    Cov2,
     MeasurementModel,
     SystemSchedule,
     ValidationError,
@@ -17,7 +17,6 @@ from statecast import (
     predict_output_fb,
     predict_separation,
     predict_state_estimate_fb,
-    propagate_cov_output_fb,
     solve_state_estimate_fp,
     validate_measurement,
     validate_schedule,
@@ -79,46 +78,6 @@ def test_noise_split_variances_sum_to_N():
 
 
 # ---------------------------------------------------------------------------
-# covariance propagation
-# ---------------------------------------------------------------------------
-
-
-def test_propagate_memoryless_plant():
-    out = propagate_cov_output_fb(Cov2(0, 0, 0), a=0.0, b=1.0, P=1, N=1, N_f=0.5, K=0.0)
-    assert (out.V_ss, out.V_sx, out.V_xx) == (0.0, 0.0, 1.0)
-
-
-def test_propagate_hand_matrix_case():
-    # A = [[0.5, 0.5], [0, 1]] acting on diag(0, 1); no drive at N_f = +inf
-    out = propagate_cov_output_fb(
-        Cov2(0, 0, 1), a=1.0, b=0.0, P=1.0, N=1.0, N_f=math.inf, K=0.5
-    )
-    assert out.V_ss == pytest.approx(0.25, abs=0)
-    assert out.V_sx == pytest.approx(0.5, abs=0)
-    assert out.V_xx == pytest.approx(1.0, abs=0)
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    vss=st.floats(0, 10),
-    vxx=st.floats(0, 10),
-    corr=st.floats(-1, 1),
-    a=st.floats(-2, 2),
-    b=st.floats(0, 2),
-    P=st.floats(0.1, 5),
-    N=st.floats(0.1, 5),
-    N_f=st.sampled_from([0.0, 0.3, 2.0, math.inf]),
-)
-def test_propagation_preserves_psd(vss, vxx, corr, a, b, P, N, N_f):
-    cov = Cov2(vss, corr * math.sqrt(vss * vxx), vxx)
-    g = gains(a, P, N, cov.sigma2() if cov.sigma2() > 0 else 0.0)
-    out = propagate_cov_output_fb(cov, a, b, P, N, N_f, g.K)
-    assert np.linalg.eigvalsh(out.as_matrix()).min() >= -1e-9 * max(
-        1.0, out.V_ss, out.V_xx
-    )
-
-
-# ---------------------------------------------------------------------------
 # output-feedback prediction
 # ---------------------------------------------------------------------------
 
@@ -133,17 +92,20 @@ def test_output_fb_with_zero_feedback_noise_matches_noiseless(rng):
         assert np.all(po.vbar == 0.0)
 
 
-def _zero_drive_reference(s):
-    """No-feedback reference: same 2x2 update with zero drive in the (1,1)
-    slot, carried as a symmetric covariance (one off-diagonal entry)."""
+def _reference_2x2(s):
+    """sigma2 of output feedback from the 2x2 covariance of (s, x), written
+    out: A C A' plus the drive K^2 N^2/(N+N_f) in the (0,0) slot (zero
+    without feedback) and b^2 in the (1,1) slot, carried as a symmetric
+    covariance (one off-diagonal entry)."""
     s = validate_schedule(s)
     vss, vsx, vxx = 0.0, 0.0, s.a[0] ** 2 * s.V_xx0 + s.b[0] ** 2
     sig = [vss - 2.0 * vsx + vxx]
     for t in range(1, s.T):
-        a, b, P, N = s.a[t], s.b[t], s.P[t], s.N[t]
+        a, b, P, N, N_f = s.a[t], s.b[t], s.P[t], s.N[t], s.N_f[t]
+        K = a * (math.sqrt(sig[-1]) * math.sqrt(P) / (P + N))
         A = np.array([[a * N / (P + N), a * P / (P + N)], [0.0, a]])
         m = A @ np.array([[vss, vsx], [vsx, vxx]]) @ A.T
-        vss, vsx, vxx = m[0, 0], m[0, 1], m[1, 1] + b * b
+        vss, vsx, vxx = m[0, 0] + K * K * (N * N / (N + N_f)), m[0, 1], m[1, 1] + b * b
         sig.append(vss - 2.0 * vsx + vxx)
     return np.array(sig)
 
@@ -152,7 +114,58 @@ def test_output_fb_without_feedback_matches_zero_drive_reference_exactly(rng):
     for _ in range(10):
         s = random_schedule(rng, nf="inf", time_varying=bool(rng.integers(2)))
         po = predict_output_fb(s)
-        assert np.array_equal(po.sigma2, _zero_drive_reference(s))
+        assert np.array_equal(po.sigma2, _reference_2x2(s))
+
+
+def test_output_fb_matches_2x2_reference_exactly(rng):
+    for nf in ("zero", "finite", "inf", "mixed"):
+        for _ in range(10):
+            T = int(rng.integers(2, 40))
+            s = random_schedule(
+                rng, T=T, nf="finite" if nf == "mixed" else nf, time_varying=bool(rng.integers(2))
+            )
+            if nf == "mixed":  # 0, finite and +inf steps in one schedule
+                s = replace(s, N_f=rng.choice([0.0, 0.4, 3.0, math.inf], size=T))
+            assert np.array_equal(predict_output_fb(s).sigma2, _reference_2x2(s)), nf
+
+
+def test_output_fb_hand_matrix_case():
+    # A = [[0.5, 0.5], [0, 1]] acting on diag(0, 1) with K = 0.5 and no drive
+    # at N_f = +inf gives the covariance [[0.25, 0.5], [0.5, 1]] of (s, x)
+    s = SystemSchedule(T=2, a=1.0, b=0.0, P=1.0, N=1.0, N_f=math.inf, V_xx0=1.0)
+    p = predict_output_fb(s)
+    assert p.sigma2[0] == 1.0
+    assert p.sigma2[1] == 0.25
+    assert p.vbar[1] == 0.25  # K^2 N
+
+
+# The only points of the grid below that may return a prediction; every
+# other point must raise ValidationError.
+_MAY_RETURN = {(0.0, 1.2, 200), (0.0, 2.0, 200), (0.5, 1.2, 200), (math.inf, 1.2, 200)}
+
+
+def test_output_fb_unstable_plant_raises_or_returns_no_nan():
+    for N_f in (0.0, 0.5, math.inf):
+        for a in (1.2, 1.5, 2.0, 10.0):
+            for T in (200, 2000):
+                s = SystemSchedule(T=T, a=a, b=1.0, P=1.0, N=1.0, N_f=N_f, V_xx0=1.0)
+                try:
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        p = predict_output_fb(s)
+                except ValidationError as exc:
+                    assert "\n" not in str(exc)
+                    continue
+                assert (N_f, a, T) in _MAY_RETURN, (N_f, a, T)
+                for series in (p.sigma2, p.vbar, p.mse):
+                    assert not np.isnan(series).any(), (N_f, a, T)
+
+
+def test_output_fb_covariance_guard_names_the_step():
+    # N_f = 0 at a = 2 > 2^C: the covariance of (s, x) overflows to inf and NaN
+    s = SystemSchedule(T=2000, a=2.0, b=1.0, P=1.0, N=1.0, N_f=0.0, V_xx0=1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValidationError, match=r"covariance of \(s, x\) at step \d+ is not"):
+            predict_output_fb(s)
 
 
 def test_output_fb_memoryless_plant():
