@@ -29,15 +29,18 @@ Config format (INI sections; scalars or comma-separated per-step lists)::
     [sweep]          ; optional; used by the `compare` command
     N_f = 0, 0.1, 1, inf
 
-Flags override file keys (``--set section.key=value``).  Exit codes:
+Flags override file keys (``--set section.key=value``).  The file is read
+as UTF-8 and values are literal (``%`` is not interpolated).  Exit codes:
 0 success, 1 I/O failure, 2 validation error (including a value that does
-not parse as a number), 3 stationarity mode reported an unbounded system.
+not parse as a number and a file that is not UTF-8), 3 stationarity mode
+reported an unbounded system.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -126,12 +129,17 @@ def _require(section, key: str, section_name: str) -> str:
 
 def parse_config(path: str, overrides: Optional[dict] = None) -> ExperimentSpec:
     """Parse and validate a config file, applying ``{section.key: value}`` overrides."""
-    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    cp = configparser.ConfigParser(
+        interpolation=None, inline_comment_prefixes=(";", "#")
+    )
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             cp.read_file(fh)
-    except OSError:
-        raise
+    except UnicodeDecodeError as exc:
+        raise ValidationError(
+            f"config {path} is not UTF-8: byte {exc.object[exc.start]:#04x} "
+            f"at offset {exc.start}"
+        ) from None
     except configparser.Error as exc:
         raise ValidationError(f"malformed config: {exc}") from exc
 
@@ -392,7 +400,13 @@ def compare(spec: ExperimentSpec) -> int:
     return EXIT_OK
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The ``statecast`` parser, built on first use and reused by every call.
+
+    Reuse is safe: parsing leaves the parser unchanged, and argparse copies
+    the ``--set`` default list before appending to it.
+    """
     parser = argparse.ArgumentParser(
         prog="statecast",
         description="Run channel-communication experiments from a config file.",
@@ -415,7 +429,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         # Parsed by parse_config, so a bad value gets its one-line error.
         p.add_argument("--seed", help="override [experiment] seed")
         p.add_argument("--trials", help="override [experiment] trials")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: Optional[list[str]] = None) -> int:
+    args = _parser().parse_args(argv)
 
     overrides = {}
     for item in args.set:

@@ -113,7 +113,8 @@ def predict_output_fb(s: SystemSchedule) -> VariancePrediction:
     entry.  The numpy 2x2 product defines the bits.  sigma2 = V_ss - 2 V_sx
     + V_xx, and vbar accumulates the unestimable channel-noise remainder:
     vbar(t+1) = a^2 vbar(t) + K(t)^2 * Var(ntilde).  A covariance that stops
-    being finite and PSD is a ``ValidationError`` naming its step.
+    being finite and PSD, or whose sigma2 overflows, is a ``ValidationError``
+    naming its step.
     """
     s = validate_schedule(s)
     T = s.T
@@ -130,19 +131,22 @@ def predict_output_fb(s: SystemSchedule) -> VariancePrediction:
         vss = m[0, 0] + K * K * nhat_variance(N, N_f)
         vsx = m[0, 1]
         vxx = m[1, 1] + b * b
+        sig = vss - 2.0 * vsx + vxx
         scale = max(vss, vxx, 1.0)  # PSD up to a rounding allowance
         if not (
             math.isfinite(vss)
             and math.isfinite(vsx)
             and math.isfinite(vxx)
+            and math.isfinite(sig)
             and min(vss, vxx) >= -1e-9 * scale
             and vsx**2 <= vss * vxx + 1e-9 * scale**2
         ):
             raise ValidationError(
                 f"covariance of (s, x) at step {t} is not finite and PSD: "
-                f"V_ss = {vss:.6g}, V_sx = {vsx:.6g}, V_xx = {vxx:.6g}"
+                f"V_ss = {vss:.6g}, V_sx = {vsx:.6g}, V_xx = {vxx:.6g}, "
+                f"sigma2 = {sig:.6g}"
             )
-        sigma2[t] = vss - 2.0 * vsx + vxx
+        sigma2[t] = sig
         vbar[t] = a**2 * vbar[t - 1] + K**2 * ntilde_variance(N, N_f)
     return VariancePrediction(sigma2=sigma2, vbar=vbar, mse=sigma2 + vbar)
 

@@ -429,6 +429,9 @@ class McSummary:
         """Largest |empirical - predicted| mse deviation in standard errors."""
         with np.errstate(divide="ignore", invalid="ignore"):
             r = np.abs(self.delta_mse) / self.emp_se
+        # One trial has no standard error: every ratio is NaN.
+        if np.isnan(r).all():
+            return math.nan
         return float(np.nanmax(r))
 
     def to_csv(self) -> str:

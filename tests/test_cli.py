@@ -3,11 +3,13 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from statecast import cli
 from statecast.cli import (
     EXIT_NOT_STATIONARY,
     EXIT_VALIDATION,
@@ -118,6 +120,7 @@ def test_bad_regime_and_mode_rejected(tmp_path, capsys):
     "override",
     [
         "schedule.a=abc",
+        "schedule.a=0.5%",
         "schedule.t=2.5",
         "schedule.v_xx0=1,2",
         "experiment.trials=1.5",
@@ -273,3 +276,71 @@ def test_golden_artifacts(tmp_path, ini, artifact, command):
     code = main([command, str(GOLDEN_DIR / ini), "--output", str(out)])
     assert code == 0
     assert out.read_bytes() == (GOLDEN_DIR / artifact).read_bytes()
+
+
+@pytest.mark.parametrize("where", ["--output", "--set", "config"])
+def test_percent_in_a_value_is_literal(tmp_path, where):
+    out = tmp_path / "o%.csv"
+    ini = tmp_path / "pct.ini"
+    text = (GOLDEN_DIR / "noiseless_sim.ini").read_text()
+    flags = []
+    if where == "--output":
+        flags = ["--output", str(out)]
+    elif where == "--set":
+        flags = ["--set", f"experiment.output={out}"]
+    else:
+        text = text.replace("output = noiseless_sim.csv", f"output = {out}")
+    ini.write_text(text)
+    assert main(["run", str(ini), *flags]) == 0
+    assert out.read_bytes() == (GOLDEN_DIR / "noiseless_sim.csv").read_bytes()
+
+
+def test_config_that_is_not_utf8_is_one_line_validation_error(tmp_path, capsys):
+    path = tmp_path / "latin.ini"
+    path.write_bytes(write_cfg(tmp_path).read_bytes().replace(b"b = 1.0", b"b = 1.0 \xff"))
+    assert main(["run", str(path)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert str(path) in err and "UTF-8" in err
+
+
+def test_compare_with_one_trial_warns_nothing(tmp_path):
+    out = tmp_path / "one.csv"
+    ini = str(GOLDEN_DIR / "output_fb_compare.ini")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["compare", ini, "--trials", "1", "--output", str(out)]) == 0
+    assert "max_se_ratio = nan" in out.read_text()
+
+
+def test_parser_reuse_keeps_no_state_between_calls(tmp_path):
+    ini = str(GOLDEN_DIR / "noiseless_sim.ini")
+    golden = (GOLDEN_DIR / "noiseless_sim.csv").read_bytes()
+    first = tmp_path / "first.csv"
+    args = ["--set", "schedule.T=3", "--seed", "9", "--output", str(first)]
+    assert main(["run", ini, *args]) == 0
+    _, data = read_csv(first)
+    assert data.shape[0] == 3
+    out = tmp_path / "second.csv"
+    assert main(["run", ini, "--output", str(out)]) == 0
+    assert out.read_bytes() == golden
+    assert cli._parser() is cli._parser()
+
+
+def test_usage_error_between_calls_leaves_the_parser_usable(tmp_path, capsys):
+    ini = str(GOLDEN_DIR / "noiseless_sim.ini")
+    with pytest.raises(SystemExit) as exc:
+        main(["run"])
+    assert exc.value.code == EXIT_VALIDATION
+    assert "required: config" in capsys.readouterr().err
+    out = tmp_path / "after.csv"
+    assert main(["run", ini, "--output", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN_DIR / "noiseless_sim.csv").read_bytes()
+
+
+def test_import_builds_no_parser():
+    code = "import statecast.cli as c; print(c._parser.cache_info().currsize)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "0"

@@ -161,11 +161,19 @@ def test_output_fb_unstable_plant_raises_or_returns_no_nan():
 
 
 def test_output_fb_covariance_guard_names_the_step():
-    # N_f = 0 at a = 2 > 2^C: the covariance of (s, x) overflows to inf and NaN
-    s = SystemSchedule(T=2000, a=2.0, b=1.0, P=1.0, N=1.0, N_f=0.0, V_xx0=1.0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(ValidationError, match=r"covariance of \(s, x\) at step \d+ is not"):
-            predict_output_fb(s)
+    for a, N_f in (
+        # N_f = 0 at a = 2 > 2^C: the covariance of (s, x) overflows to inf and NaN
+        (2.0, 0.0),
+        # a = 1.2: the entries stay finite, but sigma2 = V_ss - 2 V_sx + V_xx
+        # overflows to -inf
+        (1.2, 0.5),
+    ):
+        s = SystemSchedule(T=2000, a=a, b=1.0, P=1.0, N=1.0, N_f=N_f, V_xx0=1.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(
+                ValidationError, match=r"covariance of \(s, x\) at step \d+ is not"
+            ):
+                predict_output_fb(s)
 
 
 def test_output_fb_memoryless_plant():
