@@ -5,7 +5,6 @@ Carlo harness and exact-conditioning oracle that validate them."""
 
 from .model import (
     MeasurementModel,
-    SchemeState,
     SystemSchedule,
     TrajectoryRecord,
     ValidationError,
@@ -26,15 +25,8 @@ from .recursions import (
 from .schemes import (
     RegimeKind,
     RegimePlan,
-    StepIO,
-    StepParams,
     build_plan,
     check_regime_consistency,
-    decoder_step,
-    encoder_step_noiseless_fb,
-    encoder_step_output_fb,
-    encoder_step_separation,
-    encoder_step_state_estimate_fb,
     run_regime,
     select_regime,
 )
@@ -67,10 +59,7 @@ __all__ = [
     "OracleResult",
     "RegimeKind",
     "RegimePlan",
-    "SchemeState",
     "StationaryReport",
-    "StepIO",
-    "StepParams",
     "SystemSchedule",
     "TrajectoryRecord",
     "ValidationError",
@@ -80,11 +69,6 @@ __all__ = [
     "check_regime_consistency",
     "check_noiseless",
     "check_output_fb",
-    "decoder_step",
-    "encoder_step_noiseless_fb",
-    "encoder_step_output_fb",
-    "encoder_step_separation",
-    "encoder_step_state_estimate_fb",
     "exact_conditioning_oracle",
     "gains",
     "kalman_prefilter",

@@ -11,7 +11,7 @@ Config format (INI sections; scalars or comma-separated per-step lists)::
     N_f = 0          ; 0 = noiseless feedback, inf = no feedback
     V_xx0 = 1.0
 
-    [measurement]    ; required only for the separation regime
+    [measurement]    ; separation regime only (required there, ignored elsewhere)
     c = 1.0
     d = 0.0
     V_ww = 1.0       ; scalar or comma list of length T+1

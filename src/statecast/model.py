@@ -1,5 +1,5 @@
-"""Domain types shared by every regime: parameter schedules, filter state,
-prediction series, and their validation.
+"""Domain types shared by every regime: parameter schedules, the
+measurement model, prediction series, trajectories, and their validation.
 
 Time convention used throughout the package
 -------------------------------------------
@@ -27,18 +27,12 @@ __all__ = [
     "ValidationError",
     "SystemSchedule",
     "MeasurementModel",
-    "SchemeState",
     "VariancePrediction",
     "TrajectoryRecord",
     "constant_values",
     "validate_schedule",
     "validate_measurement",
 ]
-
-#: Scheme quantities are plain floats in single trajectories and ndarrays of
-#: shape (trials,) in vectorized Monte Carlo runs; the math is identical.
-Scalarish = Union[float, np.ndarray]
-
 
 class ValidationError(ValueError):
     """An input violates a documented invariant.
@@ -175,20 +169,6 @@ def validate_measurement(m: MeasurementModel, T: int) -> MeasurementModel:
     if not (math.isfinite(m.c) and math.isfinite(m.d)):
         raise ValidationError("c and d must be finite")
     return MeasurementModel(c=float(m.c), d=float(m.d), V_ww=V_ww, V_wv=V_wv, V_vv=V_vv)
-
-
-@dataclass
-class SchemeState:
-    """Joint encoder/decoder internal state at one time step.
-
-    ``enc`` is regime-dependent: the tracker ``s(t)`` for the output-feedback
-    family, the pair ``(xcheck(t), x(t))`` for state-estimate feedback, and
-    ``(s(t), xbreve_pred(t))`` for the separation regime.  Fields hold
-    floats, or (trials,) arrays in vectorized runs.
-    """
-
-    xhat: Scalarish
-    enc: object
 
 
 @dataclass(frozen=True, eq=False)

@@ -113,8 +113,8 @@ def predict_output_fb(s: SystemSchedule) -> VariancePrediction:
     entry.  The numpy 2x2 product defines the bits.  sigma2 = V_ss - 2 V_sx
     + V_xx, and vbar accumulates the unestimable channel-noise remainder:
     vbar(t+1) = a^2 vbar(t) + K(t)^2 * Var(ntilde).  A covariance that stops
-    being finite and PSD, or whose sigma2 overflows, is a ``ValidationError``
-    naming its step.
+    being finite and PSD, or whose sigma2 overflows or cancels to a negative
+    value, is a ``ValidationError`` naming its step.
     """
     s = validate_schedule(s)
     T = s.T
@@ -138,6 +138,7 @@ def predict_output_fb(s: SystemSchedule) -> VariancePrediction:
             and math.isfinite(vsx)
             and math.isfinite(vxx)
             and math.isfinite(sig)
+            and sig >= 0.0
             and min(vss, vxx) >= -1e-9 * scale
             and vsx**2 <= vss * vxx + 1e-9 * scale**2
         ):

@@ -1,11 +1,12 @@
-"""Per-step encoder/decoder filters for each regime, and the closed-loop
-trajectory engine that composes them.
+"""Regime plans (the deterministic per-step gains of each regime's
+encoder/decoder pair) and the closed loop that runs those filters over
+sampled noise.
 
 The filters are deterministic maps: all gains come from the recursions
 module (encoder and decoder can both compute them offline), never from
-online variance estimation.  Step functions accept floats or (trials,)
-ndarrays in every signal slot, so single trajectories and vectorized Monte
-Carlo share one code path.
+online variance estimation.  ``run_closed_loop`` holds the filter
+equations; every signal is a float or a (trials,) ndarray, so single
+trajectories and vectorized Monte Carlo share one code path.
 
 Step ordering for state-estimate feedback (the update equations do not pin
 it down by themselves): observe x(t+1), receive y_f(t), update the tracker,
@@ -23,7 +24,6 @@ import numpy as np
 
 from .model import (
     MeasurementModel,
-    SchemeState,
     SystemSchedule,
     TrajectoryRecord,
     ValidationError,
@@ -36,19 +36,12 @@ from . import recursions
 __all__ = [
     "RegimeKind",
     "PREDICTORS",
-    "StepIO",
-    "StepParams",
     "RegimePlan",
     "Recorder",
     "ArrayRecorder",
     "build_plan",
     "select_regime",
     "check_regime_consistency",
-    "encoder_step_output_fb",
-    "encoder_step_noiseless_fb",
-    "encoder_step_state_estimate_fb",
-    "encoder_step_separation",
-    "decoder_step",
     "run_regime",
     "run_closed_loop",
 ]
@@ -110,130 +103,15 @@ def check_regime_consistency(s: SystemSchedule, kind: RegimeKind) -> SystemSched
     return s
 
 
-@dataclass(frozen=True)
-class StepIO:
-    """Signals entering one encoder step.
-
-    ``x_t`` is the current plant state (the measurement gamma(t) in the
-    separation regime); ``y_f_prev`` is the feedback observation of the
-    previous step, used only by the state-estimate regime; the noises are
-    the already-scaled samples for the current step.
-    """
-
-    x_t: object
-    y_f_prev: object = None
-    n_t: object = 0.0
-    n_f_t: object = 0.0
-
-
-@dataclass(frozen=True)
-class StepParams:
-    """Deterministic per-step quantities from the plan."""
-
-    t: int
-    a: float
-    scale: float
-    K: float
-    rho: float  # channel-noise estimation coefficient N/(N+N_f); 0 without feedback
-    no_feedback: bool = False
-    # state-estimate regime
-    g: float = 0.0  # residual correction gain a*sigbar2/(sigbar2+N_f)
-    c1: float = 0.0  # tracker pole aN/(P+N)
-    scale_next: float = 0.0
-    # separation regime
-    L: float = 0.0  # pre-filter gain at this step
-    c: float = 0.0
-    d: float = 0.0
-
-
-def encoder_step_output_fb(
-    state: SchemeState, io: StepIO, p: StepParams
-) -> tuple[object, SchemeState]:
-    """Transmit the scaled tracker error and absorb the fed-back output.
-
-    z(t) = scale * (x(t) - s(t)); the tracker update
-    s(t+1) = a s(t) + K (z(t) + nhat(t)) uses
-    nhat(t) = rho * (y_f(t) - z(t)) with y_f(t) = y(t) + n_f(t), which
-    reduces to nhat = n exactly under noiseless feedback and to nhat = 0
-    without feedback.
-    """
-    xck = io.x_t - state.enc
-    z = p.scale * xck
-    if p.no_feedback:
-        nhat = 0.0
-    else:
-        y_f = z + io.n_t + io.n_f_t
-        nhat = p.rho * (y_f - z)
-    s_next = p.a * state.enc + p.K * (z + nhat)
-    return z, SchemeState(state.xhat, s_next)
-
-
-def encoder_step_noiseless_fb(
-    state: SchemeState, io: StepIO, p: StepParams
-) -> tuple[object, SchemeState]:
-    """Noiseless-feedback encoder: the transmitter rebuilds the decoder state
-    directly from the fed-back channel output y_f(t) = y(t)."""
-    xtilde = io.x_t - state.enc
-    z = p.scale * xtilde
-    y_f = z + io.n_t
-    s_next = p.a * state.enc + p.K * y_f
-    return z, SchemeState(state.xhat, s_next)
-
-
-def encoder_step_state_estimate_fb(
-    state: SchemeState, io: StepIO, p: StepParams
-) -> tuple[object, SchemeState]:
-    """Advance the tracker after observing x(t+1) and y_f(t), then transmit.
-
-    xcheck(t+1) = aN/(P+N) xcheck(t) + x(t+1) - a x(t)
-                + g * (x(t) - xcheck(t) - y_f(t))
-    with g = a*sigbar2/(sigbar2+N_f); the last term is the estimate of the
-    residual the transmitter cannot see, reconstructed from the fed-back
-    state estimate.  Emits z(t+1) = scale_{t+1} * xcheck(t+1).
-    """
-    xck, x_prev = state.enc
-    xck_next = (
-        p.c1 * xck
-        + (io.x_t - p.a * x_prev)
-        + p.g * (x_prev - xck - io.y_f_prev)
-    )
-    z = p.scale_next * xck_next
-    return z, SchemeState(state.xhat, (xck_next, io.x_t))
-
-
-def encoder_step_separation(
-    state: SchemeState, io: StepIO, p: StepParams
-) -> tuple[object, SchemeState]:
-    """Pre-filter the measurement, then run the output-feedback encoder on
-    the filtered estimate.  io.x_t carries gamma(t)."""
-    s, xb_pred = state.enc
-    xb_filt = xb_pred + p.L * (io.x_t - p.c * xb_pred)
-    xck = xb_filt - s
-    z = p.scale * xck
-    if p.no_feedback:
-        nhat = 0.0
-    else:
-        y_f = z + io.n_t + io.n_f_t
-        nhat = p.rho * (y_f - z)
-    s_next = p.a * s + p.K * (z + nhat)
-    return z, SchemeState(state.xhat, (s_next, p.a * xb_filt))
-
-
-def decoder_step(
-    state: SchemeState, y_t: object, p: StepParams
-) -> tuple[object, SchemeState]:
-    """Shared decoder update xhat(t+1) = a xhat(t) + K(t) y(t)."""
-    xhat_next = p.a * state.xhat + p.K * y_t
-    return xhat_next, SchemeState(xhat_next, state.enc)
-
-
 @dataclass(frozen=True, eq=False)
 class RegimePlan:
     """Everything deterministic about one regime on one schedule: the
     prediction the run should match and the per-step gains the filters use.
 
     Arrays are indexed like predictions (index t-1 holds step t); gain
-    entries at t = T are zero placeholders (no transmission there).
+    entries at t = T are zero placeholders (no transmission there).  g and
+    c1 are set only for state-estimate feedback, measurement and prefilter
+    only for the separation regime.
     """
 
     schedule: SystemSchedule
@@ -248,26 +126,6 @@ class RegimePlan:
     measurement: Optional[MeasurementModel] = None
     prefilter: Optional[recursions.KalmanPrefilter] = None
 
-    def step(self, t: int) -> StepParams:
-        """Parameters for the transmission step at time t (1 <= t <= T-1)."""
-        s = self.schedule
-        i = t - 1
-        nxt = min(t, s.T - 1)
-        return StepParams(
-            t=t,
-            a=s.a[t],
-            scale=self.scale[i],
-            K=self.K[i],
-            rho=self.rho[i],
-            no_feedback=bool(self.no_feedback[i]),
-            g=self.g[i] if self.g is not None else 0.0,
-            c1=self.c1[i] if self.c1 is not None else 0.0,
-            scale_next=self.scale[nxt],
-            L=self.prefilter.L[t] if self.prefilter is not None else 0.0,
-            c=self.measurement.c if self.measurement is not None else 0.0,
-            d=self.measurement.d if self.measurement is not None else 0.0,
-        )
-
 
 def build_plan(
     s: SystemSchedule,
@@ -275,7 +133,11 @@ def build_plan(
     measurement: Optional[MeasurementModel] = None,
     form: str = "proof",
 ) -> RegimePlan:
-    """Precompute predictions and per-step gains for a regime."""
+    """Precompute predictions and per-step gains for a regime.
+
+    The measurement model is kept, and validated, only for the separation
+    regime; the other regimes observe x(t) itself and ignore it.
+    """
     s = check_regime_consistency(s, kind)
     T = s.T
     g = None
@@ -283,9 +145,11 @@ def build_plan(
     predictor = PREDICTORS.get(kind)
     if predictor is None:
         raise ValidationError(f"unknown regime {kind!r}")
-    if kind is RegimeKind.SEPARATION_OUTPUT_FEEDBACK:
-        if measurement is None:
-            raise ValidationError("separation regime requires a measurement model")
+    if kind is not RegimeKind.SEPARATION_OUTPUT_FEEDBACK:
+        measurement = None
+    elif measurement is None:
+        raise ValidationError("separation regime requires a measurement model")
+    else:
         measurement = validate_measurement(measurement, T)
     prediction, kf = predictor(s, measurement, form)
 
@@ -338,6 +202,9 @@ class Recorder:
     def transmit(self, t: int, x, z, y, y_f, xhat) -> None:  # pragma: no cover
         pass
 
+    def final(self, T: int, x, xhat) -> None:  # pragma: no cover - interface
+        pass
+
 
 class ArrayRecorder(Recorder):
     """Stores full trajectories (single run or a small batch)."""
@@ -371,74 +238,102 @@ def run_closed_loop(plan: RegimePlan, streams, recorder: Recorder) -> None:
 
     ``streams`` provides already-scaled samples: x0, w[t], n[t], n_f[t]
     (zeros where N_f is 0 or +inf) and, for the separation regime, v[t]
-    jointly drawn with w[t].  One trajectory per stream column.
+    jointly drawn with w[t].  One trajectory per stream column.  Gains are
+    read from the plan (index t-1 holds step t): scale, K, rho, no_feedback
+    and, for state-estimate feedback, g and c1.
+
+    Every regime shares the plant x(t+1) = a x(t) + b w(t), the channel
+    y(t) = z(t) + n(t) and the decoder xhat(t+1) = a xhat(t) + K(t) y(t),
+    with xhat(1) = 0.
+
+    Output family (output, noiseless and no feedback, separation): the
+    encoder keeps a tracker s(t) of the decoder, s(1) = 0, and sends the
+    scaled tracker error z(t) = scale * (x(t) - s(t)), then updates
+    s(t+1) = a s(t) + K (z(t) + nhat(t)).  nhat(t) = rho * (y_f(t) - z(t))
+    estimates the channel noise from the fed-back output
+    y_f(t) = y(t) + n_f(t); it is 0 without feedback, and under noiseless
+    feedback (y_f = y) the update is s(t+1) = a s(t) + K y(t), which rebuilds
+    the decoder state exactly.  In the separation regime the encoder sees
+    gamma(t) = c x(t) + d v(t) and sends the Kalman pre-filter's estimate
+    instead of x(t): xbreve(t) = xbreve_pred(t) + L(t) (gamma(t) - c
+    xbreve_pred(t)) with xbreve_pred(t+1) = a xbreve(t), started from
+    xbreve(0) = L(0) gamma(0).
+
+    State-estimate feedback: the decoder feeds back y_f(t) = xhat(t) +
+    n_f(t), and the encoder keeps xcheck(t), xcheck(1) = x(1), and sends
+    z(t) = scale(t) xcheck(t).  After observing x(t+1) and y_f(t):
+    xcheck(t+1) = aN/(P+N) xcheck(t) + x(t+1) - a x(t)
+    + g * (x(t) - xcheck(t) - y_f(t)), with g = a sigbar2 / (sigbar2 + N_f);
+    the last term is the estimate of the residual the transmitter cannot
+    see, reconstructed from the fed-back decoder estimate.
+
+    The order of every floating-point operation is part of the golden
+    files: nhat is formed as rho * (y_f - z) = rho * ((z + n + n_f) - z),
+    not rho * (n + n_f).
     """
     s = plan.schedule
     T = s.T
-    kind = plan.kind
+    a, b = s.a.tolist(), s.b.tolist()
+    scale, K = plan.scale.tolist(), plan.K.tolist()
     width = None if np.ndim(streams.x0) == 0 else len(streams.x0)
     recorder.start(T, width)
+    error, transmit = recorder.error, recorder.transmit
     zeros = 0.0 if width is None else np.zeros(width)
 
-    x = s.a[0] * streams.x0 + s.b[0] * streams.w[0]
+    x = a[0] * streams.x0 + b[0] * streams.w[0]
     xhat = zeros + 0.0
 
-    if kind is RegimeKind.STATE_ESTIMATE_FEEDBACK:
-        state = SchemeState(xhat=xhat, enc=(x, x))
-        z = plan.scale[0] * x
+    if plan.kind is RegimeKind.STATE_ESTIMATE_FEEDBACK:
+        g, c1 = plan.g.tolist(), plan.c1.tolist()
+        xck = x
+        z = scale[0] * x
         for t in range(1, T):
-            recorder.error(t, x - state.xhat)
-            p = plan.step(t)
+            error(t, x - xhat)
+            i = t - 1
             y = z + streams.n[t]
-            y_f = state.xhat + streams.n_f[t]
-            recorder.transmit(t, x, z, y, y_f, state.xhat)
-            xhat, state = decoder_step(state, y, p)
-            x_next = s.a[t] * x + s.b[t] * streams.w[t]
+            y_f = xhat + streams.n_f[t]
+            transmit(t, x, z, y, y_f, xhat)
+            xhat = a[t] * xhat + K[i] * y
+            x_next = a[t] * x + b[t] * streams.w[t]
             if t < T - 1:
-                io = StepIO(x_t=x_next, y_f_prev=y_f)
-                z, state = encoder_step_state_estimate_fb(state, io, p)
+                xck = c1[i] * xck + (x_next - a[t] * x) + g[i] * (x - xck - y_f)
+                z = scale[t] * xck
             x = x_next
-        recorder.error(T, x - state.xhat)
-        if hasattr(recorder, "final"):
-            recorder.final(T, x, state.xhat)
+        error(T, x - xhat)
+        recorder.final(T, x, xhat)
         return
 
-    if kind is RegimeKind.SEPARATION_OUTPUT_FEEDBACK:
-        m = plan.measurement
-        gamma0 = m.c * streams.x0 + m.d * streams.v[0]
-        xb_filt = plan.prefilter.L[0] * gamma0
-        state = SchemeState(xhat=xhat, enc=(zeros + 0.0, s.a[0] * xb_filt))
-        step_fn = encoder_step_separation
-    else:
-        state = SchemeState(xhat=xhat, enc=zeros + 0.0)
-        step_fn = (
-            encoder_step_noiseless_fb
-            if kind is RegimeKind.NOISELESS_FEEDBACK
-            else encoder_step_output_fb
-        )
-
+    rho, no_feedback = plan.rho.tolist(), plan.no_feedback.tolist()
+    noiseless = plan.kind is RegimeKind.NOISELESS_FEEDBACK
+    m = plan.measurement
+    if m is not None:
+        L = plan.prefilter.L.tolist()
+        xb_pred = a[0] * (L[0] * (m.c * streams.x0 + m.d * streams.v[0]))
+    trk = zeros + 0.0  # the encoder's copy s(t) of the decoder state
     for t in range(1, T):
-        recorder.error(t, x - state.xhat)
-        p = plan.step(t)
-        if kind is RegimeKind.SEPARATION_OUTPUT_FEEDBACK:
-            x_in = plan.measurement.c * x + plan.measurement.d * streams.v[t]
+        error(t, x - xhat)
+        i = t - 1
+        if m is None:
+            z = scale[i] * (x - trk)
         else:
-            x_in = x
-        io = StepIO(x_t=x_in, n_t=streams.n[t], n_f_t=streams.n_f[t])
-        z, state = step_fn(state, io, p)
+            xb_filt = xb_pred + L[t] * ((m.c * x + m.d * streams.v[t]) - m.c * xb_pred)
+            z = scale[i] * (xb_filt - trk)
+            xb_pred = a[t] * xb_filt
         y = z + streams.n[t]
-        if p.no_feedback:
+        if no_feedback[i]:
             y_f = zeros + 0.0
-        elif kind is RegimeKind.NOISELESS_FEEDBACK:
+            trk = a[t] * trk + K[i] * (z + 0.0)  # nhat = 0.0; the sum maps z = -0.0 to +0.0
+        elif noiseless:
             y_f = y
+            trk = a[t] * trk + K[i] * y
         else:
             y_f = y + streams.n_f[t]
-        recorder.transmit(t, x, z, y, y_f, state.xhat)
-        xhat, state = decoder_step(state, y, p)
-        x = s.a[t] * x + s.b[t] * streams.w[t]
-    recorder.error(T, x - state.xhat)
-    if hasattr(recorder, "final"):
-        recorder.final(T, x, state.xhat)
+            trk = a[t] * trk + K[i] * (z + rho[i] * (y_f - z))
+        transmit(t, x, z, y, y_f, xhat)
+        xhat = a[t] * xhat + K[i] * y
+        x = a[t] * x + b[t] * streams.w[t]
+    error(T, x - xhat)
+    recorder.final(T, x, xhat)
 
 
 def run_regime(

@@ -60,14 +60,12 @@ from numpy.random import Generator, Philox
 from .model import (
     MeasurementModel,
     SystemSchedule,
-    TrajectoryRecord,
     ValidationError,
     VariancePrediction,
     validate_measurement,
     validate_schedule,
 )
 from .schemes import (
-    ArrayRecorder,
     Recorder,
     RegimeKind,
     build_plan,
@@ -123,7 +121,6 @@ class McConfig:
 
     trials: int
     seed: int
-    record_trajectories: bool = False
 
     def check(self) -> "McConfig":
         if self.trials < 1:
@@ -375,22 +372,6 @@ class _MomentRecorder(Recorder):
         self.transmitted[t - 1] = True
 
 
-class _TrajectoryMoments(_MomentRecorder, ArrayRecorder):
-    """The moments and every full trajectory, from one pass of the loop."""
-
-    def start(self, T, width):
-        _MomentRecorder.start(self, T, width)
-        ArrayRecorder.start(self, T, width)
-
-    def error(self, t, err):
-        _MomentRecorder.error(self, t, err)
-        ArrayRecorder.error(self, t, err)
-
-    def transmit(self, t, x, z, y, y_f, xhat):
-        _MomentRecorder.transmit(self, t, x, z, y, y_f, xhat)
-        ArrayRecorder.transmit(self, t, x, z, y, y_f, xhat)
-
-
 def _mean_se(s2: np.ndarray, s4: np.ndarray, M: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     mean = s2 / M
     if M > 1:
@@ -419,7 +400,6 @@ class McSummary:
     emp_zpow_var: np.ndarray
     emp_zpow_se: np.ndarray
     delta_mse: np.ndarray
-    trajectories: Optional[list] = None
 
     @property
     def t(self) -> np.ndarray:
@@ -468,19 +448,19 @@ def monte_carlo(
     """Simulate ``cfg.trials`` trajectories and summarize against the prediction.
 
     Deterministic for a fixed config: identical inputs produce
-    bitwise-identical summaries.
+    bitwise-identical summaries.  The measurement model is read only in the
+    separation regime, which draws (w, v) jointly from it; every other
+    regime draws unit-variance w with or without it.
     """
     s = validate_schedule(s)
     cfg = cfg.check()
     plan = build_plan(s, kind, measurement=measurement, form=form)
-    if measurement is not None:
-        measurement = validate_measurement(measurement, s.T)
     M = cfg.trials
-    rec = _TrajectoryMoments(M) if cfg.record_trajectories else _MomentRecorder(M)
+    rec = _MomentRecorder(M)
     pool, helpers = _helper_pool(M)
     # Two blocks queued beyond those the helpers hold: one for this thread to
     # take over while it would wait, one for the next helper that comes free.
-    rows = _StreamedRows(s, measurement, cfg, pool, helpers + 2)
+    rows = _StreamedRows(s, plan.measurement, cfg, pool, helpers + 2)
     try:
         run_closed_loop(plan, rows, rec)
     finally:
@@ -492,21 +472,6 @@ def monte_carlo(
     zpow[quiet] = np.nan
     zpow_var[quiet] = np.nan
     zpow_se[quiet] = np.nan
-
-    trajectories = None
-    if cfg.record_trajectories:
-        trajectories = [
-            TrajectoryRecord(
-                seed=cfg.seed,
-                x=rec.x[:, m],
-                z=rec.z[:, m],
-                y=rec.y[:, m],
-                y_f=rec.y_f[:, m],
-                xhat=rec.xhat[:, m],
-                sq_err=rec.sq_err[:, m],
-            )
-            for m in range(M)
-        ]
 
     return McSummary(
         kind=kind,
@@ -520,7 +485,6 @@ def monte_carlo(
         emp_zpow_var=zpow_var,
         emp_zpow_se=zpow_se,
         delta_mse=emp_mse - plan.prediction.mse,
-        trajectories=trajectories,
     )
 
 

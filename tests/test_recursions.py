@@ -161,14 +161,18 @@ def test_output_fb_unstable_plant_raises_or_returns_no_nan():
 
 
 def test_output_fb_covariance_guard_names_the_step():
-    for a, N_f in (
+    for a, N_f, T in (
         # N_f = 0 at a = 2 > 2^C: the covariance of (s, x) overflows to inf and NaN
-        (2.0, 0.0),
+        (2.0, 0.0, 2000),
         # a = 1.2: the entries stay finite, but sigma2 = V_ss - 2 V_sx + V_xx
         # overflows to -inf
-        (1.2, 0.5),
+        (1.2, 0.5, 2000),
+        # a = 1.5: sigma2 cancels to a finite negative value (-4096), in the
+        # last step at T = 54 and mid-run at T = 200
+        (1.5, 0.5, 54),
+        (1.5, 0.5, 200),
     ):
-        s = SystemSchedule(T=2000, a=a, b=1.0, P=1.0, N=1.0, N_f=N_f, V_xx0=1.0)
+        s = SystemSchedule(T=T, a=a, b=1.0, P=1.0, N=1.0, N_f=N_f, V_xx0=1.0)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(
                 ValidationError, match=r"covariance of \(s, x\) at step \d+ is not"

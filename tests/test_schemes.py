@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,15 +6,12 @@ import pytest
 
 from statecast import (
     McConfig,
+    MeasurementModel,
+    NoiseStreams,
     RegimeKind,
-    SchemeState,
-    StepIO,
-    StepParams,
     SystemSchedule,
     ValidationError,
     build_plan,
-    decoder_step,
-    encoder_step_output_fb,
     predict_noiseless_fb,
     run_regime,
     sample_gaussian_streams,
@@ -22,38 +20,71 @@ from statecast import (
 )
 from statecast.schemes import ArrayRecorder, run_closed_loop
 
+# One schedule per regime for the hand-set-gain checks below (T = 4, a = 0.8).
+_HAND_N_F = {
+    RegimeKind.OUTPUT_FEEDBACK: 0.5,
+    RegimeKind.NO_FEEDBACK: math.inf,
+    RegimeKind.NOISELESS_FEEDBACK: 0.0,
+    RegimeKind.STATE_ESTIMATE_FEEDBACK: 0.5,
+    RegimeKind.SEPARATION_OUTPUT_FEEDBACK: 0.5,
+}
 
-def _params(**kw):
-    defaults = dict(t=1, a=1.0, scale=1.0, K=0.25, rho=0.5)
-    defaults.update(kw)
-    return StepParams(**defaults)
+
+def _hand_run(kind, x0=1.0, w=(0.5, -0.3, 0.2, 0.1), **gains):
+    """One trajectory of ``kind`` over hand-built one-trial streams, with
+    the plan's gain arrays replaced by ``gains``; returns its recorder."""
+    N_f = _HAND_N_F[kind]
+    s = SystemSchedule(T=4, a=0.8, b=1.0, P=1.0, N=1.0, N_f=N_f, V_xx0=1.0)
+    m = MeasurementModel(c=1.0, d=0.5, V_ww=1.0, V_wv=0.0, V_vv=1.0)
+    plan = build_plan(s, kind, measurement=m)
+    plan = dataclasses.replace(plan, **{k: np.array(v, dtype=float) for k, v in gains.items()})
+    noisy_fb = 0.0 < N_f < math.inf
+    col = lambda vals: np.array(vals, dtype=float).reshape(4, 1)
+    streams = NoiseStreams(
+        seed=0,
+        x0=np.array([x0]),
+        w=col(w),
+        n=col([0.0, 0.4, -0.7, 0.0]),
+        n_f=col([0.0, 0.2, 0.3, 0.0] if noisy_fb else [0.0] * 4),
+        v=col([0.0] * 4),
+    )
+    rec = ArrayRecorder()
+    run_closed_loop(plan, streams, rec)
+    return rec
 
 
 def test_decoder_zero_gain_coasts():
-    state = SchemeState(xhat=2.0, enc=0.0)
-    xhat, state2 = decoder_step(state, y_t=10.0, p=_params(a=0.8, K=0.0))
-    assert xhat == pytest.approx(0.8 * 2.0)
-    assert state2.xhat == xhat
+    # K(2) = 0: xhat(3) = a xhat(2), whatever y(2) is
+    for kind in RegimeKind:
+        rec = _hand_run(kind, K=[0.25, 0.0, 0.3, 0.0])
+        assert rec.xhat[1, 0] != 0.0 and rec.y[1, 0] != 0.0, kind
+        assert rec.xhat[2, 0] == 0.8 * rec.xhat[1, 0], kind
 
 
 def test_decoder_hand_step():
-    state = SchemeState(xhat=0.0, enc=0.0)
-    xhat, _ = decoder_step(state, y_t=1.0, p=_params(a=1.0, K=0.25))
-    assert xhat == 0.25
+    # xhat(1) = 0, so xhat(2) = a * 0 + K(1) y(1) = K(1) y(1) exactly
+    for kind in RegimeKind:
+        rec = _hand_run(kind, K=[0.25, 0.5, 0.3, 0.0])
+        assert rec.xhat[0, 0] == 0.0 and rec.y[0, 0] != 0.0, kind
+        assert rec.xhat[1, 0] == 0.25 * rec.y[0, 0], kind
 
 
 def test_encoder_zero_error_sends_nothing():
-    state = SchemeState(xhat=0.0, enc=0.0)
-    io = StepIO(x_t=0.0, n_t=0.3, n_f_t=0.1)
-    z, _ = encoder_step_output_fb(state, io, _params())
-    assert z == 0.0
+    # x(1) = a x(0) + b w(0) = 0 equals the encoder's tracker s(1) = 0
+    # (and the pre-filter's estimate, with v = 0), so z(1) = 0
+    for kind in RegimeKind:
+        rec = _hand_run(kind, x0=0.0, w=(0.0, -0.3, 0.2, 0.1))
+        assert rec.x[0, 0] == 0.0, kind
+        assert rec.z[0, 0] == 0.0, kind
 
 
 def test_encoder_zero_variance_clamps_to_zero():
-    state = SchemeState(xhat=0.0, enc=0.0)
-    io = StepIO(x_t=1.7, n_t=0.3, n_f_t=0.1)
-    z, _ = encoder_step_output_fb(state, io, _params(scale=0.0, K=0.0))
-    assert z == 0.0
+    # scale = 0 (the gain for a zero transmit-side variance) sends nothing,
+    # although x(t) is far from the tracker
+    for kind in RegimeKind:
+        rec = _hand_run(kind, x0=1.7, scale=[0.0] * 4, K=[0.0] * 4)
+        assert np.all(rec.x[:, 0] != 0.0), kind
+        assert np.all(rec.z == 0.0), kind
 
 
 def test_regime_schedule_consistency_enforced():
@@ -221,6 +252,29 @@ GOLDEN = {
         "xhat": [0.0, -0.23057389440450507, -0.9427714129987712, -0.9920555634228921, -0.38516851676568853, -0.0747174178225426],
         "sq_err": [0.09261768539689742, 0.11456919438471513, 0.7108235001641521, 1.6440495678451614, 2.0810004740301773, 7.852554631084681],
     },
+    "no_feedback": {
+        "schedule": dict(T=6, a=0.9, b=1.0, P=1.0, N=1.0, N_f=math.inf, V_xx0=1.0),
+        "kind": RegimeKind.NO_FEEDBACK,
+        "seed": 4242,
+        "x": [1.385420377680914, 1.7002173743644509, 2.608211946538738, 2.171015409647589, 2.1364620807867296, 1.791169658037829],
+        "z": [1.0297748568217615, 0.9211226584616766, 1.3828989776058562, 0.46956541448435646, 0.37457427503524254, 0.0],
+        "y": [0.15235345695669256, 1.3616805386643105, 1.6798508035626751, 1.5614763521630068, -0.16045248501875475, 0.0],
+        "y_f": [0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        "xhat": [0.0, 0.09223677594753159, 0.7993157105717124, 1.5735285030026598, 2.204456106639646, 1.9031278251194557],
+        "sq_err": [1.9193896228935263, 2.585601604885234, 3.272105592495673, 0.3569906036121262, 0.004623187551687059, 0.012534631176277454],
+    },
+    "separation": {
+        "schedule": dict(T=6, a=0.9, b=1.0, P=1.0, N=1.0, N_f=0.3, V_xx0=1.0),
+        "measurement": dict(c=1.0, d=0.5, V_ww=1.0, V_wv=0.4, V_vv=1.0),
+        "kind": RegimeKind.SEPARATION_OUTPUT_FEEDBACK,
+        "seed": 2468,
+        "x": [-0.9964745134842482, -0.7402483108396904, -0.796069101540215, -0.7101071464011187, -0.9627557254229293, -0.8736388636827529],
+        "z": [-0.4072581029644312, -0.729358324163969, -0.5497817960663892, -0.23768087049214634, 0.06518450542551735, 0.0],
+        "y": [0.5378410146707501, -0.173310600832299, -1.0317365757872892, -1.7583591953757558, 0.10036149004648505, 0.0],
+        "y_f": [0.04791315118607159, 0.3017661443959811, -1.272143045598312, -1.3876735419445945, -0.32470917128058807, 0.0],
+        "xhat": [0.0, 0.2788694037541006, 0.1670355411963228, -0.3361563650090207, -1.1234045216279598, -0.9643815483097976],
+        "sq_err": [0.9929614560236691, 1.0386009161988718, 0.9275705528606742, 0.13983918690376068, 0.025808035722125415, 0.008234234813323296],
+    },
 }
 
 
@@ -228,8 +282,9 @@ GOLDEN = {
 def test_golden_trajectories(name):
     g = GOLDEN[name]
     s = SystemSchedule(**g["schedule"])
-    streams = sample_gaussian_streams(s, McConfig(trials=3, seed=g["seed"]))
-    rec = run_regime(s, g["kind"], streams.single(0))
+    m = MeasurementModel(**g["measurement"]) if "measurement" in g else None
+    streams = sample_gaussian_streams(s, McConfig(trials=3, seed=g["seed"]), measurement=m)
+    rec = run_regime(s, g["kind"], streams.single(0), measurement=m)
     for field in ("x", "z", "y", "y_f", "xhat", "sq_err"):
         assert np.array_equal(getattr(rec, field), np.array(g[field])), field
 

@@ -141,15 +141,23 @@ def test_no_feedback_identical_to_output_fb_summaries():
     )
 
 
-def test_recorded_trajectories_match_single_runs():
-    s = SystemSchedule(T=10, a=0.9, b=1.0, P=1.0, N=1.0, N_f=0.2, V_xx0=1.0)
-    cfg = McConfig(trials=4, seed=17, record_trajectories=True)
-    summary = monte_carlo(s, RegimeKind.OUTPUT_FEEDBACK, cfg)
-    streams = sample_gaussian_streams(s, cfg)
-    for trial, rec in enumerate(summary.trajectories):
-        one = run_regime(s, RegimeKind.OUTPUT_FEEDBACK, streams.single(trial))
-        assert np.array_equal(rec.xhat, one.xhat)
-        assert np.array_equal(rec.z, one.z)
+@pytest.mark.parametrize(
+    "kind, N_f",
+    [
+        (RegimeKind.OUTPUT_FEEDBACK, 0.5),
+        (RegimeKind.NOISELESS_FEEDBACK, 0.0),
+        (RegimeKind.STATE_ESTIMATE_FEEDBACK, 0.5),
+    ],
+)
+def test_measurement_model_leaves_full_state_regimes_alone(kind, N_f):
+    # only the separation regime measures through the model; with V_ww = 4
+    # a model that shaped w would move emp_mse far off the prediction
+    s = SystemSchedule(T=30, a=0.8, b=1.0, P=1.0, N=1.0, N_f=N_f, V_xx0=1.0)
+    m = MeasurementModel(c=1.0, d=0.5, V_ww=4.0, V_wv=0.0, V_vv=1.0)
+    cfg = McConfig(trials=300, seed=11)
+    with_model = monte_carlo(s, kind, cfg, measurement=m)
+    assert with_model.to_csv() == monte_carlo(s, kind, cfg).to_csv()
+    assert build_plan(s, kind, measurement=m).measurement is None
 
 
 def test_csv_round_trip_full_precision():
