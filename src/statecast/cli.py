@@ -29,19 +29,33 @@ Config format (INI sections; scalars or comma-separated per-step lists)::
     [sweep]          ; optional; used by the `compare` command
     N_f = 0, 0.1, 1, inf
 
-Flags override file keys (``--set section.key=value``).  The file is read
-as UTF-8 and values are literal (``%`` is not interpolated).  Exit codes:
-0 success, 1 I/O failure, 2 validation error (including a value that does
-not parse as a number and a file that is not UTF-8), 3 stationarity mode
-reported an unbounded system.
+The file is read as UTF-8, in one pass over its lines, as this INI subset:
+
+* ``[section]`` headers, names taken as written; ``[DEFAULT]`` has no
+  special meaning and is rejected like any unknown section;
+* ``key = value`` or ``key: value``, split at the first ``=`` or ``:`` (so
+  ``output = C:\\x.csv`` keeps its value); keys are stripped and
+  lower-cased, values stripped and literal (``%`` is not interpolated);
+* full-line ``;``/``#`` comments, and inline ones where whitespace precedes
+  the ``;``/``#``; blank lines;
+* lines indented deeper than their key line continue its value, joined with
+  newlines (``a = 0.5,`` followed by indented ``0.6,`` and ``0.7``).
+
+Any other line, a duplicate key or section, and a line before the first
+header is a one-line ``malformed config: <path> line <n>: ...`` error.
+
+Flags override file keys (``--set section.key=value``).  Exit codes:
+0 success, 1 I/O failure, 2 validation error (including a malformed
+config, a value that does not parse as a number and a file that is not
+UTF-8), 3 stationarity mode reported an unbounded system.
 """
 
 from __future__ import annotations
 
 import argparse
-import configparser
 import functools
 import json
+import re
 import sys
 from dataclasses import dataclass
 from typing import Optional
@@ -121,38 +135,93 @@ def _scalar(text: str, key: str, conv=float):
     return vals[0]
 
 
-def _require(section, key: str, section_name: str) -> str:
+def _require(section: dict, key: str, section_name: str) -> str:
     if key not in section:
         raise ValidationError(f"missing key '{key}' in [{section_name}]")
     return section[key]
 
 
-def parse_config(path: str, overrides: Optional[dict] = None) -> ExperimentSpec:
-    """Parse and validate a config file, applying ``{section.key: value}`` overrides."""
-    cp = configparser.ConfigParser(
-        interpolation=None, inline_comment_prefixes=(";", "#")
-    )
+# An inline comment: ';' or '#' with whitespace before it.
+_INLINE_COMMENT = re.compile(r"\s[;#]")
+
+
+def _malformed(path: str, n: int, what: str) -> ValidationError:
+    return ValidationError(f"malformed config: {path} line {n}: {what}")
+
+
+def _read_ini(path: str) -> dict[str, dict[str, str]]:
+    """``{section: {key: value}}`` of the config at ``path`` (format in the
+    module docstring), read in one pass over its lines."""
     try:
         with open(path, encoding="utf-8") as fh:
-            cp.read_file(fh)
+            text = fh.read()
     except UnicodeDecodeError as exc:
         raise ValidationError(
             f"config {path} is not UTF-8: byte {exc.object[exc.start]:#04x} "
             f"at offset {exc.start}"
         ) from None
-    except configparser.Error as exc:
-        raise ValidationError(f"malformed config: {exc}") from exc
 
+    sections: dict[str, dict[str, list[str]]] = {}
+    section = None  # the current section's {key: value lines}
+    lines = None  # the value lines of the current section's latest key
+    indent = 0  # indentation of the latest header or key line
+    for n, line in enumerate(text.split("\n"), 1):
+        body = line.strip()
+        if not body:
+            if lines is not None:
+                lines.append("")  # kept inside a continued value, dropped at its end
+            continue
+        if body[0] in ";#":
+            continue
+        if ";" in body or "#" in body:
+            comment = _INLINE_COMMENT.search(body)
+            if comment is not None:
+                body = body[: comment.start()].rstrip()
+        lead = len(line) - len(line.lstrip())
+        deeper = lead > indent
+        if deeper and lines is not None:
+            lines.append(body)
+            continue
+        indent = lead
+        close = body.rfind("]")
+        if body[0] == "[" and close > 1:
+            sec = body[1:close]
+            if sec in sections:
+                raise _malformed(path, n, f"duplicate section [{sec}]")
+            section = sections[sec] = {}
+            lines = None
+            continue
+        if section is None:
+            raise _malformed(path, n, f"{body!r} comes before any [section] header")
+        eq, colon = body.find("="), body.find(":")
+        cut = eq if colon < 0 or 0 <= eq < colon else colon
+        if cut < 0:
+            if deeper:
+                raise _malformed(path, n, f"continuation {body!r} has no key before it")
+            raise _malformed(path, n, f"expected key = value or key: value, got {body!r}")
+        key = body[:cut].rstrip().lower()
+        if not key:
+            raise _malformed(path, n, f"no key before {body[cut]!r}")
+        if key in section:
+            raise _malformed(path, n, f"duplicate key '{key}' in [{sec}]")
+        lines = section[key] = [body[cut + 1 :].lstrip()]
+    return {
+        sec: {key: "\n".join(val).rstrip() for key, val in keys.items()}
+        for sec, keys in sections.items()
+    }
+
+
+def parse_config(path: str, overrides: Optional[dict] = None) -> ExperimentSpec:
+    """Parse and validate a config file, applying ``{section.key: value}`` overrides."""
+    cfg = _read_ini(path)
     for sec_key, value in (overrides or {}).items():
         if "." not in sec_key:
             raise ValidationError(f"override {sec_key!r} must look like section.key")
         sec, key = sec_key.split(".", 1)
-        if not cp.has_section(sec):
-            cp.add_section(sec)
-        cp.set(sec, key, value)
+        cfg.setdefault(sec, {})[key.strip().lower()] = value
 
     known = {"schedule", "measurement", "experiment", "sweep"}
-    for sec in cp.sections():
+    for sec in cfg:
         if sec not in known:
             raise ValidationError(f"unknown config section [{sec}]")
     for sec, keys in (
@@ -161,17 +230,16 @@ def parse_config(path: str, overrides: Optional[dict] = None) -> ExperimentSpec:
         ("experiment", _EXPERIMENT_KEYS),
         ("sweep", _SWEEP_KEYS),
     ):
-        if cp.has_section(sec):
-            for key in cp[sec]:
-                if key not in keys:
-                    raise ValidationError(f"unknown key '{key}' in [{sec}]")
+        for key in cfg.get(sec, ()):
+            if key not in keys:
+                raise ValidationError(f"unknown key '{key}' in [{sec}]")
 
-    if not cp.has_section("schedule"):
+    if "schedule" not in cfg:
         raise ValidationError("missing [schedule] section")
-    if not cp.has_section("experiment"):
+    if "experiment" not in cfg:
         raise ValidationError("missing [experiment] section")
-    sched_sec = cp["schedule"]
-    exp = cp["experiment"]
+    sched_sec = cfg["schedule"]
+    exp = cfg["experiment"]
 
     schedule = validate_schedule(
         SystemSchedule(
@@ -186,8 +254,8 @@ def parse_config(path: str, overrides: Optional[dict] = None) -> ExperimentSpec:
     )
 
     measurement = None
-    if cp.has_section("measurement"):
-        msec = cp["measurement"]
+    if "measurement" in cfg:
+        msec = cfg["measurement"]
         measurement = MeasurementModel(
             c=_scalar(_require(msec, "c", "measurement"), "measurement.c"),
             d=_scalar(_require(msec, "d", "measurement"), "measurement.d"),
@@ -221,8 +289,8 @@ def parse_config(path: str, overrides: Optional[dict] = None) -> ExperimentSpec:
         raise ValidationError("separation regime requires a [measurement] section")
 
     sweep = None
-    if cp.has_section("sweep"):
-        sweep = _numbers(cp["sweep"].get("n_f", ""), "sweep.N_f")
+    if "sweep" in cfg:
+        sweep = _numbers(cfg["sweep"].get("n_f", ""), "sweep.N_f")
 
     return ExperimentSpec(
         schedule=schedule,

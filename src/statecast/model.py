@@ -110,17 +110,15 @@ def validate_schedule(s: SystemSchedule) -> SystemSchedule:
     N = _as_series("N", s.N, T)
     N_f = _as_series("N_f", s.N_f, T)
     for name, seq in (("a", a), ("b", b)):
-        for t in range(T):
-            if not math.isfinite(seq[t]):
+        for t, v in enumerate(seq.tolist()):
+            if not math.isfinite(v):
                 raise ValidationError(f"{name}({t}) must be finite")
-    for t in range(T):
-        if not (P[t] > 0.0) or not math.isfinite(P[t]):
-            raise ValidationError(f"P({t}) must be > 0")
-    for t in range(T):
-        if not (N[t] > 0.0) or not math.isfinite(N[t]):
-            raise ValidationError(f"N({t}) must be > 0")
-    for t in range(T):
-        if math.isnan(N_f[t]) or N_f[t] < 0.0:
+    for name, seq in (("P", P), ("N", N)):
+        for t, v in enumerate(seq.tolist()):
+            if not (v > 0.0) or not math.isfinite(v):
+                raise ValidationError(f"{name}({t}) must be > 0")
+    for t, v in enumerate(N_f.tolist()):
+        if not (v >= 0.0):
             raise ValidationError(f"N_f({t}) must be >= 0 (may be +inf)")
     V0 = float(s.V_xx0)
     if math.isnan(V0) or math.isinf(V0) or V0 < 0.0:

@@ -102,6 +102,17 @@ def ntilde_variance(N: float, N_f: float) -> float:
     return N * N_f / (N + N_f)
 
 
+def _finite_prediction(sigma2, vbar, mse) -> VariancePrediction:
+    """The prediction, or a ``ValidationError`` naming the first step whose
+    mse overflowed to inf or became NaN (as it does when any term does)."""
+    finite = np.isfinite(mse)
+    if not finite.all():
+        raise ValidationError(
+            f"predicted mse at step {int(np.argmin(finite))} is not finite"
+        )
+    return VariancePrediction(sigma2=sigma2, vbar=vbar, mse=mse)
+
+
 def predict_output_fb(s: SystemSchedule) -> VariancePrediction:
     """Variance series for output feedback (any N_f, including 0 and +inf).
 
@@ -114,42 +125,45 @@ def predict_output_fb(s: SystemSchedule) -> VariancePrediction:
     + V_xx, and vbar accumulates the unestimable channel-noise remainder:
     vbar(t+1) = a^2 vbar(t) + K(t)^2 * Var(ntilde).  A covariance that stops
     being finite and PSD, or whose sigma2 overflows or cancels to a negative
-    value, is a ``ValidationError`` naming its step.
+    value, is a ``ValidationError`` naming its step, as is a vbar or mse
+    that overflows; no ``RuntimeWarning`` escapes.
     """
     s = validate_schedule(s)
     T = s.T
     sigma2 = np.empty(T)
     vbar = np.empty(T)
-    vss, vsx, vxx = 0.0, 0.0, s.a[0] ** 2 * s.V_xx0 + s.b[0] ** 2
-    sigma2[0] = vss - 2.0 * vsx + vxx
     vbar[0] = 0.0
-    for t in range(1, T):
-        a, b, P, N, N_f = s.a[t], s.b[t], s.P[t], s.N[t], s.N_f[t]
-        K = gains(a, P, N, sigma2[t - 1]).K
-        A = np.array([[a * N / (P + N), a * P / (P + N)], [0.0, a]])
-        m = A @ np.array([[vss, vsx], [vsx, vxx]]) @ A.T
-        vss = m[0, 0] + K * K * nhat_variance(N, N_f)
-        vsx = m[0, 1]
-        vxx = m[1, 1] + b * b
-        sig = vss - 2.0 * vsx + vxx
-        scale = max(vss, vxx, 1.0)  # PSD up to a rounding allowance
-        if not (
-            math.isfinite(vss)
-            and math.isfinite(vsx)
-            and math.isfinite(vxx)
-            and math.isfinite(sig)
-            and sig >= 0.0
-            and min(vss, vxx) >= -1e-9 * scale
-            and vsx**2 <= vss * vxx + 1e-9 * scale**2
-        ):
-            raise ValidationError(
-                f"covariance of (s, x) at step {t} is not finite and PSD: "
-                f"V_ss = {vss:.6g}, V_sx = {vsx:.6g}, V_xx = {vxx:.6g}, "
-                f"sigma2 = {sig:.6g}"
-            )
-        sigma2[t] = sig
-        vbar[t] = a**2 * vbar[t - 1] + K**2 * ntilde_variance(N, N_f)
-    return VariancePrediction(sigma2=sigma2, vbar=vbar, mse=sigma2 + vbar)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vss, vsx, vxx = 0.0, 0.0, s.a[0] ** 2 * s.V_xx0 + s.b[0] ** 2
+        sigma2[0] = vss - 2.0 * vsx + vxx
+        for t in range(1, T):
+            a, b, P, N, N_f = s.a[t], s.b[t], s.P[t], s.N[t], s.N_f[t]
+            K = gains(a, P, N, sigma2[t - 1]).K
+            A = np.array([[a * N / (P + N), a * P / (P + N)], [0.0, a]])
+            m = A @ np.array([[vss, vsx], [vsx, vxx]]) @ A.T
+            vss = m[0, 0] + K * K * nhat_variance(N, N_f)
+            vsx = m[0, 1]
+            vxx = m[1, 1] + b * b
+            sig = vss - 2.0 * vsx + vxx
+            scale = max(vss, vxx, 1.0)  # PSD up to a rounding allowance
+            if not (
+                math.isfinite(vss)
+                and math.isfinite(vsx)
+                and math.isfinite(vxx)
+                and math.isfinite(sig)
+                and sig >= 0.0
+                and min(vss, vxx) >= -1e-9 * scale
+                and vsx**2 <= vss * vxx + 1e-9 * scale**2
+            ):
+                raise ValidationError(
+                    f"covariance of (s, x) at step {t} is not finite and PSD: "
+                    f"V_ss = {vss:.6g}, V_sx = {vsx:.6g}, V_xx = {vxx:.6g}, "
+                    f"sigma2 = {sig:.6g}"
+                )
+            sigma2[t] = sig
+            vbar[t] = a**2 * vbar[t - 1] + K**2 * ntilde_variance(N, N_f)
+        mse = sigma2 + vbar
+    return _finite_prediction(sigma2, vbar, mse)
 
 
 def predict_noiseless_fb(s: SystemSchedule) -> VariancePrediction:
@@ -157,17 +171,18 @@ def predict_noiseless_fb(s: SystemSchedule) -> VariancePrediction:
 
     sigma2(1) = a(0)^2 V_xx0 + b(0)^2, then
     sigma2(t+1) = (N/(N+P)) a^2 sigma2(t) + b^2.  The transmitter tracks the
-    decoder exactly, so vbar = 0 and mse = sigma2.
+    decoder exactly, so vbar = 0 and mse = sigma2.  A sigma2 that overflows
+    is a ``ValidationError`` naming its step.
     """
     s = validate_schedule(s)
     T = s.T
     sigma2 = np.empty(T)
-    sigma2[0] = s.a[0] ** 2 * s.V_xx0 + s.b[0] ** 2
-    for t in range(1, T):
-        ratio = s.N[t] / (s.N[t] + s.P[t])
-        sigma2[t] = ratio * s.a[t] ** 2 * sigma2[t - 1] + s.b[t] ** 2
-    vbar = np.zeros(T)
-    return VariancePrediction(sigma2=sigma2, vbar=vbar, mse=sigma2.copy())
+    with np.errstate(over="ignore", invalid="ignore"):
+        sigma2[0] = s.a[0] ** 2 * s.V_xx0 + s.b[0] ** 2
+        for t in range(1, T):
+            ratio = s.N[t] / (s.N[t] + s.P[t])
+            sigma2[t] = ratio * s.a[t] ** 2 * sigma2[t - 1] + s.b[t] ** 2
+    return _finite_prediction(sigma2, np.zeros(T), sigma2.copy())
 
 
 def se_step(
@@ -206,7 +221,8 @@ def predict_state_estimate_fb(
 
     Starts from sigma2(1) = a(0)^2 V_xx0 + b(0)^2 and sigbar2(1) = 0 (the
     receiver's first estimate is deterministic, so the transmitter knows the
-    full error), then iterates ``se_step``.  Requires finite N_f.
+    full error), then iterates ``se_step``.  Requires finite N_f.  A variance
+    that overflows is a ``ValidationError`` naming its step.
     """
     s = validate_schedule(s)
     if np.isinf(s.N_f).any():
@@ -216,20 +232,22 @@ def predict_state_estimate_fb(
     T = s.T
     sigma2 = np.empty(T)
     sigbar2 = np.empty(T)
-    sigma2[0] = s.a[0] ** 2 * s.V_xx0 + s.b[0] ** 2
     sigbar2[0] = 0.0
-    for t in range(1, T):
-        sigma2[t], sigbar2[t] = se_step(
-            sigma2[t - 1],
-            sigbar2[t - 1],
-            s.a[t],
-            s.b[t],
-            s.P[t],
-            s.N[t],
-            s.N_f[t],
-            form,
-        )
-    return VariancePrediction(sigma2=sigma2, vbar=sigbar2, mse=sigma2 + sigbar2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sigma2[0] = s.a[0] ** 2 * s.V_xx0 + s.b[0] ** 2
+        for t in range(1, T):
+            sigma2[t], sigbar2[t] = se_step(
+                sigma2[t - 1],
+                sigbar2[t - 1],
+                s.a[t],
+                s.b[t],
+                s.P[t],
+                s.N[t],
+                s.N_f[t],
+                form,
+            )
+        mse = sigma2 + sigbar2
+    return _finite_prediction(sigma2, sigbar2, mse)
 
 
 @dataclass(frozen=True, eq=False)

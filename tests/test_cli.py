@@ -344,3 +344,153 @@ def test_import_builds_no_parser():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
     assert proc.stdout.strip() == "0"
+
+
+def test_import_leaves_configparser_out():
+    code = "import sys, statecast.cli; print('configparser' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "False"
+
+
+_HEAD = "[schedule]\nT = 2\na = 0.5\nb = 1\nP = 1\nN = 1\nN_f = 0\nV_xx0 = 1\n"
+
+
+@pytest.mark.parametrize(
+    "text,line",
+    [
+        ("; a comment\nT = 2\n" + _HEAD, 2),  # a line before any header
+        (_HEAD + "N_f\n", 9),  # no '=' or ':'
+        (_HEAD + "= 3\n", 9),  # no key before the delimiter
+        (_HEAD + "n_F = 1\n", 9),  # duplicate key (keys are lower-cased)
+        (_HEAD + "[experiment]\nmode = predict\n\n[schedule]\n", 12),  # duplicate section
+        ("[schedule]\n    0.5, 0.6\n", 2),  # continuation with no key before it
+    ],
+    ids=["before_header", "no_delimiter", "no_key", "duplicate_key", "duplicate_section",
+         "continuation_without_key"],
+)
+def test_malformed_config_is_one_line_error_naming_the_line(tmp_path, capsys, text, line):
+    path = tmp_path / "bad.ini"
+    path.write_text(text + "[experiment]\nmode = predict\nregime = noiseless_feedback\n")
+    assert main(["run", str(path), "--output", str(tmp_path / "o.csv")]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: malformed config: {path} line {line}: ")
+
+
+@pytest.mark.parametrize("source", ["config", "--set"])
+def test_default_section_is_unknown(tmp_path, capsys, source):
+    # [DEFAULT] has no special meaning: the same message from either source
+    golden = (GOLDEN_DIR / "noiseless_sim.ini").read_text(encoding="utf-8")
+    ini, extra = tmp_path / "c.ini", []
+    if source == "config":
+        ini.write_text("[DEFAULT]\nT = 3\n" + golden, encoding="utf-8")
+    else:
+        ini.write_text(golden, encoding="utf-8")
+        extra = ["--set", "DEFAULT.t=3"]
+    assert main(["run", str(ini), *extra, "--output", str(tmp_path / "o.csv")]) == 2
+    assert capsys.readouterr().err == "error: unknown config section [DEFAULT]\n"
+
+
+# Configs in the format the README documents, each valid for parse_config.
+_CORPUS = {
+    "colon_and_comments": (
+        "# full-line hash comment\n"
+        "; full-line semicolon comment\n"
+        "[schedule]\n"
+        "T: 3\n"
+        "a = 0.5,\n"
+        "    0.6,\n"
+        "    0.7   ; inline comment after a continuation line\n"
+        "B = 1.0   # inline hash comment\n"
+        "P:1.0\n"
+        "N   =   2.0\n"
+        "N_F = 0.1, 0.2,\n"
+        "\n"
+        "      0.3\n"
+        "V_xx0 = 1.0\n"
+        "\n"
+        "\n"
+        "[experiment]\n"
+        "MODE = simulate\n"
+        "Regime: output_feedback\n"
+        "output: a=b;c%1.csv\n"
+        "trials = 10\n"
+        "seed = 4\n"
+        "  ; an indented comment line\n"
+    ),
+    "windows_path_and_percent": (
+        "[experiment]\n"
+        "output = C:\\runs\\x%d.csv\n"
+        "mode = predict\n"
+        "regime = noiseless_feedback\n"
+        "form = stated  # form of the residual recursion\n"
+        "[schedule]\n"
+        "T = 4\na = 0.5\nb = 1\nP = 1\nN = 1\nN_f = 0\nV_xx0 = 0.5\n"
+    ),
+    "measurement_and_sweep": (
+        "[schedule]\n"
+        "  T = 2\n"
+        "  a = 0.9\n  b = 1\n  P = 1\n  N = 1\n  N_f = 0.1\n  V_xx0 = 1\n"
+        "[measurement]\n"
+        "c = 1.0\nd = 0.5\nV_ww = 1.0, 1.1,\n  1.2\nv_wv: 0\n"
+        "[experiment]\n"
+        "mode = simulate\nregime = separation_output_feedback\noutput = o.csv\n"
+        "trials = 5\nseed = 9\n"
+        "[sweep]\n"
+        "N_f = 0,\n\t0.1,\n\t1, inf\n"
+    ),
+}
+
+
+def _corpus():
+    for name in ("noiseless_sim", "output_fb_compare", "state_estimate_sim"):
+        yield name, (GOLDEN_DIR / f"{name}.ini").read_text()
+    for name, text in _CORPUS.items():
+        yield name, text
+        yield name + "_crlf", text.replace("\n", "\r\n")
+
+
+def _configparser_dict(path):
+    import configparser
+
+    cp = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";", "#"))
+    with open(path, encoding="utf-8") as fh:
+        cp.read_file(fh)
+    return {s: dict(cp.items(s, raw=True)) for s in cp.sections()}
+
+
+def _spec_fields(spec):
+    def plain(obj):
+        return {k: np.asarray(v).tolist() for k, v in vars(obj).items()}
+
+    fields = dict(vars(spec))
+    fields["schedule"] = plain(spec.schedule)
+    if spec.measurement is not None:
+        fields["measurement"] = plain(spec.measurement)
+    return fields
+
+
+@pytest.mark.parametrize("name", [name for name, _ in _corpus()])
+def test_reader_matches_configparser(tmp_path, monkeypatch, name):
+    path = tmp_path / f"{name}.ini"
+    path.write_bytes(dict(_corpus())[name].encode())
+    assert cli._read_ini(str(path)) == _configparser_dict(path)
+    spec = parse_config(str(path))
+    monkeypatch.setattr(cli, "_read_ini", _configparser_dict)
+    assert _spec_fields(spec) == _spec_fields(parse_config(str(path)))
+
+
+@pytest.mark.parametrize(
+    "regime,N_f,step",
+    [("noiseless_feedback", "0", 181), ("state_estimate_feedback", "0.5", 85)],
+)
+def test_overflowing_prediction_is_one_line_error(tmp_path, capsys, regime, N_f, step):
+    cfg = write_cfg(tmp_path, T=400, a=10.0, N_f=N_f, regime=regime)
+    for mode in ("predict", "simulate"):
+        flags = ["--set", f"experiment.mode={mode}", "--seed", "1", "--trials", "3"]
+        assert main(["run", str(cfg), *flags]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert f"predicted mse at step {step} is not finite" in err

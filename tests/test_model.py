@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -67,6 +68,27 @@ def test_validation_is_idempotent(rng):
         for name in ("a", "b", "P", "N", "N_f"):
             assert np.array_equal(getattr(s, name), getattr(s2, name))
         assert s2.V_xx0 == s.V_xx0
+
+
+def test_first_violation_is_named():
+    # parameters are checked in the order a, b, P, N, N_f, each from step 0
+    nan, inf = float("nan"), float("inf")
+    s = SystemSchedule(T=4, a=[0.5, 0.5, inf, nan], b=1.0, P=[1.0, 0.0, 1.0, -1.0],
+                       N=1.0, N_f=[-1.0, 0.0, 0.0, 0.0], V_xx0=1.0)
+    with pytest.raises(ValidationError, match=r"^a\(2\) must be finite$"):
+        validate_schedule(s)
+    s = dataclasses.replace(s, a=0.5)
+    with pytest.raises(ValidationError, match=r"^P\(1\) must be > 0$"):
+        validate_schedule(s)
+    s = dataclasses.replace(s, P=[1.0, 1.0, nan, -1.0])
+    with pytest.raises(ValidationError, match=r"^P\(2\) must be > 0$"):
+        validate_schedule(s)
+    s = dataclasses.replace(s, P=1.0, N=[1.0, 1.0, 1.0, inf])
+    with pytest.raises(ValidationError, match=r"^N\(3\) must be > 0$"):
+        validate_schedule(s)
+    s = dataclasses.replace(s, N=1.0)
+    with pytest.raises(ValidationError, match=r"^N_f\(0\) must be >= 0 \(may be \+inf\)$"):
+        validate_schedule(s)
 
 
 @settings(max_examples=50, deadline=None)

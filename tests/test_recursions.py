@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -243,6 +244,48 @@ def test_noiseless_divergence_at_capacity():
     p = predict_noiseless_fb(s)
     assert np.all(np.diff(p.sigma2) > 0)
     assert p.sigma2[-1] > 300.0
+
+
+def _unguarded(s, step, first, second=0.0):
+    """Plain iteration of a scalar predictor's step, overflow left in."""
+    out = [(first, second)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(1, s.T):
+            out.append(step(t, *out[-1]))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("a", [0.5, 0.9, 1.2, 2.0, 10.0])
+@pytest.mark.parametrize("T", [12, 400])
+def test_scalar_predictors_raise_on_overflow_and_keep_bits_otherwise(a, T):
+    s = validate_schedule(SystemSchedule(T=T, a=a, b=1.0, P=1.0, N=1.0, N_f=0.5, V_xx0=1.0))
+    sigma2_1 = s.a[0] ** 2 * s.V_xx0 + s.b[0] ** 2
+
+    def noiseless(t, sig, _):
+        return s.N[t] / (s.N[t] + s.P[t]) * s.a[t] ** 2 * sig + s.b[t] ** 2, 0.0
+
+    def state_estimate(t, sig, sb):
+        return se_step(sig, sb, s.a[t], s.b[t], s.P[t], s.N[t], s.N_f[t])
+
+    for predict, step in (
+        (predict_noiseless_fb, noiseless),
+        (predict_state_estimate_fb, state_estimate),
+    ):
+        ref = _unguarded(s, step, sigma2_1)
+        mse = ref[:, 0] + ref[:, 1]
+        bad = np.flatnonzero(~np.isfinite(mse))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if bad.size:
+                with pytest.raises(
+                    ValidationError, match=rf"predicted mse at step {bad[0]} is not finite$"
+                ):
+                    predict(s)
+                continue
+            p = predict(s)
+        assert p.sigma2.tobytes() == ref[:, 0].tobytes()
+        assert p.vbar.tobytes() == ref[:, 1].tobytes()
+        assert p.mse.tobytes() == mse.tobytes()
 
 
 def test_noiseless_mse_monotone_in_power():
