@@ -73,6 +73,7 @@ from .simulate import (
     CSV_HEADER,
     McConfig,
     ORACLE_HORIZON_MAX,
+    csv_table,
     exact_conditioning_oracle,
     format_float,
     monte_carlo,
@@ -311,15 +312,7 @@ def _prediction(spec: ExperimentSpec):
 
 
 def _predict_csv(pred) -> str:
-    lines = ["t,pred_sigma2,pred_vbar,pred_mse"]
-    for i in range(pred.T):
-        lines.append(
-            ",".join(
-                [str(i + 1)]
-                + [format_float(v) for v in (pred.sigma2[i], pred.vbar[i], pred.mse[i])]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return csv_table("t,pred_sigma2,pred_vbar,pred_mse", (pred.sigma2, pred.vbar, pred.mse))
 
 
 def _oracle_csv(spec: ExperimentSpec) -> str:
@@ -327,18 +320,7 @@ def _oracle_csv(spec: ExperimentSpec) -> str:
     res = exact_conditioning_oracle(
         spec.schedule, spec.regime, measurement=spec.measurement
     )
-    lines = ["t,oracle_mse,scheme_mse,pred_mse"]
-    for i in range(pred.T):
-        lines.append(
-            ",".join(
-                [str(i + 1)]
-                + [
-                    format_float(v)
-                    for v in (res.mse[i], res.scheme_mse[i], pred.mse[i])
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return csv_table("t,oracle_mse,scheme_mse,pred_mse", (res.mse, res.scheme_mse, pred.mse))
 
 
 def _stationarity_report(spec: ExperimentSpec):
@@ -434,37 +416,22 @@ def compare(spec: ExperimentSpec) -> int:
         oracle = exact_conditioning_oracle(
             spec.schedule, spec.regime, measurement=spec.measurement
         )
-    header = CSV_HEADER + (",oracle_mse,scheme_mse" if oracle is not None else "")
-    lines = [header]
-    p = summary.pred
-    for i in range(p.T):
-        cells = [str(i + 1)] + [
-            format_float(v)
-            for v in (
-                p.sigma2[i],
-                p.vbar[i],
-                p.mse[i],
-                summary.emp_mse[i],
-                summary.emp_se[i],
-                summary.emp_zpow[i],
-            )
-        ]
-        if oracle is not None:
-            cells += [format_float(oracle.mse[i]), format_float(oracle.scheme_mse[i])]
-        lines.append(",".join(cells))
-    lines.append(
+    header, columns = CSV_HEADER, summary.csv_columns()
+    footer = [
         "# max_abs_delta_mse = %s, max_se_ratio = %s"
         % (
             format_float(float(np.max(np.abs(summary.delta_mse)))),
             format_float(summary.max_se_ratio()),
         )
-    )
+    ]
     if oracle is not None:
-        lines.append(
+        header += ",oracle_mse,scheme_mse"
+        columns += (oracle.mse, oracle.scheme_mse)
+        footer.append(
             "# max_abs_scheme_vs_pred = %s"
-            % format_float(float(np.max(np.abs(oracle.scheme_mse - p.mse))))
+            % format_float(float(np.max(np.abs(oracle.scheme_mse - summary.pred.mse))))
         )
-    _write(spec.output, "\n".join(lines) + "\n")
+    _write(spec.output, csv_table(header, columns, footer))
     return EXIT_OK
 
 

@@ -89,9 +89,11 @@ def constant_values(s: SystemSchedule) -> Optional[tuple]:
     """(a, b, P, N, N_f) of an already validated schedule, or None when
     some parameter changes over the horizon."""
     seqs = (s.a, s.b, s.P, s.N, s.N_f)
-    if all(np.all(seq == seq[0]) for seq in seqs):
-        return tuple(seq[0] for seq in seqs)
-    return None
+    for seq in seqs:
+        values = seq.tolist()
+        if values.count(values[0]) != len(values):
+            return None
+    return tuple(seq[0] for seq in seqs)
 
 
 def validate_schedule(s: SystemSchedule) -> SystemSchedule:

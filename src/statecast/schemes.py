@@ -349,10 +349,10 @@ def run_regime(
     ``simulate.sample_gaussian_streams``); stream/schedule length mismatches
     are rejected.
     """
-    s = validate_schedule(s)
-    if np.shape(streams.w)[0] != s.T or np.shape(streams.n)[0] != s.T:
-        raise ValidationError("noise streams must have length T")
     plan = build_plan(s, kind, measurement=measurement, form=form)
+    T = plan.schedule.T
+    if np.shape(streams.w)[0] != T or np.shape(streams.n)[0] != T:
+        raise ValidationError("noise streams must have length T")
     rec = ArrayRecorder()
     run_closed_loop(plan, streams, rec)
     return TrajectoryRecord(

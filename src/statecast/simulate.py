@@ -37,6 +37,13 @@ basis of unit-variance noises and reports two exact per-step error series:
 * ``scheme_mse``, the realized filter pair's error, evaluated from the
   same coefficients with no recourse to the variance recursions.
 
+Each signal is a row of D coefficients, one per noise (x(0), w(0..T-1),
+n(1..T-1), n_f(1..T-1) and, for separation, v(0..T-1); ``_Unroller`` gives
+the indices), kept in preallocated (T, D) arrays for x and xhat and a
+(T-1, D) array for y, so every dot product runs over the same D entries in
+the same order.  Conditioning on y(1..t-1) takes ``np.linalg.pinv`` of the
+past rows' Gram matrix, so LAPACK's SVD is part of the ``mse`` bits.
+
 ``scheme_mse`` reproduces the recursions' mse for every regime.  ``mse``
 coincides with it only under noiseless output feedback: in every other
 regime the transmissions are correlated with past channel outputs, so the
@@ -83,6 +90,7 @@ __all__ = [
     "exact_conditioning_oracle",
     "summary_csv",
     "format_float",
+    "csv_table",
     "CSV_HEADER",
     "ORACLE_HORIZON_MAX",
 ]
@@ -96,6 +104,9 @@ _STREAM_NF = 3
 _STREAM_V = 4
 
 ORACLE_HORIZON_MAX = 12
+# Relative cutoff below which ``np.linalg.pinv`` drops singular values of the
+# past outputs' covariance in the oracle.
+_PINV_RCOND = 1e-12
 
 # Trial-steps per block of rows that a helper thread draws ahead: a block is
 # ceil(_BLOCK_ELEMENTS / M) steps, so small M hands over many steps at once.
@@ -113,6 +124,16 @@ CSV_HEADER = "t,pred_sigma2,pred_vbar,pred_mse,emp_mse,emp_se,emp_zpow"
 def format_float(x: float) -> str:
     """17 significant digits: enough to round-trip any double exactly."""
     return f"{x:.17g}"
+
+
+def csv_table(header: str, columns, footer=()) -> str:
+    """CSV text: the ``header`` line, then for t = 1, 2, ... a row of t and
+    each column's entry t-1 in ``format_float``, then the ``footer`` lines."""
+    rows = zip(*(col.tolist() for col in columns))
+    lines = [header]
+    lines += [",".join([str(t), *map(format_float, row)]) for t, row in enumerate(rows, 1)]
+    lines += footer
+    return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -414,28 +435,18 @@ class McSummary:
             return math.nan
         return float(np.nanmax(r))
 
+    def csv_columns(self) -> tuple:
+        """The per-step columns of ``CSV_HEADER`` after t."""
+        p = self.pred
+        return (p.sigma2, p.vbar, p.mse, self.emp_mse, self.emp_se, self.emp_zpow)
+
     def to_csv(self) -> str:
         return summary_csv(self)
 
 
 def summary_csv(summary: McSummary) -> str:
     """Fixed-format CSV; floats carry 17 significant digits."""
-    lines = [CSV_HEADER]
-    p = summary.pred
-    for i in range(p.T):
-        cells = [str(i + 1)] + [
-            format_float(v)
-            for v in (
-                p.sigma2[i],
-                p.vbar[i],
-                p.mse[i],
-                summary.emp_mse[i],
-                summary.emp_se[i],
-                summary.emp_zpow[i],
-            )
-        ]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    return csv_table(CSV_HEADER, summary.csv_columns())
 
 
 def monte_carlo(
@@ -452,15 +463,14 @@ def monte_carlo(
     separation regime, which draws (w, v) jointly from it; every other
     regime draws unit-variance w with or without it.
     """
-    s = validate_schedule(s)
-    cfg = cfg.check()
     plan = build_plan(s, kind, measurement=measurement, form=form)
+    cfg = cfg.check()
     M = cfg.trials
     rec = _MomentRecorder(M)
     pool, helpers = _helper_pool(M)
     # Two blocks queued beyond those the helpers hold: one for this thread to
     # take over while it would wait, one for the next helper that comes free.
-    rows = _StreamedRows(s, plan.measurement, cfg, pool, helpers + 2)
+    rows = _StreamedRows(plan.schedule, plan.measurement, cfg, pool, helpers + 2)
     try:
         run_closed_loop(plan, rows, rec)
     finally:
@@ -509,7 +519,16 @@ class OracleResult:
 
 
 class _Unroller:
-    """Closed-loop signals as coefficient vectors over unit-variance noises.
+    """Closed-loop signals as rows of coefficients over unit-variance noises.
+
+    A row has D entries, one per noise: x(0) at index 0, w(t) at 1 + t
+    (t = 0..T-1), n(t) at T + t and n_f(t) at 2T - 1 + t (t = 1..T-1) and,
+    in the separation regime, v(t) at 3T - 1 + t (t = 0..T-1).  A noise
+    enters a row as one scalar add at its index, scaled by its standard
+    deviation; in the separation regime (w, v) enter through the Cholesky
+    factor of their joint covariance.  A signal's variance is its row's
+    squared norm, and the covariance of two signals the dot product of
+    their rows.
 
     Gains are computed self-consistently from the coefficients (the output
     scaling is sqrt(P)/std(xcheck) with the *true* standard deviation), so a
@@ -529,152 +548,71 @@ class _Unroller:
         self.kind = kind
         self.m = measurement
         self.perturb = perturb or {}
-        T = s.T
         self.sep = kind is RegimeKind.SEPARATION_OUTPUT_FEEDBACK
-        self.D = 1 + T + 2 * (T - 1) + (T if self.sep else 0)
-        self.i_x0 = 0
-        self._i_w = 1
-        self._i_n = 1 + T
-        self._i_nf = 1 + T + (T - 1)
-        self._i_v = 1 + T + 2 * (T - 1)
+        self.D = 3 * s.T - 1 + (s.T if self.sep else 0)
 
-    def _unit(self, i: int) -> np.ndarray:
-        e = np.zeros(self.D)
-        e[i] = 1.0
-        return e
-
-    def w(self, t):  # process-noise basis entry
-        return self._unit(self._i_w + t)
-
-    def n(self, t):
-        return math.sqrt(self.s.N[t]) * self._unit(self._i_n + t - 1)
-
-    def nf(self, t):
-        return math.sqrt(self.s.N_f[t]) * self._unit(self._i_nf + t - 1)
-
-    def _factor(self, t: int) -> float:
-        return float(self.perturb["factor"]) if self.perturb.get("t") == t else 1.0
-
-    def run(self) -> tuple[list, list, list]:
-        """Returns coefficient lists (x, y, xhat); x indexed t=1..T at [t-1],
-        y indexed t=1..T-1 at [t-1]."""
-        s, T = self.s, self.s.T
-        if self.sep:
-            return self._run_separation()
-
-        x = math.sqrt(s.V_xx0) * self._unit(self.i_x0)
-        x = s.a[0] * x + s.b[0] * self.w(0)
-        xs, ys, xhats = [x], [], []
-        xhat = np.zeros(self.D)
-        if self.kind is RegimeKind.STATE_ESTIMATE_FEEDBACK:
-            xck = x.copy()
-            x_prev = x
-            for t in range(1, T):
-                sigma = float(np.linalg.norm(xck))
-                scale = math.sqrt(s.P[t]) / sigma if sigma > 0.0 else 0.0
+    def run(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Coefficient rows (X, Y, Xh) of x(t), y(t) and xhat(t): X and Xh
+        hold t = 1..T at row t-1, Y holds t = 1..T-1 at row t-1."""
+        s, T, m, sep = self.s, self.s.T, self.m, self.sep
+        se = self.kind is RegimeKind.STATE_ESTIMATE_FEEDBACK
+        a, b, P, N, N_f = (seq.tolist() for seq in (s.a, s.b, s.P, s.N, s.N_f))
+        X, Y, Xh = np.zeros((T, self.D)), np.zeros((T - 1, self.D)), np.zeros((T, self.D))
+        x = np.zeros(self.D)  # x(t), from x(0)
+        x[0] = math.sqrt(s.V_xx0)
+        strk = xb_pred = np.zeros(self.D)  # decoder tracker; pre-filter prediction
+        i_w, i_n, i_nf, i_v = 1, T, 2 * T - 1, 3 * T - 1  # w(t) sits at i_w + t, and so on
+        l11 = 1.0
+        for t in range(T):
+            if sep:  # pre-filter update on gamma(t) = c x(t) + d v(t)
+                l11, l21, l22 = _wv_factor(m, t)
+                gamma = m.c * x
+                gamma[i_w + t] += m.d * l21
+                gamma[i_v + t] += m.d * l22
+                innov = gamma - m.c * xb_pred
+                denom = float(innov @ innov)
+                if denom <= 0.0:
+                    raise ValidationError(f"degenerate innovation variance at step {t}")
+                xb_filt = xb_pred + (float((x - xb_pred) @ innov) / denom) * innov
+                xb_pred = a[t] * xb_filt
+            if t > 0:  # transmission at step t
+                i = t - 1
+                factor = float(self.perturb["factor"]) if self.perturb.get("t") == t else 1.0
+                if not se:
+                    xck = (xb_filt if sep else x) - strk
+                sigma = math.sqrt(xck @ xck)
+                scale = math.sqrt(P[t]) / sigma if sigma > 0.0 else 0.0
                 z = scale * xck
-                y = z + self.n(t)
+                y = Y[i]
+                y[:] = z
+                y[i_n + t] += math.sqrt(N[t])
                 kappa = float(xck @ y) / float(y @ y)
-                K = s.a[t] * kappa
-                y_f = xhat + (self.nf(t) if math.isfinite(s.N_f[t]) else 0.0)
-                xhat_next = s.a[t] * xhat + K * y
-                x_next = s.a[t] * x + s.b[t] * self.w(t)
-                xbar = (x - xhat) - xck
-                sigbar2 = float(xbar @ xbar)
-                den = sigbar2 + s.N_f[t]
-                g = self._factor(t) * (
-                    s.a[t] * sigbar2 / den if 0.0 < den < math.inf else 0.0
-                )
-                c1 = s.a[t] * s.N[t] / (s.P[t] + s.N[t])
-                xck = c1 * xck + (x_next - s.a[t] * x) + g * (x - xck - y_f)
-                ys.append(y)
-                xhats.append(xhat)
-                xhat, x, x_prev = xhat_next, x_next, x
-                xs.append(x)
-            xhats.append(xhat)
-            return xs, ys, xhats
-
-        strk = np.zeros(self.D)  # transmitter's tracker of the decoder state
-        for t in range(1, T):
-            xck = x - strk
-            sigma = float(np.linalg.norm(xck))
-            scale = math.sqrt(s.P[t]) / sigma if sigma > 0.0 else 0.0
-            z = scale * xck
-            y = z + self.n(t)
-            kappa = float(xck @ y) / float(y @ y)
-            K = s.a[t] * kappa
-            if math.isinf(s.N_f[t]):
-                nhat = np.zeros(self.D)
-            else:
-                rho = s.N[t] / (s.N[t] + s.N_f[t])
-                nhat = rho * (self.n(t) + (self.nf(t) if s.N_f[t] > 0.0 else 0.0))
-            K_enc = self._factor(t) * K
-            strk = s.a[t] * strk + K_enc * (z + nhat)
-            ys.append(y)
-            xhats.append(xhat)
-            xhat = s.a[t] * xhat + K * y
-            x = s.a[t] * x + s.b[t] * self.w(t)
-            xs.append(x)
-        xhats.append(xhat)
-        return xs, ys, xhats
-
-    def _run_separation(self):
-        s, T, m = self.s, self.s.T, self.m
-        chol = [_wv_factor(m, t) for t in range(T)]
-
-        def wv(t):
-            l11, l21, l22 = chol[t]
-            e1 = self._unit(self._i_w + t)
-            e2 = self._unit(self._i_v + t)
-            return l11 * e1, l21 * e1 + l22 * e2
-
-        x = math.sqrt(s.V_xx0) * self._unit(self.i_x0)
-        # pre-filter warmup on gamma(0)
-        _, v0 = wv(0)
-        gamma = m.c * x + m.d * v0
-        xi = x
-        innov = gamma
-        L = float(xi @ innov) / float(innov @ innov)
-        xb_filt = L * innov
-        xb_pred = s.a[0] * xb_filt
-        w0, _ = wv(0)
-        x = s.a[0] * x + s.b[0] * w0
-
-        xs, ys, xhats = [x], [], []
-        xhat = np.zeros(self.D)
-        strk = np.zeros(self.D)
-        for t in range(1, T):
-            w_t, v_t = wv(t)
-            gamma = m.c * x + m.d * v_t
-            xi = x - xb_pred
-            innov = gamma - m.c * xb_pred
-            denom = float(innov @ innov)
-            if denom <= 0.0:
-                raise ValidationError(f"degenerate innovation variance at step {t}")
-            L = float(xi @ innov) / denom
-            xb_filt = xb_pred + L * innov
-            xck = xb_filt - strk
-            sigma = float(np.linalg.norm(xck))
-            scale = math.sqrt(s.P[t]) / sigma if sigma > 0.0 else 0.0
-            z = scale * xck
-            y = z + self.n(t)
-            kappa = float(xck @ y) / float(y @ y)
-            K = s.a[t] * kappa
-            if math.isinf(s.N_f[t]):
-                nhat = np.zeros(self.D)
-            else:
-                rho = s.N[t] / (s.N[t] + s.N_f[t])
-                nhat = rho * (self.n(t) + (self.nf(t) if s.N_f[t] > 0.0 else 0.0))
-            K_enc = self._factor(t) * K
-            strk = s.a[t] * strk + K_enc * (z + nhat)
-            xb_pred = s.a[t] * xb_filt
-            ys.append(y)
-            xhats.append(xhat)
-            xhat = s.a[t] * xhat + K * y
-            x = s.a[t] * x + s.b[t] * w_t
-            xs.append(x)
-        xhats.append(xhat)
-        return xs, ys, xhats
+                K = a[t] * kappa
+                if se:
+                    y_f = Xh[i].copy()
+                    if math.isfinite(N_f[t]):
+                        y_f[i_nf + t] += math.sqrt(N_f[t])
+                    xbar = (x - Xh[i]) - xck
+                    sigbar2 = float(xbar @ xbar)
+                    den = sigbar2 + N_f[t]
+                    g = factor * (a[t] * sigbar2 / den if 0.0 < den < math.inf else 0.0)
+                    c1 = a[t] * N[t] / (P[t] + N[t])
+                else:
+                    # z becomes z + nhat, nhat = rho (n(t) + n_f(t)) the
+                    # encoder's estimate of the channel noise
+                    if not math.isinf(N_f[t]):
+                        rho = N[t] / (N[t] + N_f[t])
+                        z[i_n + t] += rho * math.sqrt(N[t])
+                        if N_f[t] > 0.0:
+                            z[i_nf + t] += rho * math.sqrt(N_f[t])
+                    strk = a[t] * strk + (factor * K) * z
+                Xh[t] = a[t] * Xh[i] + K * y
+            X[t] = a[t] * x
+            X[t, i_w + t] += b[t] * l11
+            if se:
+                xck = X[t].copy() if t == 0 else c1 * xck + (X[t] - a[t] * x) + g * (x - xck - y_f)
+            x = X[t]
+        return X, Y, Xh
 
 
 def exact_conditioning_oracle(
@@ -682,7 +620,6 @@ def exact_conditioning_oracle(
     kind: RegimeKind,
     measurement: Optional[MeasurementModel] = None,
     perturb: Optional[dict] = None,
-    pinv_rcond: float = 1e-12,
 ) -> OracleResult:
     """Exact error variances of the closed loop for small horizons (T <= 12).
 
@@ -702,22 +639,20 @@ def exact_conditioning_oracle(
             raise ValidationError("separation regime requires a measurement model")
         measurement = validate_measurement(measurement, s.T)
 
-    xs, ys, xhats = _Unroller(s, kind, measurement, perturb).run()
+    X, Y, Xh = _Unroller(s, kind, measurement, perturb).run()
     T = s.T
     mse = np.empty(T)
     scheme = np.empty(T)
     open_loop = np.empty(T)
-    for t in range(1, T + 1):
-        xc = xs[t - 1]
-        open_loop[t - 1] = float(xc @ xc)
-        err = xc - xhats[t - 1]
-        scheme[t - 1] = float(err @ err)
-        past = ys[: t - 1]
-        if not past:
-            mse[t - 1] = open_loop[t - 1]
+    for t in range(T):  # x(t+1) from y(1..t)
+        xc = X[t]
+        open_loop[t] = float(xc @ xc)
+        err = xc - Xh[t]
+        scheme[t] = float(err @ err)
+        if t == 0:
+            mse[0] = open_loop[0]
             continue
-        Y = np.vstack(past)
-        Syy = Y @ Y.T
-        c = Y @ xc
-        mse[t - 1] = open_loop[t - 1] - float(c @ np.linalg.pinv(Syy, rcond=pinv_rcond) @ c)
+        past = Y[:t]
+        c = past @ xc
+        mse[t] = open_loop[t] - float(c @ np.linalg.pinv(past @ past.T, rcond=_PINV_RCOND) @ c)
     return OracleResult(kind=kind, mse=mse, scheme_mse=scheme, open_loop_var=open_loop)

@@ -110,10 +110,15 @@ def test_constant_helpers():
     s = SystemSchedule(T=4, a=0.5, b=1, P=1, N=2, N_f=0, V_xx0=1)
     assert s.is_constant()
     assert s.constants() == (0.5, 1.0, 1.0, 2.0, 0.0)
-    tv = SystemSchedule(T=2, a=[0.5, 0.6], b=1, P=1, N=1, N_f=0, V_xx0=1)
-    assert not tv.is_constant()
-    with pytest.raises(ValidationError):
-        tv.constants()
+    no_fb = SystemSchedule(T=3, a=0.5, b=1, P=1, N=2, N_f=math.inf, V_xx0=1)
+    assert no_fb.constants() == (0.5, 1.0, 1.0, 2.0, math.inf)
+    for tv in (
+        SystemSchedule(T=2, a=[0.5, 0.6], b=1, P=1, N=1, N_f=0, V_xx0=1),
+        SystemSchedule(T=4, a=0.5, b=1, P=1, N=1, N_f=[0.5, 0.5, 0.5, 0.6], V_xx0=1),
+    ):
+        assert not tv.is_constant()
+        with pytest.raises(ValidationError):
+            tv.constants()
 
 
 def test_measurement_validation():
