@@ -6,7 +6,6 @@ Carlo harness and exact-conditioning oracle that validate them."""
 from .model import (
     MeasurementModel,
     SystemSchedule,
-    TrajectoryRecord,
     ValidationError,
     VariancePrediction,
     validate_measurement,
@@ -27,8 +26,6 @@ from .schemes import (
     RegimePlan,
     build_plan,
     check_regime_consistency,
-    run_regime,
-    select_regime,
 )
 from .simulate import (
     McConfig,
@@ -61,7 +58,6 @@ __all__ = [
     "RegimePlan",
     "StationaryReport",
     "SystemSchedule",
-    "TrajectoryRecord",
     "ValidationError",
     "VariancePrediction",
     "build_plan",
@@ -77,9 +73,7 @@ __all__ = [
     "predict_output_fb",
     "predict_separation",
     "predict_state_estimate_fb",
-    "run_regime",
     "sample_gaussian_streams",
-    "select_regime",
     "solve_state_estimate_fp",
     "validate_measurement",
     "validate_schedule",

@@ -26,7 +26,7 @@ Config format (INI sections; scalars or comma-separated per-step lists)::
     seed = 12345     ; simulate mode
     form = proof     ; optional: proof | stated residual recursion
 
-    [sweep]          ; optional; used by the `compare` command
+    [sweep]          ; optional; used by `compare` (not in the separation regime)
     N_f = 0, 0.1, 1, inf
 
 The file is read as UTF-8, in one pass over its lines, as this INI subset:
@@ -77,7 +77,6 @@ from .simulate import (
     exact_conditioning_oracle,
     format_float,
     monte_carlo,
-    summary_csv,
 )
 from . import recursions, stationarity
 
@@ -292,6 +291,9 @@ def parse_config(path: str, overrides: Optional[dict] = None) -> ExperimentSpec:
     sweep = None
     if "sweep" in cfg:
         sweep = _numbers(cfg["sweep"].get("n_f", ""), "sweep.N_f")
+        for nf in sweep:
+            if not nf >= 0.0:
+                raise ValidationError(f"sweep.N_f values must be >= 0 (may be inf), got {nf!r}")
 
     return ExperimentSpec(
         schedule=schedule,
@@ -323,14 +325,16 @@ def _oracle_csv(spec: ExperimentSpec) -> str:
     return csv_table("t,oracle_mse,scheme_mse,pred_mse", (res.mse, res.scheme_mse, pred.mse))
 
 
+def _stationarity_check(regime: RegimeKind):
+    check = stationarity.STATIONARITY_CHECKS.get(regime)
+    if check is None:
+        raise ValidationError(f"stationarity mode does not support regime {regime.value}")
+    return check
+
+
 def _stationarity_report(spec: ExperimentSpec):
     s = check_regime_consistency(spec.schedule, spec.regime)
-    check = stationarity.STATIONARITY_CHECKS.get(spec.regime)
-    if check is None:
-        raise ValidationError(
-            f"stationarity mode does not support regime {spec.regime.value}"
-        )
-    return check(s, spec.form)
+    return _stationarity_check(spec.regime)(s, spec.form)
 
 
 def _write(path: str, text: str) -> None:
@@ -351,7 +355,7 @@ def run(spec: ExperimentSpec) -> int:
             measurement=spec.measurement,
             form=spec.form,
         )
-        _write(spec.output, summary_csv(summary))
+        _write(spec.output, summary.to_csv())
         return EXIT_OK
     if spec.mode == "oracle":
         _write(spec.output, _oracle_csv(spec))
@@ -369,11 +373,12 @@ def _sweep_csv(spec: ExperimentSpec) -> str:
         raise ValidationError("empty N_f sweep")
     lines = ["N_f,bounded,sigma2,sigbar2,mse"]
     base = spec.schedule
-    # A swept N_f may be 0, finite or +inf: only output feedback accepts all three.
+    # A swept N_f may be 0, finite or +inf: of the regimes that share the
+    # output-feedback filters, only output feedback accepts all three.
     kind = spec.regime
-    if kind is not RegimeKind.STATE_ESTIMATE_FEEDBACK:
+    if kind in (RegimeKind.NO_FEEDBACK, RegimeKind.NOISELESS_FEEDBACK):
         kind = RegimeKind.OUTPUT_FEEDBACK
-    check = stationarity.STATIONARITY_CHECKS[kind]
+    check = _stationarity_check(kind)
     for nf in spec.sweep_N_f:
         sched = SystemSchedule(
             T=base.T, a=base.a, b=base.b, P=base.P, N=base.N, N_f=nf, V_xx0=base.V_xx0

@@ -1,5 +1,5 @@
 """Domain types shared by every regime: parameter schedules, the
-measurement model, prediction series, trajectories, and their validation.
+measurement model, prediction series, and their validation.
 
 Time convention used throughout the package
 -------------------------------------------
@@ -8,8 +8,9 @@ The plant runs ``x(t+1) = a(t) x(t) + b(t) w(t)`` for ``t = 0..T-1`` with
 receiver's first estimate is ``xhat(1) = 0`` and nothing useful is
 transmitted at ``t = 0``; transmissions occur at ``t = 1..T-1`` and the
 transmission at step ``t`` uses ``P(t)``, ``N(t)``, ``N_f(t)``.  Estimation
-error is reported for ``t = 1..T``: prediction and trajectory arrays of
-length ``T`` store the value for time ``t`` at index ``t-1``.
+error is reported for ``t = 1..T``: per-step arrays of length ``T``
+(predictions, recorded signals) store the value for time ``t`` at index
+``t-1``.
 
 ``N_f(t) = +inf`` is a first-class value meaning "no feedback";
 ``N_f(t) = 0`` means noiseless feedback.
@@ -28,7 +29,6 @@ __all__ = [
     "SystemSchedule",
     "MeasurementModel",
     "VariancePrediction",
-    "TrajectoryRecord",
     "constant_values",
     "validate_schedule",
     "validate_measurement",
@@ -72,17 +72,6 @@ class SystemSchedule:
     N: Union[float, np.ndarray]
     N_f: Union[float, np.ndarray]
     V_xx0: float = 0.0
-
-    def is_constant(self) -> bool:
-        """True when every parameter sequence is constant over the horizon."""
-        return constant_values(validate_schedule(self)) is not None
-
-    def constants(self) -> tuple[float, float, float, float, float]:
-        """(a, b, P, N, N_f) of a constant schedule."""
-        values = constant_values(validate_schedule(self))
-        if values is None:
-            raise ValidationError("schedule is not constant over the horizon")
-        return values
 
 
 def constant_values(s: SystemSchedule) -> Optional[tuple]:
@@ -199,20 +188,3 @@ class VariancePrediction:
         if not (len(self.sigma2) == len(self.vbar) == len(self.mse)):
             raise ValidationError("prediction series must share one length")
 
-
-@dataclass(frozen=True, eq=False)
-class TrajectoryRecord:
-    """One simulated realization, aligned on ``t = 1..T`` (index t-1).
-
-    ``z``, ``y``, ``y_f`` are zero at index T-1 (no transmission at the final
-    step) and ``y_f`` is identically zero when feedback is absent.  The
-    channel-output convention y(0) = 0 is implicit: index 0 holds time 1.
-    """
-
-    seed: int
-    x: np.ndarray
-    z: np.ndarray
-    y: np.ndarray
-    y_f: np.ndarray
-    xhat: np.ndarray
-    sq_err: np.ndarray

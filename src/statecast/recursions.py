@@ -257,13 +257,15 @@ class KalmanPrefilter:
     L(t) and V_xixi(t) cover t = 0..T (prediction-error variance before the
     measurement at t), beta2(t) covers t = 0..T-1 (equivalent process-noise
     variance of the filtered-estimate chain), and V_xixi_filt(t) is the
-    filtered error variance after the measurement at t.
+    filtered error variance after the measurement at t.  V_xbreve0 is
+    Var xbreve(0|0), the initial variance of the filtered-estimate chain.
     """
 
     L: np.ndarray
     V_xixi: np.ndarray
     beta2: np.ndarray
     V_xixi_filt: np.ndarray
+    V_xbreve0: float
 
     @property
     def beta(self) -> np.ndarray:
@@ -302,23 +304,10 @@ def kalman_prefilter(s: SystemSchedule, m: MeasurementModel) -> KalmanPrefilter:
     for t in range(T):
         innov_next = c * c * V[t + 1] + d * d * m.V_vv[t + 1]
         beta2[t] = L[t + 1] ** 2 * innov_next
-    return KalmanPrefilter(L=L, V_xixi=V, beta2=beta2, V_xixi_filt=V_filt)
-
-
-def separation_schedule(
-    s: SystemSchedule, m: MeasurementModel
-) -> tuple[SystemSchedule, KalmanPrefilter]:
-    """Schedule of the filtered-estimate chain communicated in the
-    separation pipeline: same pole, process gain beta(t), initial variance
-    Var(xbreve(0|0))."""
-    s = validate_schedule(s)
-    kf = kalman_prefilter(s, m)
-    m = validate_measurement(m, s.T)
-    V0_breve = kf.L[0] ** 2 * (m.c**2 * s.V_xx0 + m.d**2 * m.V_vv[0])
-    inner = SystemSchedule(
-        T=s.T, a=s.a, b=kf.beta, P=s.P, N=s.N, N_f=s.N_f, V_xx0=V0_breve
+    V_xbreve0 = L[0] ** 2 * (c**2 * s.V_xx0 + d**2 * m.V_vv[0])
+    return KalmanPrefilter(
+        L=L, V_xixi=V, beta2=beta2, V_xixi_filt=V_filt, V_xbreve0=V_xbreve0
     )
-    return validate_schedule(inner), kf
 
 
 def predict_separation(s: SystemSchedule, m: MeasurementModel) -> VariancePrediction:
@@ -339,9 +328,15 @@ def separation_total(
     s: SystemSchedule, m: MeasurementModel
 ) -> tuple[VariancePrediction, KalmanPrefilter]:
     """(total prediction, prefilter) of the separation pipeline; the total
-    carries the communication stage's sigma2, which sets its gains."""
-    inner, kf = separation_schedule(s, m)
-    comm = predict_output_fb(inner)
+    carries the communication stage's sigma2, which sets its gains.
+
+    The communication stage runs on the filtered-estimate chain: same pole,
+    process gain beta(t), initial variance Var xbreve(0|0).
+    """
+    kf = kalman_prefilter(s, m)
+    comm = predict_output_fb(
+        SystemSchedule(T=s.T, a=s.a, b=kf.beta, P=s.P, N=s.N, N_f=s.N_f, V_xx0=kf.V_xbreve0)
+    )
     extra = kf.V_xixi_filt[1:]
     total = VariancePrediction(
         sigma2=comm.sigma2, vbar=comm.vbar + extra, mse=comm.mse + extra

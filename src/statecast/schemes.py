@@ -5,8 +5,8 @@ sampled noise.
 The filters are deterministic maps: all gains come from the recursions
 module (encoder and decoder can both compute them offline), never from
 online variance estimation.  ``run_closed_loop`` holds the filter
-equations; every signal is a float or a (trials,) ndarray, so single
-trajectories and vectorized Monte Carlo share one code path.
+equations; every signal is a (trials,) ndarray, one trajectory per entry,
+so one trajectory is a width-1 column.
 
 Step ordering for state-estimate feedback (the update equations do not pin
 it down by themselves): observe x(t+1), receive y_f(t), update the tracker,
@@ -25,7 +25,6 @@ import numpy as np
 from .model import (
     MeasurementModel,
     SystemSchedule,
-    TrajectoryRecord,
     ValidationError,
     VariancePrediction,
     validate_measurement,
@@ -40,9 +39,7 @@ __all__ = [
     "Recorder",
     "ArrayRecorder",
     "build_plan",
-    "select_regime",
     "check_regime_consistency",
-    "run_regime",
     "run_closed_loop",
 ]
 
@@ -69,21 +66,6 @@ PREDICTORS = {
     ),
     RegimeKind.SEPARATION_OUTPUT_FEEDBACK: lambda s, m, form: recursions.separation_total(s, m),
 }
-
-
-def select_regime(s: SystemSchedule, feedback: str = "output") -> RegimeKind:
-    """Canonical regime for a schedule: N_f = +inf selects no feedback,
-    N_f = 0 with output feedback selects the noiseless regime."""
-    s = validate_schedule(s)
-    if np.isinf(s.N_f).all():
-        return RegimeKind.NO_FEEDBACK
-    if feedback == "output":
-        if np.all(s.N_f == 0.0):
-            return RegimeKind.NOISELESS_FEEDBACK
-        return RegimeKind.OUTPUT_FEEDBACK
-    if feedback == "state_estimate":
-        return RegimeKind.STATE_ESTIMATE_FEEDBACK
-    raise ValidationError(f"unknown feedback signal {feedback!r}")
 
 
 def check_regime_consistency(s: SystemSchedule, kind: RegimeKind) -> SystemSchedule:
@@ -193,7 +175,7 @@ def build_plan(
 class Recorder:
     """Per-step hooks the closed-loop engine reports into."""
 
-    def start(self, T: int, width) -> None:  # pragma: no cover - interface
+    def start(self, T: int, width: int) -> None:  # pragma: no cover - interface
         pass
 
     def error(self, t: int, err) -> None:  # pragma: no cover - interface
@@ -207,16 +189,19 @@ class Recorder:
 
 
 class ArrayRecorder(Recorder):
-    """Stores full trajectories (single run or a small batch)."""
+    """Stores every signal as a (T, trials) array, row t-1 holding step t.
+
+    z, y and y_f are zero in row T-1 (no transmission at the final step),
+    and y_f is zero wherever feedback is absent.
+    """
 
     def start(self, T, width):
-        shape = (T,) if width is None else (T, width)
-        self.x = np.zeros(shape)
-        self.z = np.zeros(shape)
-        self.y = np.zeros(shape)
-        self.y_f = np.zeros(shape)
-        self.xhat = np.zeros(shape)
-        self.sq_err = np.zeros(shape)
+        self.x = np.zeros((T, width))
+        self.z = np.zeros((T, width))
+        self.y = np.zeros((T, width))
+        self.y_f = np.zeros((T, width))
+        self.xhat = np.zeros((T, width))
+        self.sq_err = np.zeros((T, width))
 
     def error(self, t, err):
         self.sq_err[t - 1] = err * err
@@ -238,9 +223,10 @@ def run_closed_loop(plan: RegimePlan, streams, recorder: Recorder) -> None:
 
     ``streams`` provides already-scaled samples: x0, w[t], n[t], n_f[t]
     (zeros where N_f is 0 or +inf) and, for the separation regime, v[t]
-    jointly drawn with w[t].  One trajectory per stream column.  Gains are
-    read from the plan (index t-1 holds step t): scale, K, rho, no_feedback
-    and, for state-estimate feedback, g and c1.
+    jointly drawn with w[t].  x0 and every row are (trials,) arrays, one
+    trajectory per entry, and so is every signal handed to ``recorder``.
+    Gains are read from the plan (index t-1 holds step t): scale, K, rho,
+    no_feedback and, for state-estimate feedback, g and c1.
 
     Every regime shares the plant x(t+1) = a x(t) + b w(t), the channel
     y(t) = z(t) + n(t) and the decoder xhat(t+1) = a xhat(t) + K(t) y(t),
@@ -275,10 +261,10 @@ def run_closed_loop(plan: RegimePlan, streams, recorder: Recorder) -> None:
     T = s.T
     a, b = s.a.tolist(), s.b.tolist()
     scale, K = plan.scale.tolist(), plan.K.tolist()
-    width = None if np.ndim(streams.x0) == 0 else len(streams.x0)
+    width = len(streams.x0)
     recorder.start(T, width)
     error, transmit = recorder.error, recorder.transmit
-    zeros = 0.0 if width is None else np.zeros(width)
+    zeros = np.zeros(width)
 
     x = a[0] * streams.x0 + b[0] * streams.w[0]
     xhat = zeros + 0.0
@@ -335,32 +321,3 @@ def run_closed_loop(plan: RegimePlan, streams, recorder: Recorder) -> None:
     error(T, x - xhat)
     recorder.final(T, x, xhat)
 
-
-def run_regime(
-    s: SystemSchedule,
-    kind: RegimeKind,
-    streams,
-    measurement: Optional[MeasurementModel] = None,
-    form: str = "proof",
-) -> TrajectoryRecord:
-    """Run one full synchronized trajectory and package it.
-
-    ``streams`` must carry length-T rows (see
-    ``simulate.sample_gaussian_streams``); stream/schedule length mismatches
-    are rejected.
-    """
-    plan = build_plan(s, kind, measurement=measurement, form=form)
-    T = plan.schedule.T
-    if np.shape(streams.w)[0] != T or np.shape(streams.n)[0] != T:
-        raise ValidationError("noise streams must have length T")
-    rec = ArrayRecorder()
-    run_closed_loop(plan, streams, rec)
-    return TrajectoryRecord(
-        seed=getattr(streams, "seed", 0),
-        x=rec.x,
-        z=rec.z,
-        y=rec.y,
-        y_f=rec.y_f,
-        xhat=rec.xhat,
-        sq_err=rec.sq_err,
-    )

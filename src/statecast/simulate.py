@@ -88,7 +88,6 @@ __all__ = [
     "sample_gaussian_streams",
     "monte_carlo",
     "exact_conditioning_oracle",
-    "summary_csv",
     "format_float",
     "csv_table",
     "CSV_HEADER",
@@ -178,18 +177,6 @@ class NoiseStreams:
     @property
     def trials(self) -> int:
         return len(self.x0)
-
-    def single(self, trial: int) -> "NoiseStreams":
-        """One trajectory's streams as length-T rows (column ``trial``)."""
-        pick = lambda arr: None if arr is None else arr[:, trial]
-        return NoiseStreams(
-            seed=self.seed,
-            x0=self.x0[trial],
-            w=pick(self.w),
-            n=pick(self.n),
-            n_f=pick(self.n_f),
-            v=pick(self.v),
-        )
 
 
 def _wv_factor(m: MeasurementModel, t: int) -> tuple[float, float, float]:
@@ -382,24 +369,25 @@ class _MomentRecorder(Recorder):
         self.transmitted = np.zeros(T, dtype=bool)
 
     def error(self, t, err):
-        e2 = np.asarray(err) ** 2
+        e2 = err**2
         self.s2_err[t - 1] = np.sum(e2)
         self.s4_err[t - 1] = np.sum(e2 * e2)
 
     def transmit(self, t, x, z, y, y_f, xhat):
-        z2 = np.asarray(z) ** 2
+        z2 = z**2
         self.s2_z[t - 1] = np.sum(z2)
         self.s4_z[t - 1] = np.sum(z2 * z2)
         self.transmitted[t - 1] = True
 
 
-def _mean_se(s2: np.ndarray, s4: np.ndarray, M: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _mean_se(s2: np.ndarray, s4: np.ndarray, M: int) -> tuple[np.ndarray, np.ndarray]:
+    """(mean, standard error) from the sums of squares and fourth powers."""
     mean = s2 / M
     if M > 1:
         var = np.maximum(s4 - M * mean**2, 0.0) / (M - 1)
     else:
         var = np.full_like(mean, np.nan)
-    return mean, var, np.sqrt(var / M)
+    return mean, np.sqrt(var / M)
 
 
 @dataclass(frozen=True, eq=False)
@@ -415,10 +403,8 @@ class McSummary:
     seed: int
     pred: VariancePrediction
     emp_mse: np.ndarray
-    emp_mse_var: np.ndarray
     emp_se: np.ndarray
     emp_zpow: np.ndarray
-    emp_zpow_var: np.ndarray
     emp_zpow_se: np.ndarray
     delta_mse: np.ndarray
 
@@ -441,12 +427,8 @@ class McSummary:
         return (p.sigma2, p.vbar, p.mse, self.emp_mse, self.emp_se, self.emp_zpow)
 
     def to_csv(self) -> str:
-        return summary_csv(self)
-
-
-def summary_csv(summary: McSummary) -> str:
-    """Fixed-format CSV; floats carry 17 significant digits."""
-    return csv_table(CSV_HEADER, summary.csv_columns())
+        """Fixed-format CSV; floats carry 17 significant digits."""
+        return csv_table(CSV_HEADER, self.csv_columns())
 
 
 def monte_carlo(
@@ -476,11 +458,10 @@ def monte_carlo(
     finally:
         rows.close()
 
-    emp_mse, emp_mse_var, emp_se = _mean_se(rec.s2_err, rec.s4_err, M)
-    zpow, zpow_var, zpow_se = _mean_se(rec.s2_z, rec.s4_z, M)
+    emp_mse, emp_se = _mean_se(rec.s2_err, rec.s4_err, M)
+    zpow, zpow_se = _mean_se(rec.s2_z, rec.s4_z, M)
     quiet = ~rec.transmitted
     zpow[quiet] = np.nan
-    zpow_var[quiet] = np.nan
     zpow_se[quiet] = np.nan
 
     return McSummary(
@@ -489,10 +470,8 @@ def monte_carlo(
         seed=cfg.seed,
         pred=plan.prediction,
         emp_mse=emp_mse,
-        emp_mse_var=emp_mse_var,
         emp_se=emp_se,
         emp_zpow=zpow,
-        emp_zpow_var=zpow_var,
         emp_zpow_se=zpow_se,
         delta_mse=emp_mse - plan.prediction.mse,
     )

@@ -220,6 +220,32 @@ def test_compare_sweep_monotone_and_empty_rejected(tmp_path, capsys):
     assert main(["compare", str(cfg_empty)]) == EXIT_VALIDATION
 
 
+def test_compare_sweep_rejects_the_separation_regime(tmp_path, capsys):
+    # no stationarity check covers the pre-filtered chain, so the sweep must
+    # not stand in the raw plant's output-feedback check for it
+    cfg = write_cfg(
+        tmp_path, T=2, a=0.9, N_f=0.5, regime="separation_output_feedback", mode="simulate",
+        extra="trials = 10\nseed = 1\n\n[measurement]\nc = 1\nd = 1\nV_vv = 2\n\n"
+        "[sweep]\nN_f = 0.5",
+    )
+    assert main(["compare", str(cfg)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err == "error: stationarity mode does not support regime separation_output_feedback\n"
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("value, shown", [("-0.5", "-0.5"), ("nan", "nan")])
+def test_compare_sweep_rejects_a_bad_N_f_naming_the_sweep(tmp_path, capsys, value, shown):
+    cfg = write_cfg(
+        tmp_path, T=2, a=0.9, N_f=0.1, regime="output_feedback", mode="simulate",
+        extra=f"trials = 10\nseed = 1\n\n[sweep]\nN_f = 0, {value}, 1",
+    )
+    assert main(["compare", str(cfg)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "sweep.N_f" in err and f"got {shown}" in err
+
+
 def test_residual_form_key_selects_recursion_variant(tmp_path):
     base = dict(
         T=12, a=0.9, N_f=0.5, regime="state_estimate_feedback", mode="predict"

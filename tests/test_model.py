@@ -13,6 +13,7 @@ from statecast import (
     validate_measurement,
     validate_schedule,
 )
+from statecast.model import constant_values
 
 from conftest import random_schedule
 
@@ -108,17 +109,14 @@ def test_broadcast_round_trip(a, b, P, N, T):
 
 def test_constant_helpers():
     s = SystemSchedule(T=4, a=0.5, b=1, P=1, N=2, N_f=0, V_xx0=1)
-    assert s.is_constant()
-    assert s.constants() == (0.5, 1.0, 1.0, 2.0, 0.0)
+    assert constant_values(validate_schedule(s)) == (0.5, 1.0, 1.0, 2.0, 0.0)
     no_fb = SystemSchedule(T=3, a=0.5, b=1, P=1, N=2, N_f=math.inf, V_xx0=1)
-    assert no_fb.constants() == (0.5, 1.0, 1.0, 2.0, math.inf)
+    assert constant_values(validate_schedule(no_fb)) == (0.5, 1.0, 1.0, 2.0, math.inf)
     for tv in (
         SystemSchedule(T=2, a=[0.5, 0.6], b=1, P=1, N=1, N_f=0, V_xx0=1),
         SystemSchedule(T=4, a=0.5, b=1, P=1, N=1, N_f=[0.5, 0.5, 0.5, 0.6], V_xx0=1),
     ):
-        assert not tv.is_constant()
-        with pytest.raises(ValidationError):
-            tv.constants()
+        assert constant_values(validate_schedule(tv)) is None
 
 
 def test_measurement_validation():

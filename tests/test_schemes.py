@@ -13,12 +13,31 @@ from statecast import (
     ValidationError,
     build_plan,
     predict_noiseless_fb,
-    run_regime,
     sample_gaussian_streams,
-    select_regime,
     validate_schedule,
 )
 from statecast.schemes import ArrayRecorder, run_closed_loop
+
+
+def _run(s, kind, streams, measurement=None):
+    """The recorder of ``kind``'s closed loop over ``streams``: every signal
+    is a (T, trials) array, one trajectory per column."""
+    rec = ArrayRecorder()
+    run_closed_loop(build_plan(s, kind, measurement=measurement), streams, rec)
+    return rec
+
+
+def _column(streams, trial):
+    """Width-1 streams holding column ``trial`` of ``streams``."""
+    pick = lambda arr: None if arr is None else arr[:, trial : trial + 1]
+    return NoiseStreams(
+        seed=streams.seed,
+        x0=streams.x0[trial : trial + 1],
+        w=pick(streams.w),
+        n=pick(streams.n),
+        n_f=pick(streams.n_f),
+        v=pick(streams.v),
+    )
 
 # One schedule per regime for the hand-set-gain checks below (T = 4, a = 0.8).
 _HAND_N_F = {
@@ -104,26 +123,14 @@ def test_regime_schedule_consistency_enforced():
         check_regime_consistency(s, RegimeKind.OUTPUT_FEEDBACK)
 
 
-def test_select_regime_invariants():
-    no_fb = SystemSchedule(T=3, a=1, b=1, P=1, N=1, N_f=math.inf, V_xx0=0)
-    assert select_regime(no_fb) is RegimeKind.NO_FEEDBACK
-    noiseless = SystemSchedule(T=3, a=1, b=1, P=1, N=1, N_f=0.0, V_xx0=0)
-    assert select_regime(noiseless) is RegimeKind.NOISELESS_FEEDBACK
-    noisy = SystemSchedule(T=3, a=1, b=1, P=1, N=1, N_f=0.5, V_xx0=0)
-    assert select_regime(noisy) is RegimeKind.OUTPUT_FEEDBACK
-    assert select_regime(noisy, "state_estimate") is RegimeKind.STATE_ESTIMATE_FEEDBACK
-
-
 def test_output_fb_at_zero_feedback_noise_equals_noiseless_scheme():
     # shared noise streams; the two filter arrangements agree to rounding
     s = SystemSchedule(T=20, a=0.8, b=1.0, P=1.0, N=1.0, N_f=0.0, V_xx0=1.0)
     streams = sample_gaussian_streams(s, McConfig(trials=4, seed=99))
-    for trial in range(4):
-        one = streams.single(trial)
-        r_out = run_regime(s, RegimeKind.OUTPUT_FEEDBACK, one)
-        r_nl = run_regime(s, RegimeKind.NOISELESS_FEEDBACK, one)
-        assert np.max(np.abs(r_out.z - r_nl.z)) <= 1e-12
-        assert np.max(np.abs(r_out.xhat - r_nl.xhat)) <= 1e-12
+    r_out = _run(s, RegimeKind.OUTPUT_FEEDBACK, streams)
+    r_nl = _run(s, RegimeKind.NOISELESS_FEEDBACK, streams)
+    assert np.max(np.abs(r_out.z - r_nl.z)) <= 1e-12
+    assert np.max(np.abs(r_out.xhat - r_nl.xhat)) <= 1e-12
 
 
 @pytest.mark.parametrize(
@@ -136,14 +143,14 @@ def test_zero_noise_transmitter_replicates_decoder_exactly(kind):
         SystemSchedule(T=15, a=0.8, b=1.0, P=1.0, N=1.0, N_f=0.0, V_xx0=1.0)
     )
     plan = build_plan(s, kind)
-    streams = sample_gaussian_streams(s, McConfig(trials=1, seed=4)).single(0)
-    rec = run_regime(s, kind, streams)
+    streams = sample_gaussian_streams(s, McConfig(trials=1, seed=4))
+    rec = _run(s, kind, streams)
     for t in range(1, s.T):
         scale = plan.scale[t - 1]
         if scale == 0.0:
             continue
-        s_t = rec.x[t - 1] - rec.z[t - 1] / scale
-        assert s_t == pytest.approx(rec.xhat[t - 1], abs=1e-12)
+        s_t = rec.x[t - 1, 0] - rec.z[t - 1, 0] / scale
+        assert s_t == pytest.approx(rec.xhat[t - 1, 0], abs=1e-12)
 
 
 def test_noiseless_plan_on_bounded_unstable_plant():
@@ -158,13 +165,11 @@ def test_noiseless_plan_on_bounded_unstable_plant():
 def test_no_feedback_equals_output_fb_at_infinite_noise_bitwise():
     s = SystemSchedule(T=25, a=0.9, b=1.0, P=1.0, N=1.0, N_f=math.inf, V_xx0=1.0)
     streams = sample_gaussian_streams(s, McConfig(trials=3, seed=5))
-    for trial in range(3):
-        one = streams.single(trial)
-        r1 = run_regime(s, RegimeKind.NO_FEEDBACK, one)
-        r2 = run_regime(s, RegimeKind.OUTPUT_FEEDBACK, one)
-        assert np.array_equal(r1.z, r2.z)
-        assert np.array_equal(r1.xhat, r2.xhat)
-        assert np.all(r1.y_f == 0.0)
+    r1 = _run(s, RegimeKind.NO_FEEDBACK, streams)
+    r2 = _run(s, RegimeKind.OUTPUT_FEEDBACK, streams)
+    assert np.array_equal(r1.z, r2.z)
+    assert np.array_equal(r1.xhat, r2.xhat)
+    assert np.all(r1.y_f == 0.0)
 
 
 def test_se_first_transmission_carries_the_initial_state():
@@ -173,44 +178,36 @@ def test_se_first_transmission_carries_the_initial_state():
         SystemSchedule(T=5, a=0.9, b=1.0, P=1.0, N=1.0, N_f=0.5, V_xx0=0.0)
     )
     plan = build_plan(s, RegimeKind.STATE_ESTIMATE_FEEDBACK)
-    streams = sample_gaussian_streams(s, McConfig(trials=1, seed=8)).single(0)
-    rec = run_regime(s, RegimeKind.STATE_ESTIMATE_FEEDBACK, streams)
-    assert rec.z[0] / plan.scale[0] == pytest.approx(rec.x[0], abs=1e-14)
+    streams = sample_gaussian_streams(s, McConfig(trials=1, seed=8))
+    rec = _run(s, RegimeKind.STATE_ESTIMATE_FEEDBACK, streams)
+    assert rec.z[0, 0] / plan.scale[0] == pytest.approx(rec.x[0, 0], abs=1e-14)
 
 
 def test_se_feedback_carries_decoder_estimate():
     s = SystemSchedule(T=8, a=0.9, b=1.0, P=1.0, N=1.0, N_f=0.5, V_xx0=1.0)
     streams = sample_gaussian_streams(s, McConfig(trials=1, seed=13))
-    rec = run_regime(s, RegimeKind.STATE_ESTIMATE_FEEDBACK, streams.single(0))
-    n_f = streams.single(0).n_f
+    rec = _run(s, RegimeKind.STATE_ESTIMATE_FEEDBACK, streams)
     for t in range(1, s.T):
-        assert rec.y_f[t - 1] == pytest.approx(rec.xhat[t - 1] + n_f[t], abs=1e-14)
+        expect = rec.xhat[t - 1, 0] + streams.n_f[t, 0]
+        assert rec.y_f[t - 1, 0] == pytest.approx(expect, abs=1e-14)
 
 
 def test_near_noiseless_channel_tracks_plant():
     s = SystemSchedule(T=40, a=0.7, b=1.0, P=1.0, N=1e-12, N_f=0.0, V_xx0=1.0)
-    streams = sample_gaussian_streams(s, McConfig(trials=1, seed=5)).single(0)
-    rec = run_regime(s, RegimeKind.NOISELESS_FEEDBACK, streams)
+    streams = sample_gaussian_streams(s, McConfig(trials=1, seed=5))
+    rec = _run(s, RegimeKind.NOISELESS_FEEDBACK, streams)
     dev = np.abs(rec.xhat[1:] - 0.7 * rec.x[:-1])
     assert dev.max() < 1e-4
-
-
-def test_run_regime_rejects_stream_length_mismatch():
-    s = SystemSchedule(T=6, a=0.9, b=1.0, P=1.0, N=1.0, N_f=0.1, V_xx0=1.0)
-    short = SystemSchedule(T=4, a=0.9, b=1.0, P=1.0, N=1.0, N_f=0.1, V_xx0=1.0)
-    streams = sample_gaussian_streams(short, McConfig(trials=1, seed=1)).single(0)
-    with pytest.raises(ValidationError, match="length"):
-        run_regime(s, RegimeKind.OUTPUT_FEEDBACK, streams)
 
 
 def test_channel_and_record_identities(rng):
     # y = z + n at transmitting steps; sq_err = (x - xhat)^2; tail slots zero
     s = SystemSchedule(T=10, a=0.9, b=1.0, P=1.0, N=0.7, N_f=0.2, V_xx0=1.0)
-    streams = sample_gaussian_streams(s, McConfig(trials=1, seed=21)).single(0)
-    rec = run_regime(s, RegimeKind.OUTPUT_FEEDBACK, streams)
+    streams = sample_gaussian_streams(s, McConfig(trials=1, seed=21))
+    rec = _run(s, RegimeKind.OUTPUT_FEEDBACK, streams)
     assert np.allclose(rec.y[: s.T - 1], rec.z[: s.T - 1] + streams.n[1:], atol=0)
     assert np.allclose(rec.sq_err, (rec.x - rec.xhat) ** 2, atol=0)
-    assert rec.z[-1] == rec.y[-1] == rec.y_f[-1] == 0.0
+    assert rec.z[-1, 0] == rec.y[-1, 0] == rec.y_f[-1, 0] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -284,22 +281,20 @@ def test_golden_trajectories(name):
     s = SystemSchedule(**g["schedule"])
     m = MeasurementModel(**g["measurement"]) if "measurement" in g else None
     streams = sample_gaussian_streams(s, McConfig(trials=3, seed=g["seed"]), measurement=m)
-    rec = run_regime(s, g["kind"], streams.single(0), measurement=m)
+    rec = _run(s, g["kind"], streams, measurement=m)
     for field in ("x", "z", "y", "y_f", "xhat", "sq_err"):
-        assert np.array_equal(getattr(rec, field), np.array(g[field])), field
+        assert np.array_equal(getattr(rec, field)[:, 0], np.array(g[field])), field
 
 
 def test_vectorized_engine_matches_per_trajectory_runs():
-    # (trials,) array states reproduce independent scalar runs bitwise
+    # a width-5 run reproduces five independent width-1 runs bitwise
     s = SystemSchedule(T=12, a=0.9, b=1.0, P=1.0, N=1.0, N_f=0.3, V_xx0=1.0)
     streams = sample_gaussian_streams(s, McConfig(trials=5, seed=31))
-    plan = build_plan(s, RegimeKind.OUTPUT_FEEDBACK)
-    vec = ArrayRecorder()
-    run_closed_loop(plan, streams, vec)
+    vec = _run(s, RegimeKind.OUTPUT_FEEDBACK, streams)
     for trial in range(5):
-        one = run_regime(s, RegimeKind.OUTPUT_FEEDBACK, streams.single(trial))
-        assert np.array_equal(vec.xhat[:, trial], one.xhat)
-        assert np.array_equal(vec.sq_err[:, trial], one.sq_err)
+        one = _run(s, RegimeKind.OUTPUT_FEEDBACK, _column(streams, trial))
+        assert np.array_equal(vec.xhat[:, trial : trial + 1], one.xhat)
+        assert np.array_equal(vec.sq_err[:, trial : trial + 1], one.sq_err)
 
 
 def test_transmission_orthogonality_noiseless_and_its_failure_when_noisy():

@@ -19,12 +19,11 @@ from statecast import (
     build_plan,
     monte_carlo,
     predict_noiseless_fb,
-    run_regime,
     sample_gaussian_streams,
 )
 from statecast import simulate
 from statecast.schemes import run_closed_loop
-from statecast.simulate import CSV_HEADER, format_float, summary_csv
+from statecast.simulate import CSV_HEADER, format_float
 
 
 def test_same_seed_gives_identical_streams():
@@ -163,7 +162,7 @@ def test_measurement_model_leaves_full_state_regimes_alone(kind, N_f):
 def test_csv_round_trip_full_precision():
     s = SystemSchedule(T=7, a=0.9, b=1.0, P=1.0, N=1.0, N_f=0.1, V_xx0=1.0)
     summary = monte_carlo(s, RegimeKind.OUTPUT_FEEDBACK, McConfig(trials=500, seed=3))
-    text = summary_csv(summary)
+    text = summary.to_csv()
     lines = text.strip().split("\n")
     assert lines[0] == CSV_HEADER
     cols = list(zip(*(line.split(",") for line in lines[1:])))
@@ -223,8 +222,8 @@ def _materialized_summary(s, kind, cfg, m):
     rec = simulate._MomentRecorder(cfg.trials)
     plan = build_plan(s, kind, measurement=m)
     run_closed_loop(plan, sample_gaussian_streams(s, cfg, measurement=m), rec)
-    mse, _, se = simulate._mean_se(rec.s2_err, rec.s4_err, cfg.trials)
-    zpow, _, zse = simulate._mean_se(rec.s2_z, rec.s4_z, cfg.trials)
+    mse, se = simulate._mean_se(rec.s2_err, rec.s4_err, cfg.trials)
+    zpow, zse = simulate._mean_se(rec.s2_z, rec.s4_z, cfg.trials)
     zpow[-1] = zse[-1] = np.nan
     return mse, se, zpow, zse
 
@@ -301,6 +300,33 @@ def test_helper_exception_comes_out_unchanged(monkeypatch):
         monte_carlo(s, RegimeKind.OUTPUT_FEEDBACK, McConfig(trials=20_000, seed=1))
     assert info.value is boom
     assert helper_raised.is_set()
+
+
+def _count_checks(monkeypatch) -> dict:
+    """{name: calls} of the schedule and measurement checks, counted from
+    every statecast module that imports them."""
+    counts = {"validate_schedule": 0, "validate_measurement": 0}
+    for name in counts:
+        original = getattr(sys.modules["statecast.model"], name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.startswith("statecast") and getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counted)
+    return counts
+
+
+def test_separation_monte_carlo_checks_each_input_once_per_stage(monkeypatch):
+    # build_plan checks schedule and measurement, kalman_prefilter checks
+    # both again, and predict_output_fb checks the filtered-estimate chain
+    counts = _count_checks(monkeypatch)
+    s = _streamed_case(0.5)
+    m = MeasurementModel(c=0.8, d=0.6, V_ww=1.2, V_wv=0.5, V_vv=0.9)
+    monte_carlo(s, RegimeKind.SEPARATION_OUTPUT_FEEDBACK, McConfig(trials=8, seed=3), measurement=m)
+    assert counts == {"validate_schedule": 3, "validate_measurement": 2}
 
 
 _THREAD_PROBE = textwrap.dedent(
