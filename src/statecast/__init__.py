@@ -9,7 +9,6 @@ from .model import (
     ValidationError,
     VariancePrediction,
     validate_measurement,
-    validate_schedule,
 )
 from .recursions import (
     Gains,
@@ -76,5 +75,4 @@ __all__ = [
     "sample_gaussian_streams",
     "solve_state_estimate_fp",
     "validate_measurement",
-    "validate_schedule",
 ]

@@ -57,7 +57,7 @@ import functools
 import json
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -66,7 +66,6 @@ from .model import (
     MeasurementModel,
     SystemSchedule,
     ValidationError,
-    validate_schedule,
 )
 from .schemes import PREDICTORS, RegimeKind, check_regime_consistency
 from .simulate import (
@@ -241,16 +240,14 @@ def parse_config(path: str, overrides: Optional[dict] = None) -> ExperimentSpec:
     sched_sec = cfg["schedule"]
     exp = cfg["experiment"]
 
-    schedule = validate_schedule(
-        SystemSchedule(
-            T=_scalar(_require(sched_sec, "t", "schedule"), "schedule.T", int),
-            a=_floats(_require(sched_sec, "a", "schedule"), "schedule.a"),
-            b=_floats(_require(sched_sec, "b", "schedule"), "schedule.b"),
-            P=_floats(_require(sched_sec, "p", "schedule"), "schedule.P"),
-            N=_floats(_require(sched_sec, "n", "schedule"), "schedule.N"),
-            N_f=_floats(_require(sched_sec, "n_f", "schedule"), "schedule.N_f"),
-            V_xx0=_scalar(_require(sched_sec, "v_xx0", "schedule"), "schedule.V_xx0"),
-        )
+    schedule = SystemSchedule(
+        T=_scalar(_require(sched_sec, "t", "schedule"), "schedule.T", int),
+        a=_floats(_require(sched_sec, "a", "schedule"), "schedule.a"),
+        b=_floats(_require(sched_sec, "b", "schedule"), "schedule.b"),
+        P=_floats(_require(sched_sec, "p", "schedule"), "schedule.P"),
+        N=_floats(_require(sched_sec, "n", "schedule"), "schedule.N"),
+        N_f=_floats(_require(sched_sec, "n_f", "schedule"), "schedule.N_f"),
+        V_xx0=_scalar(_require(sched_sec, "v_xx0", "schedule"), "schedule.V_xx0"),
     )
 
     measurement = None
@@ -309,8 +306,8 @@ def parse_config(path: str, overrides: Optional[dict] = None) -> ExperimentSpec:
 
 
 def _prediction(spec: ExperimentSpec):
-    s = check_regime_consistency(spec.schedule, spec.regime)
-    return PREDICTORS[spec.regime](s, spec.measurement, spec.form)[0]
+    check_regime_consistency(spec.schedule, spec.regime)
+    return PREDICTORS[spec.regime](spec.schedule, spec.measurement, spec.form)[0]
 
 
 def _predict_csv(pred) -> str:
@@ -333,8 +330,8 @@ def _stationarity_check(regime: RegimeKind):
 
 
 def _stationarity_report(spec: ExperimentSpec):
-    s = check_regime_consistency(spec.schedule, spec.regime)
-    return _stationarity_check(spec.regime)(s, spec.form)
+    check_regime_consistency(spec.schedule, spec.regime)
+    return _stationarity_check(spec.regime)(spec.schedule, spec.form)
 
 
 def _write(path: str, text: str) -> None:
@@ -372,7 +369,6 @@ def _sweep_csv(spec: ExperimentSpec) -> str:
     if not spec.sweep_N_f:
         raise ValidationError("empty N_f sweep")
     lines = ["N_f,bounded,sigma2,sigbar2,mse"]
-    base = spec.schedule
     # A swept N_f may be 0, finite or +inf: of the regimes that share the
     # output-feedback filters, only output feedback accepts all three.
     kind = spec.regime
@@ -380,10 +376,7 @@ def _sweep_csv(spec: ExperimentSpec) -> str:
         kind = RegimeKind.OUTPUT_FEEDBACK
     check = _stationarity_check(kind)
     for nf in spec.sweep_N_f:
-        sched = SystemSchedule(
-            T=base.T, a=base.a, b=base.b, P=base.P, N=base.N, N_f=nf, V_xx0=base.V_xx0
-        )
-        rep = check(sched, spec.form)
+        rep = check(replace(spec.schedule, N_f=nf), spec.form)
         if rep.fixed_point is None:
             cells = [format_float(nf), "false", "nan", "nan", "nan"]
         else:

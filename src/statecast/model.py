@@ -1,5 +1,6 @@
-"""Domain types shared by every regime: parameter schedules, the
-measurement model, prediction series, and their validation.
+"""Domain types shared by every regime: parameter schedules, which check
+themselves when built, the measurement model and its validation, and
+prediction series.
 
 Time convention used throughout the package
 -------------------------------------------
@@ -30,7 +31,6 @@ __all__ = [
     "MeasurementModel",
     "VariancePrediction",
     "constant_values",
-    "validate_schedule",
     "validate_measurement",
 ]
 
@@ -58,11 +58,15 @@ def _as_series(name: str, value, T: int) -> np.ndarray:
 class SystemSchedule:
     """Per-step plant and channel parameters.
 
-    a, b, P, N, N_f are scalars (constant system) or length-``T`` sequences;
-    ``validate_schedule`` broadcasts scalars so downstream code always sees
-    arrays.  ``a(t)``/``b(t)`` govern the transition ``t -> t+1``; ``P(t)``,
-    ``N(t)``, ``N_f(t)`` govern the transmission at step ``t`` (index 0 is
-    carried but never used, since the first transmission is at ``t = 1``).
+    a, b, P, N, N_f are given as scalars (constant system) or length-``T``
+    sequences and stored as length-``T`` float arrays.  ``a(t)``/``b(t)``
+    govern the transition ``t -> t+1``; ``P(t)``, ``N(t)``, ``N_f(t)`` govern
+    the transmission at step ``t`` (index 0 is carried but never used, since
+    the first transmission is at ``t = 1``).
+
+    The fields are checked once, when the schedule is built: the first
+    violated constraint is a ``ValidationError`` naming its step.  Use
+    ``dataclasses.replace`` to make a changed schedule.
     """
 
     T: int
@@ -73,48 +77,40 @@ class SystemSchedule:
     N_f: Union[float, np.ndarray]
     V_xx0: float = 0.0
 
+    def __post_init__(self):
+        T = self.T
+        if not isinstance(T, (int, np.integer)) or isinstance(T, bool) or T < 1:
+            raise ValidationError(f"T must be a positive integer, got {T!r}")
+        T = int(T)
+        series = {name: _as_series(name, getattr(self, name), T)
+                  for name in ("a", "b", "P", "N", "N_f")}
+        for name in ("a", "b"):
+            for t, v in enumerate(series[name].tolist()):
+                if not math.isfinite(v):
+                    raise ValidationError(f"{name}({t}) must be finite")
+        for name in ("P", "N"):
+            for t, v in enumerate(series[name].tolist()):
+                if not (v > 0.0) or not math.isfinite(v):
+                    raise ValidationError(f"{name}({t}) must be > 0")
+        for t, v in enumerate(series["N_f"].tolist()):
+            if not (v >= 0.0):
+                raise ValidationError(f"N_f({t}) must be >= 0 (may be +inf)")
+        V0 = float(self.V_xx0)
+        if math.isnan(V0) or math.isinf(V0) or V0 < 0.0:
+            raise ValidationError(f"V_xx0 must be a finite value >= 0, got {self.V_xx0!r}")
+        for name, value in (("T", T), *series.items(), ("V_xx0", V0)):
+            object.__setattr__(self, name, value)
+
 
 def constant_values(s: SystemSchedule) -> Optional[tuple]:
-    """(a, b, P, N, N_f) of an already validated schedule, or None when
-    some parameter changes over the horizon."""
+    """(a, b, P, N, N_f) of a schedule, or None when some parameter changes
+    over the horizon."""
     seqs = (s.a, s.b, s.P, s.N, s.N_f)
     for seq in seqs:
         values = seq.tolist()
         if values.count(values[0]) != len(values):
             return None
     return tuple(seq[0] for seq in seqs)
-
-
-def validate_schedule(s: SystemSchedule) -> SystemSchedule:
-    """Check all schedule invariants and normalize scalars to length-T arrays.
-
-    Validating an already-expanded schedule returns an equal schedule
-    (broadcasting is idempotent).  The first violated constraint is reported
-    with its step index.
-    """
-    if not isinstance(s.T, (int, np.integer)) or isinstance(s.T, bool) or s.T < 1:
-        raise ValidationError(f"T must be a positive integer, got {s.T!r}")
-    T = int(s.T)
-    a = _as_series("a", s.a, T)
-    b = _as_series("b", s.b, T)
-    P = _as_series("P", s.P, T)
-    N = _as_series("N", s.N, T)
-    N_f = _as_series("N_f", s.N_f, T)
-    for name, seq in (("a", a), ("b", b)):
-        for t, v in enumerate(seq.tolist()):
-            if not math.isfinite(v):
-                raise ValidationError(f"{name}({t}) must be finite")
-    for name, seq in (("P", P), ("N", N)):
-        for t, v in enumerate(seq.tolist()):
-            if not (v > 0.0) or not math.isfinite(v):
-                raise ValidationError(f"{name}({t}) must be > 0")
-    for t, v in enumerate(N_f.tolist()):
-        if not (v >= 0.0):
-            raise ValidationError(f"N_f({t}) must be >= 0 (may be +inf)")
-    V0 = float(s.V_xx0)
-    if math.isnan(V0) or math.isinf(V0) or V0 < 0.0:
-        raise ValidationError(f"V_xx0 must be a finite value >= 0, got {s.V_xx0!r}")
-    return SystemSchedule(T=T, a=a, b=b, P=P, N=N, N_f=N_f, V_xx0=V0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,14 +169,6 @@ class VariancePrediction:
     sigma2: np.ndarray
     vbar: np.ndarray
     mse: np.ndarray
-
-    @property
-    def T(self) -> int:
-        return len(self.sigma2)
-
-    @property
-    def t(self) -> np.ndarray:
-        return np.arange(1, self.T + 1)
 
     def __post_init__(self):
         for name in ("sigma2", "vbar", "mse"):

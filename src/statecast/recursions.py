@@ -1,9 +1,9 @@
 """Deterministic gain and variance recursions for every regime.
 
-All functions are pure: they consume a validated schedule (and, for the
-separation pipeline, a measurement model) and produce gain or variance
-series.  No sampling happens here; the Monte Carlo and exact-conditioning
-modules validate these recursions independently.
+All functions are pure: they consume a schedule, which checked itself when
+it was built (and, for the separation pipeline, a measurement model), and
+produce gain or variance series.  No sampling happens here; the Monte Carlo
+and exact-conditioning modules validate these recursions independently.
 
 Feedback-noise limits are explicit branches, never floating-point infinity
 arithmetic: with feedback noise ``N_f`` the encoder's channel-noise estimate
@@ -40,7 +40,6 @@ from .model import (
     ValidationError,
     VariancePrediction,
     validate_measurement,
-    validate_schedule,
 )
 
 __all__ = [
@@ -65,27 +64,25 @@ SIGBAR_FORMS = ("proof", "stated")
 class Gains:
     """Per-step filter gains derived from the transmit-side variance.
 
-    K = a * kappa exactly; scale * sqrt(sigma2) = sqrt(P) whenever
-    sigma2 > 0, and scale = 0 at the sigma2 = 0 degeneracy (nothing
+    K = a * sqrt(sigma2) * sqrt(P) / (P + N); scale * sqrt(sigma2) = sqrt(P)
+    whenever sigma2 > 0, and scale = 0 at the sigma2 = 0 degeneracy (nothing
     informative to send, so the encoder emits 0 and the decoder coasts).
     """
 
     K: float
-    kappa: float
     scale: float
 
 
 def gains(a: float, P: float, N: float, sigma2: float) -> Gains:
-    """Decoder gain, conditioning gain and encoder scaling for one step."""
+    """Decoder gain and encoder scaling for one step."""
     if P <= 0.0 or N <= 0.0:
         raise ValidationError("P and N must be > 0")
     if sigma2 < 0.0:
         raise ValidationError(f"sigma2 must be >= 0, got {sigma2}")
     sigma = math.sqrt(sigma2)
     sqrtP = math.sqrt(P)
-    kappa = sigma * sqrtP / (P + N)
     scale = sqrtP / sigma if sigma > 0.0 else 0.0
-    return Gains(K=a * kappa, kappa=kappa, scale=scale)
+    return Gains(K=a * (sigma * sqrtP / (P + N)), scale=scale)
 
 
 def nhat_variance(N: float, N_f: float) -> float:
@@ -128,7 +125,6 @@ def predict_output_fb(s: SystemSchedule) -> VariancePrediction:
     value, is a ``ValidationError`` naming its step, as is a vbar or mse
     that overflows; no ``RuntimeWarning`` escapes.
     """
-    s = validate_schedule(s)
     T = s.T
     sigma2 = np.empty(T)
     vbar = np.empty(T)
@@ -174,7 +170,6 @@ def predict_noiseless_fb(s: SystemSchedule) -> VariancePrediction:
     decoder exactly, so vbar = 0 and mse = sigma2.  A sigma2 that overflows
     is a ``ValidationError`` naming its step.
     """
-    s = validate_schedule(s)
     T = s.T
     sigma2 = np.empty(T)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -197,10 +192,9 @@ def se_step(
 ) -> tuple[float, float]:
     """One step of the coupled (sigma2, sigbar2) recursion for
     state-estimate feedback.  ``form`` selects the residual update variant
-    (see the module docstring); 0/0 at sigbar2 = N_f = 0 resolves to 0.
+    (see the module docstring), which the caller has checked; 0/0 at
+    sigbar2 = N_f = 0 resolves to 0.
     """
-    if form not in SIGBAR_FORMS:
-        raise ValidationError(f"form must be one of {SIGBAR_FORMS}, got {form!r}")
     a2 = a * a
     den = sigbar2 + N_f
     quart = a2 * sigbar2**2 / den if den > 0.0 else 0.0
@@ -224,7 +218,8 @@ def predict_state_estimate_fb(
     full error), then iterates ``se_step``.  Requires finite N_f.  A variance
     that overflows is a ``ValidationError`` naming its step.
     """
-    s = validate_schedule(s)
+    if form not in SIGBAR_FORMS:
+        raise ValidationError(f"form must be one of {SIGBAR_FORMS}, got {form!r}")
     if np.isinf(s.N_f).any():
         raise ValidationError(
             "state-estimate feedback requires finite N_f; use the no-feedback regime"
@@ -282,7 +277,6 @@ def kalman_prefilter(s: SystemSchedule, m: MeasurementModel) -> KalmanPrefilter:
     covariance.  V_xixi(0) = V_xx0.  A zero innovation variance at any step
     is reported as an error.
     """
-    s = validate_schedule(s)
     m = validate_measurement(m, s.T)
     T = s.T
     c, d = m.c, m.d

@@ -28,7 +28,6 @@ from .model import (
     ValidationError,
     VariancePrediction,
     validate_measurement,
-    validate_schedule,
 )
 from . import recursions
 
@@ -68,11 +67,10 @@ PREDICTORS = {
 }
 
 
-def check_regime_consistency(s: SystemSchedule, kind: RegimeKind) -> SystemSchedule:
+def check_regime_consistency(s: SystemSchedule, kind: RegimeKind) -> None:
     """Reject regime/schedule combinations whose filters and predictions
     would assume different feedback noise.  Output feedback accepts any
     N_f (its 0 and +inf limits are the other two regimes' filters)."""
-    s = validate_schedule(s)
     active = s.N_f[1:]  # index 0 carries no transmission
     if kind is RegimeKind.NO_FEEDBACK and not np.all(np.isinf(active)):
         raise ValidationError("no-feedback regime requires N_f = +inf throughout")
@@ -82,7 +80,6 @@ def check_regime_consistency(s: SystemSchedule, kind: RegimeKind) -> SystemSched
         raise ValidationError(
             "state-estimate feedback requires finite N_f; use the no-feedback regime"
         )
-    return s
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,7 +117,7 @@ def build_plan(
     The measurement model is kept, and validated, only for the separation
     regime; the other regimes observe x(t) itself and ignore it.
     """
-    s = check_regime_consistency(s, kind)
+    check_regime_consistency(s, kind)
     T = s.T
     g = None
     c1 = None

@@ -70,7 +70,6 @@ from .model import (
     ValidationError,
     VariancePrediction,
     validate_measurement,
-    validate_schedule,
 )
 from .schemes import (
     Recorder,
@@ -137,15 +136,14 @@ def csv_table(header: str, columns, footer=()) -> str:
 
 @dataclass(frozen=True)
 class McConfig:
-    """Monte Carlo run configuration."""
+    """Monte Carlo run configuration, checked when it is built."""
 
     trials: int
     seed: int
 
-    def check(self) -> "McConfig":
+    def __post_init__(self):
         if self.trials < 1:
             raise ValidationError(f"trials must be >= 1, got {self.trials}")
-        return self
 
 
 def _row(seed: int, stream: int, t: int, m: int) -> np.ndarray:
@@ -226,8 +224,6 @@ def sample_gaussian_streams(
     Identical (seed, trial, stream, t) always yields the identical sample;
     distinct streams use distinct generator keys and are independent.
     """
-    s = validate_schedule(s)
-    cfg = cfg.check()
     T, M = s.T, cfg.trials
     if measurement is not None:
         measurement = validate_measurement(measurement, T)
@@ -355,7 +351,8 @@ class _StreamedRows:
 
 
 class _MomentRecorder(Recorder):
-    """Accumulates the 2nd and 4th sample moments of errors and transmissions."""
+    """Accumulates the 2nd and 4th sample moments of errors and the 2nd
+    moments of transmissions."""
 
     def __init__(self, trials: int):
         self.M = trials
@@ -365,7 +362,6 @@ class _MomentRecorder(Recorder):
         self.s2_err = np.zeros(T)
         self.s4_err = np.zeros(T)
         self.s2_z = np.zeros(T)
-        self.s4_z = np.zeros(T)
         self.transmitted = np.zeros(T, dtype=bool)
 
     def error(self, t, err):
@@ -374,9 +370,7 @@ class _MomentRecorder(Recorder):
         self.s4_err[t - 1] = np.sum(e2 * e2)
 
     def transmit(self, t, x, z, y, y_f, xhat):
-        z2 = z**2
-        self.s2_z[t - 1] = np.sum(z2)
-        self.s4_z[t - 1] = np.sum(z2 * z2)
+        self.s2_z[t - 1] = np.sum(z**2)
         self.transmitted[t - 1] = True
 
 
@@ -394,23 +388,15 @@ def _mean_se(s2: np.ndarray, s4: np.ndarray, M: int) -> tuple[np.ndarray, np.nda
 class McSummary:
     """Per-step Monte Carlo statistics next to the deterministic prediction.
 
-    ``zpow_*`` entries are NaN at steps with no transmission (t = T).
+    ``emp_zpow`` is NaN at steps with no transmission (t = T).
     ``delta_mse`` is ``emp_mse - pred.mse``.
     """
 
-    kind: RegimeKind
-    trials: int
-    seed: int
     pred: VariancePrediction
     emp_mse: np.ndarray
     emp_se: np.ndarray
     emp_zpow: np.ndarray
-    emp_zpow_se: np.ndarray
     delta_mse: np.ndarray
-
-    @property
-    def t(self) -> np.ndarray:
-        return self.pred.t
 
     def max_se_ratio(self) -> float:
         """Largest |empirical - predicted| mse deviation in standard errors."""
@@ -446,7 +432,6 @@ def monte_carlo(
     regime draws unit-variance w with or without it.
     """
     plan = build_plan(s, kind, measurement=measurement, form=form)
-    cfg = cfg.check()
     M = cfg.trials
     rec = _MomentRecorder(M)
     pool, helpers = _helper_pool(M)
@@ -459,20 +444,14 @@ def monte_carlo(
         rows.close()
 
     emp_mse, emp_se = _mean_se(rec.s2_err, rec.s4_err, M)
-    zpow, zpow_se = _mean_se(rec.s2_z, rec.s4_z, M)
-    quiet = ~rec.transmitted
-    zpow[quiet] = np.nan
-    zpow_se[quiet] = np.nan
+    zpow = rec.s2_z / M
+    zpow[~rec.transmitted] = np.nan
 
     return McSummary(
-        kind=kind,
-        trials=M,
-        seed=cfg.seed,
         pred=plan.prediction,
         emp_mse=emp_mse,
         emp_se=emp_se,
         emp_zpow=zpow,
-        emp_zpow_se=zpow_se,
         delta_mse=emp_mse - plan.prediction.mse,
     )
 
@@ -491,7 +470,6 @@ class OracleResult:
     ``open_loop_var[t-1]``: unconditional Var x(t).
     """
 
-    kind: RegimeKind
     mse: np.ndarray
     scheme_mse: np.ndarray
     open_loop_var: np.ndarray
@@ -565,8 +543,7 @@ class _Unroller:
                 y = Y[i]
                 y[:] = z
                 y[i_n + t] += math.sqrt(N[t])
-                kappa = float(xck @ y) / float(y @ y)
-                K = a[t] * kappa
+                K = a[t] * (float(xck @ y) / float(y @ y))
                 if se:
                     y_f = Xh[i].copy()
                     if math.isfinite(N_f[t]):
@@ -608,7 +585,7 @@ def exact_conditioning_oracle(
     the true transmit variance, so the perturbed encoder still meets the
     per-symbol power constraint exactly.
     """
-    s = check_regime_consistency(s, kind)
+    check_regime_consistency(s, kind)
     if s.T > ORACLE_HORIZON_MAX:
         raise ValidationError(
             f"oracle horizon T={s.T} exceeds the supported maximum {ORACLE_HORIZON_MAX}"
@@ -634,4 +611,4 @@ def exact_conditioning_oracle(
         past = Y[:t]
         c = past @ xc
         mse[t] = open_loop[t] - float(c @ np.linalg.pinv(past @ past.T, rcond=_PINV_RCOND) @ c)
-    return OracleResult(kind=kind, mse=mse, scheme_mse=scheme, open_loop_var=open_loop)
+    return OracleResult(mse=mse, scheme_mse=scheme, open_loop_var=open_loop)

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .model import SystemSchedule, ValidationError, constant_values, validate_schedule
+from .model import SystemSchedule, ValidationError, constant_values
 from .recursions import SIGBAR_FORMS, ntilde_variance, se_step
 from .schemes import RegimeKind
 
@@ -88,7 +88,7 @@ def channel_capacity(P: float, N: float) -> float:
 
 
 def _constants(s: SystemSchedule) -> tuple[float, float, float, float, float]:
-    values = constant_values(validate_schedule(s))
+    values = constant_values(s)
     if values is None:
         raise ValidationError("stationarity checks require a constant schedule")
     return tuple(float(v) for v in values)

@@ -41,7 +41,6 @@ from statecast import (
     predict_state_estimate_fb,
     solve_state_estimate_fp,
     validate_measurement,
-    validate_schedule,
 )
 from statecast.cli import main as cli_main
 from statecast.recursions import se_step
@@ -224,7 +223,7 @@ def test_criterion_05b_no_feedback_limit_matches_zero_drive_reference():
     rng = np.random.default_rng(20240807)
     ok = True
     for _ in range(10):
-        s = validate_schedule(random_schedule(rng, nf="inf", time_varying=True))
+        s = random_schedule(rng, nf="inf", time_varying=True)
         p = predict_output_fb(s)
         # reference recursion: identical 2x2 update, zero drive in the (1,1)
         # slot, carried as a symmetric covariance (one off-diagonal entry)
@@ -322,7 +321,6 @@ def test_criterion_07_quartic_fixed_point():
 
 
 def _independent_prefilter(s, m):
-    s = validate_schedule(s)
     m = validate_measurement(m, s.T)
     c, d = m.c, m.d
     L = np.empty(s.T + 1)

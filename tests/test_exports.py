@@ -18,10 +18,15 @@ def test_every_exported_name_resolves(name):
     assert not missing, f"{name}.__all__ names undefined attributes: {missing}"
 
 
+def _section(heading: str) -> str:
+    """The README's text under ``## heading``, up to the next heading."""
+    section = README.read_text(encoding="utf-8").split(f"\n## {heading}\n", 1)[1]
+    return section.split("\n## ", 1)[0]
+
+
 def _table(heading: str) -> list:
     """Cells of the table under the README's ``## heading``, header row first."""
-    section = README.read_text(encoding="utf-8").split(f"\n## {heading}\n", 1)[1]
-    section = section.split("\n## ", 1)[0]
+    section = _section(heading)
     rows = [line.strip() for line in section.splitlines() if line.startswith("|")]
     del rows[1]  # the | --- | separator
     return [[cell.strip() for cell in row.strip("|").split("|")] for row in rows]
@@ -41,3 +46,8 @@ def test_readme_tables_name_only_existing_objects():
         missing += [f"recursions.{n}" for n in _NAME.findall(predictor) if not hasattr(recursions, n)]
     assert len(rows) == len(schemes.RegimeKind)
     assert not missing, f"README names objects the package lacks: {missing}"
+
+
+def test_readme_quick_start_runs():
+    block = _section("Library quick start").split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md (Library quick start)", "exec"), {})

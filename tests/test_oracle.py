@@ -125,10 +125,9 @@ def test_separation_with_correlated_noise_breaks_the_additive_split():
 def test_transmit_power_is_exact_in_the_unrolled_loop(rng):
     # the coefficient norm of z equals sqrt(P) at every transmitting step
     from statecast.simulate import _Unroller
-    from statecast import validate_schedule
 
     for kind in (RegimeKind.OUTPUT_FEEDBACK, RegimeKind.STATE_ESTIMATE_FEEDBACK):
-        s = validate_schedule(random_schedule(rng, T=6, nf="finite"))
+        s = random_schedule(rng, T=6, nf="finite")
         un = _Unroller(s, kind, None, None)
         xs, ys, xhats = un.run()
         for t in range(1, s.T):
@@ -140,9 +139,8 @@ def test_transmit_power_is_exact_in_the_unrolled_loop(rng):
 
 def test_perturbed_encoder_keeps_exact_power(rng):
     from statecast.simulate import _Unroller
-    from statecast import validate_schedule
 
-    s = validate_schedule(random_schedule(rng, T=6, nf="zero"))
+    s = random_schedule(rng, T=6, nf="zero")
     un = _Unroller(s, RegimeKind.NOISELESS_FEEDBACK, None, {"t": 2, "factor": 1.001})
     xs, ys, _ = un.run()
     for t in range(1, s.T):

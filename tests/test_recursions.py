@@ -8,19 +8,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from statecast import (
+    McConfig,
     MeasurementModel,
+    RegimeKind,
     SystemSchedule,
     ValidationError,
+    build_plan,
     check_output_fb,
     gains,
     kalman_prefilter,
+    monte_carlo,
     predict_noiseless_fb,
     predict_output_fb,
     predict_separation,
     predict_state_estimate_fb,
     solve_state_estimate_fp,
     validate_measurement,
-    validate_schedule,
 )
 from statecast.recursions import nhat_variance, ntilde_variance, se_step
 
@@ -35,7 +38,7 @@ from conftest import random_measurement, random_schedule
 def test_gains_zero_pole_kills_decoder_gain():
     g = gains(a=0.0, P=1.0, N=1.0, sigma2=4.0)
     assert g.K == 0.0
-    assert g.kappa == 2.0 / 2.0  # sigma*sqrt(P)/(P+N)
+    assert g.scale == 0.5  # sqrt(P)/sigma: the encoder still transmits
 
 
 def test_gains_hand_evaluation():
@@ -43,7 +46,6 @@ def test_gains_hand_evaluation():
     g = gains(a=1.0, P=1.0, N=1.0, sigma2=1.0)
     assert g.K == pytest.approx(0.5, abs=0)
     assert g.scale == pytest.approx(1.0, abs=0)
-    assert g.kappa == pytest.approx(0.5, abs=0)
 
 
 def test_gains_zero_variance_degeneracy():
@@ -66,7 +68,7 @@ def test_gains_rejects_negative_variance():
 )
 def test_gains_identities(a, P, N, sigma2):
     g = gains(a, P, N, sigma2)
-    assert g.K == a * g.kappa
+    assert g.K == a * (math.sqrt(sigma2) * math.sqrt(P) / (P + N))
     if sigma2 > 0:
         assert g.scale * math.sqrt(sigma2) == pytest.approx(math.sqrt(P), rel=1e-14)
 
@@ -98,7 +100,6 @@ def _reference_2x2(s):
     out: A C A' plus the drive K^2 N^2/(N+N_f) in the (0,0) slot (zero
     without feedback) and b^2 in the (1,1) slot, carried as a symmetric
     covariance (one off-diagonal entry)."""
-    s = validate_schedule(s)
     vss, vsx, vxx = 0.0, 0.0, s.a[0] ** 2 * s.V_xx0 + s.b[0] ** 2
     sig = [vss - 2.0 * vsx + vxx]
     for t in range(1, s.T):
@@ -201,7 +202,7 @@ def test_output_fb_converges_to_solver_fixed_point():
 def test_sigma2_cov_identity_matches_direct_recursion(rng):
     # internal consistency: V_ss - 2V_sx + V_xx equals the scalar recursion
     for _ in range(10):
-        s = validate_schedule(random_schedule(rng, nf="finite", time_varying=True))
+        s = random_schedule(rng, nf="finite", time_varying=True)
         p = predict_output_fb(s)
         sig = s.a[0] ** 2 * s.V_xx0 + s.b[0] ** 2
         direct = [sig]
@@ -258,7 +259,7 @@ def _unguarded(s, step, first, second=0.0):
 @pytest.mark.parametrize("a", [0.5, 0.9, 1.2, 2.0, 10.0])
 @pytest.mark.parametrize("T", [12, 400])
 def test_scalar_predictors_raise_on_overflow_and_keep_bits_otherwise(a, T):
-    s = validate_schedule(SystemSchedule(T=T, a=a, b=1.0, P=1.0, N=1.0, N_f=0.5, V_xx0=1.0))
+    s = SystemSchedule(T=T, a=a, b=1.0, P=1.0, N=1.0, N_f=0.5, V_xx0=1.0)
     sigma2_1 = s.a[0] ** 2 * s.V_xx0 + s.b[0] ** 2
 
     def noiseless(t, sig, _):
@@ -367,8 +368,22 @@ def test_se_rejects_infinite_feedback_noise():
     s = SystemSchedule(T=5, a=0.5, b=1, P=1, N=1, N_f=math.inf, V_xx0=1)
     with pytest.raises(ValidationError):
         predict_state_estimate_fb(s)
-    with pytest.raises(ValidationError):
-        se_step(1.0, 1.0, 0.5, 1, 1, 1, 0.5, form="bogus")
+    with pytest.raises(ValidationError, match="form must be one of"):
+        predict_state_estimate_fb(replace(s, N_f=0.5), form="bogus")
+
+
+def test_invalid_form_is_rejected_before_any_step():
+    # at T = 1 no residual step runs, so only the check on entry sees the form
+    s = SystemSchedule(T=1, a=0.5, b=1, P=1, N=1, N_f=0.5, V_xx0=1)
+    kind = RegimeKind.STATE_ESTIMATE_FEEDBACK
+    message = r"^form must be one of \('proof', 'stated'\), got 'bogus'$"
+    for call in (
+        lambda: predict_state_estimate_fb(s, form="bogus"),
+        lambda: build_plan(s, kind, form="bogus"),
+        lambda: monte_carlo(s, kind, McConfig(trials=2, seed=1), form="bogus"),
+    ):
+        with pytest.raises(ValidationError, match=message):
+            call()
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +418,6 @@ def test_prefilter_degenerate_innovation_raises():
 def _joint_conditioning_kf(s, m):
     """Independent re-derivation: per-step joint-Gaussian conditioning of
     (error, innovation), then explicit error-dynamics variance propagation."""
-    s = validate_schedule(s)
     m = validate_measurement(m, s.T)
     T, c, d = s.T, m.c, m.d
     L = np.empty(T + 1)
@@ -441,7 +455,7 @@ def test_prefilter_matches_independent_riccati(rng):
 def test_prefilter_matches_predictor_form_riccati(rng):
     # classic predictor-form update, valid for uncorrelated (w, v)
     for _ in range(50):
-        s = validate_schedule(random_schedule(rng, time_varying=True))
+        s = random_schedule(rng, time_varying=True)
         m = validate_measurement(random_measurement(rng, s.T, correlated=False), s.T)
         kf = kalman_prefilter(s, m)
         V = s.V_xx0
@@ -465,7 +479,7 @@ def test_separation_perfect_measurement_reduces_to_full_state():
 
 
 def test_separation_uninformative_measurement_gives_open_loop():
-    s = validate_schedule(SystemSchedule(T=8, a=0.9, b=1.0, P=1, N=1, N_f=0.1, V_xx0=1.0))
+    s = SystemSchedule(T=8, a=0.9, b=1.0, P=1, N=1, N_f=0.1, V_xx0=1.0)
     m = MeasurementModel(c=0.0, d=1.0, V_ww=1.0, V_vv=1.0)
     p = predict_separation(s, m)
     open_loop = [s.a[0] ** 2 * s.V_xx0 + s.b[0] ** 2]
@@ -478,7 +492,7 @@ def test_separation_uninformative_measurement_gives_open_loop():
 def test_separation_never_beats_full_state_measurement(rng):
     # full-state baseline with matched process noise b*sqrt(V_ww)
     for _ in range(30):
-        s = validate_schedule(random_schedule(rng, nf=float(rng.choice([0.0, 0.3, 2.0]))))
+        s = random_schedule(rng, nf=float(rng.choice([0.0, 0.3, 2.0])))
         m = validate_measurement(random_measurement(rng, s.T, correlated=False), s.T)
         full = SystemSchedule(
             T=s.T,

@@ -14,7 +14,6 @@ from statecast import (
     build_plan,
     predict_noiseless_fb,
     sample_gaussian_streams,
-    validate_schedule,
 )
 from statecast.schemes import ArrayRecorder, run_closed_loop
 
@@ -139,9 +138,7 @@ def test_output_fb_at_zero_feedback_noise_equals_noiseless_scheme():
 def test_zero_noise_transmitter_replicates_decoder_exactly(kind):
     # with N_f = 0 the fed-back output reveals n(t) exactly, so the tracker
     # s(t), recovered from z(t) = scale * (x(t) - s(t)), matches xhat(t)
-    s = validate_schedule(
-        SystemSchedule(T=15, a=0.8, b=1.0, P=1.0, N=1.0, N_f=0.0, V_xx0=1.0)
-    )
+    s = SystemSchedule(T=15, a=0.8, b=1.0, P=1.0, N=1.0, N_f=0.0, V_xx0=1.0)
     plan = build_plan(s, kind)
     streams = sample_gaussian_streams(s, McConfig(trials=1, seed=4))
     rec = _run(s, kind, streams)
@@ -174,9 +171,7 @@ def test_no_feedback_equals_output_fb_at_infinite_noise_bitwise():
 
 def test_se_first_transmission_carries_the_initial_state():
     # xcheck(1) = x(1): recover it from z(1)
-    s = validate_schedule(
-        SystemSchedule(T=5, a=0.9, b=1.0, P=1.0, N=1.0, N_f=0.5, V_xx0=0.0)
-    )
+    s = SystemSchedule(T=5, a=0.9, b=1.0, P=1.0, N=1.0, N_f=0.5, V_xx0=0.0)
     plan = build_plan(s, RegimeKind.STATE_ESTIMATE_FEEDBACK)
     streams = sample_gaussian_streams(s, McConfig(trials=1, seed=8))
     rec = _run(s, RegimeKind.STATE_ESTIMATE_FEEDBACK, streams)
@@ -314,9 +309,7 @@ def test_transmission_orthogonality_noiseless_and_its_failure_when_noisy():
 
     # noisy feedback: the adjacent-step cross-covariance is nonzero and
     # matches scale(t+1) * K(t) * N * N_f / (N + N_f)
-    s2 = validate_schedule(
-        SystemSchedule(T=8, a=0.9, b=1.0, P=1.0, N=1.0, N_f=0.4, V_xx0=1.0)
-    )
+    s2 = SystemSchedule(T=8, a=0.9, b=1.0, P=1.0, N=1.0, N_f=0.4, V_xx0=1.0)
     plan2 = build_plan(s2, RegimeKind.OUTPUT_FEEDBACK)
     streams2 = sample_gaussian_streams(s2, McConfig(trials=M, seed=72))
     rec2 = ArrayRecorder()

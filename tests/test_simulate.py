@@ -17,13 +17,17 @@ from statecast import (
     SystemSchedule,
     ValidationError,
     build_plan,
+    exact_conditioning_oracle,
     monte_carlo,
     predict_noiseless_fb,
+    predict_output_fb,
+    predict_state_estimate_fb,
     sample_gaussian_streams,
 )
 from statecast import simulate
 from statecast.schemes import run_closed_loop
 from statecast.simulate import CSV_HEADER, format_float
+from statecast.stationarity import STATIONARITY_CHECKS
 
 
 def test_same_seed_gives_identical_streams():
@@ -90,8 +94,8 @@ def test_correlated_measurement_noise_streams():
 
 
 def test_mc_config_validation():
-    with pytest.raises(ValidationError):
-        McConfig(trials=0, seed=1).check()
+    with pytest.raises(ValidationError, match=r"^trials must be >= 1, got 0$"):
+        McConfig(trials=0, seed=1)
 
 
 def test_monte_carlo_matches_prediction_all_regimes(rng):
@@ -218,18 +222,18 @@ def _streamed_case(nf):
 
 
 def _materialized_summary(s, kind, cfg, m):
-    """(emp_mse, emp_se, emp_zpow, emp_zpow_se) from the (T, M) streams."""
+    """(emp_mse, emp_se, emp_zpow) from the (T, M) streams."""
     rec = simulate._MomentRecorder(cfg.trials)
     plan = build_plan(s, kind, measurement=m)
     run_closed_loop(plan, sample_gaussian_streams(s, cfg, measurement=m), rec)
     mse, se = simulate._mean_se(rec.s2_err, rec.s4_err, cfg.trials)
-    zpow, zse = simulate._mean_se(rec.s2_z, rec.s4_z, cfg.trials)
-    zpow[-1] = zse[-1] = np.nan
-    return mse, se, zpow, zse
+    zpow = rec.s2_z / cfg.trials
+    zpow[-1] = np.nan
+    return mse, se, zpow
 
 
 def _assert_same_summary(summary, ref):
-    got = (summary.emp_mse, summary.emp_se, summary.emp_zpow, summary.emp_zpow_se)
+    got = (summary.emp_mse, summary.emp_se, summary.emp_zpow)
     for g, r in zip(got, ref):
         np.testing.assert_array_equal(g, r)
 
@@ -303,30 +307,53 @@ def test_helper_exception_comes_out_unchanged(monkeypatch):
 
 
 def _count_checks(monkeypatch) -> dict:
-    """{name: calls} of the schedule and measurement checks, counted from
-    every statecast module that imports them."""
-    counts = {"validate_schedule": 0, "validate_measurement": 0}
-    for name in counts:
-        original = getattr(sys.modules["statecast.model"], name)
+    """{"schedules": schedules built, "measurements": ``validate_measurement``
+    calls from every statecast module that imports it}, counted from now on."""
+    counts = {"schedules": 0, "measurements": 0}
+    post_init = SystemSchedule.__post_init__
+    check = sys.modules["statecast.model"].validate_measurement
 
-        def counted(*args, _name=name, _original=original, **kwargs):
-            counts[_name] += 1
-            return _original(*args, **kwargs)
+    def counted_post_init(self):
+        counts["schedules"] += 1
+        post_init(self)
 
-        for mod_name, mod in list(sys.modules.items()):
-            if mod_name.startswith("statecast") and getattr(mod, name, None) is original:
-                monkeypatch.setattr(mod, name, counted)
+    def counted_check(*args, **kwargs):
+        counts["measurements"] += 1
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(SystemSchedule, "__post_init__", counted_post_init)
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("statecast") and getattr(mod, "validate_measurement", None) is check:
+            monkeypatch.setattr(mod, "validate_measurement", counted_check)
     return counts
 
 
 def test_separation_monte_carlo_checks_each_input_once_per_stage(monkeypatch):
-    # build_plan checks schedule and measurement, kalman_prefilter checks
-    # both again, and predict_output_fb checks the filtered-estimate chain
-    counts = _count_checks(monkeypatch)
+    # the schedule checked itself when built; separation_total builds the
+    # filtered-estimate chain, and build_plan and kalman_prefilter each
+    # check the measurement
     s = _streamed_case(0.5)
     m = MeasurementModel(c=0.8, d=0.6, V_ww=1.2, V_wv=0.5, V_vv=0.9)
+    counts = _count_checks(monkeypatch)
     monte_carlo(s, RegimeKind.SEPARATION_OUTPUT_FEEDBACK, McConfig(trials=8, seed=3), measurement=m)
-    assert counts == {"validate_schedule": 3, "validate_measurement": 2}
+    assert counts == {"schedules": 1, "measurements": 2}
+
+
+@pytest.mark.parametrize("nf", [0.0, 0.5])
+def test_output_feedback_paths_build_no_schedule(monkeypatch, nf):
+    s = SystemSchedule(T=8, a=0.9, b=1.0, P=1.0, N=1.0, N_f=nf, V_xx0=1.0)
+    kind = RegimeKind.OUTPUT_FEEDBACK
+    cfg = McConfig(trials=8, seed=3)
+    counts = _count_checks(monkeypatch)
+    monte_carlo(s, kind, cfg)
+    build_plan(s, kind)
+    predict_output_fb(s)
+    predict_noiseless_fb(s)
+    predict_state_estimate_fb(s)
+    exact_conditioning_oracle(s, kind)
+    for check in STATIONARITY_CHECKS.values():
+        check(s, "proof")
+    assert counts == {"schedules": 0, "measurements": 0}
 
 
 _THREAD_PROBE = textwrap.dedent(
