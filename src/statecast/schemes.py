@@ -170,7 +170,13 @@ def build_plan(
 
 
 class Recorder:
-    """Per-step hooks the closed-loop engine reports into."""
+    """Per-step hooks the closed-loop engine reports into.
+
+    Every signal handed to a hook is one of the loop's reused (trials,)
+    buffers, valid only during the call: a recorder that keeps a signal
+    copies it, and one that reduces it does so before returning.  Hooks
+    must not write into their arguments.
+    """
 
     def start(self, T: int, width: int) -> None:  # pragma: no cover - interface
         pass
@@ -189,7 +195,8 @@ class ArrayRecorder(Recorder):
     """Stores every signal as a (T, trials) array, row t-1 holding step t.
 
     z, y and y_f are zero in row T-1 (no transmission at the final step),
-    and y_f is zero wherever feedback is absent.
+    and y_f is zero wherever feedback is absent.  The hooks copy their
+    arguments into these arrays.
     """
 
     def start(self, T, width):
@@ -222,8 +229,12 @@ def run_closed_loop(plan: RegimePlan, streams, recorder: Recorder) -> None:
     (zeros where N_f is 0 or +inf) and, for the separation regime, v[t]
     jointly drawn with w[t].  x0 and every row are (trials,) arrays, one
     trajectory per entry, and so is every signal handed to ``recorder``.
-    Gains are read from the plan (index t-1 holds step t): scale, K, rho,
-    no_feedback and, for state-estimate feedback, g and c1.
+    The rows of step t are read only during step t and never written.
+    The signals live in (trials,) buffers allocated once per call and
+    updated in place, so a hook's arguments are valid only during the hook
+    (see ``Recorder``).  Gains are read from the plan (index t-1 holds step
+    t): scale, K, rho, no_feedback and, for state-estimate feedback, g and
+    c1.
 
     Every regime shares the plant x(t+1) = a x(t) + b w(t), the channel
     y(t) = z(t) + n(t) and the decoder xhat(t+1) = a xhat(t) + K(t) y(t),
@@ -252,69 +263,99 @@ def run_closed_loop(plan: RegimePlan, streams, recorder: Recorder) -> None:
 
     The order of every floating-point operation is part of the golden
     files: nhat is formed as rho * (y_f - z) = rho * ((z + n + n_f) - z),
-    not rho * (n + n_f).
+    not rho * (n + n_f).  The in-place updates keep the association of the
+    formulas above; at most the two operands of a product or a sum swap,
+    which leaves every IEEE result unchanged.
     """
     s = plan.schedule
     T = s.T
     a, b = s.a.tolist(), s.b.tolist()
     scale, K = plan.scale.tolist(), plan.K.tolist()
+    w, n, n_f = streams.w, streams.n, streams.n_f
     width = len(streams.x0)
     recorder.start(T, width)
     error, transmit = recorder.error, recorder.transmit
-    zeros = np.zeros(width)
+    x, xhat, z, y, y_f, tmp, tmp2 = np.zeros((7, width))  # xhat(1) = +0.0
 
-    x = a[0] * streams.x0 + b[0] * streams.w[0]
-    xhat = zeros + 0.0
+    np.multiply(streams.x0, a[0], out=x)
+    x += np.multiply(w[0], b[0], out=tmp)  # x(1) = a x0 + b w(0)
 
     if plan.kind is RegimeKind.STATE_ESTIMATE_FEEDBACK:
         g, c1 = plan.g.tolist(), plan.c1.tolist()
-        xck = x
-        z = scale[0] * x
+        xck, x_next = np.empty((2, width))
+        xck[:] = x
+        np.multiply(x, scale[0], out=z)
         for t in range(1, T):
-            error(t, x - xhat)
+            error(t, np.subtract(x, xhat, out=tmp))
             i = t - 1
-            y = z + streams.n[t]
-            y_f = xhat + streams.n_f[t]
+            np.add(z, n[t], out=y)
+            np.add(xhat, n_f[t], out=y_f)
             transmit(t, x, z, y, y_f, xhat)
-            xhat = a[t] * xhat + K[i] * y
-            x_next = a[t] * x + b[t] * streams.w[t]
+            xhat *= a[t]
+            xhat += np.multiply(y, K[i], out=tmp)  # a xhat + K y
+            np.multiply(x, a[t], out=x_next)
+            x_next += np.multiply(w[t], b[t], out=tmp)  # a x + b w
             if t < T - 1:
-                xck = c1[i] * xck + (x_next - a[t] * x) + g[i] * (x - xck - y_f)
-                z = scale[t] * xck
-            x = x_next
-        error(T, x - xhat)
+                # xck = c1 xck + (x_next - a x) + g ((x - xck) - y_f)
+                np.subtract(x_next, np.multiply(x, a[t], out=tmp), out=tmp)
+                np.subtract(x, xck, out=tmp2)
+                tmp2 -= y_f
+                tmp2 *= g[i]
+                xck *= c1[i]
+                xck += tmp
+                xck += tmp2
+                np.multiply(xck, scale[t], out=z)
+            x, x_next = x_next, x
+        error(T, np.subtract(x, xhat, out=tmp))
         recorder.final(T, x, xhat)
         return
 
     rho, no_feedback = plan.rho.tolist(), plan.no_feedback.tolist()
     noiseless = plan.kind is RegimeKind.NOISELESS_FEEDBACK
+    # trk is the encoder's copy s(t) of the decoder state, s(1) = +0.0;
+    # zeros is never written
+    trk, zeros = np.zeros((2, width))
     m = plan.measurement
     if m is not None:
         L = plan.prefilter.L.tolist()
-        xb_pred = a[0] * (L[0] * (m.c * streams.x0 + m.d * streams.v[0]))
-    trk = zeros + 0.0  # the encoder's copy s(t) of the decoder state
+        v = streams.v
+        xb = np.empty(width)  # the pre-filter's prediction, then its estimate
+        np.multiply(streams.x0, m.c, out=xb)
+        xb += np.multiply(v[0], m.d, out=tmp)
+        xb *= L[0]
+        xb *= a[0]  # a (L (c x0 + d v(0)))
     for t in range(1, T):
-        error(t, x - xhat)
+        error(t, np.subtract(x, xhat, out=tmp))
         i = t - 1
         if m is None:
-            z = scale[i] * (x - trk)
+            np.subtract(x, trk, out=z)
         else:
-            xb_filt = xb_pred + L[t] * ((m.c * x + m.d * streams.v[t]) - m.c * xb_pred)
-            z = scale[i] * (xb_filt - trk)
-            xb_pred = a[t] * xb_filt
-        y = z + streams.n[t]
+            # xb = xb + L ((c x + d v) - c xb), the filtered estimate
+            np.multiply(x, m.c, out=tmp)
+            tmp += np.multiply(v[t], m.d, out=tmp2)
+            tmp -= np.multiply(xb, m.c, out=tmp2)
+            tmp *= L[t]
+            xb += tmp
+            np.subtract(xb, trk, out=z)
+            xb *= a[t]
+        z *= scale[i]
+        np.add(z, n[t], out=y)
         if no_feedback[i]:
-            y_f = zeros + 0.0
-            trk = a[t] * trk + K[i] * (z + 0.0)  # nhat = 0.0; the sum maps z = -0.0 to +0.0
+            fed_back = zeros
+            z_nhat = np.add(z, 0.0, out=tmp)  # nhat = 0.0; the sum maps z = -0.0 to +0.0
         elif noiseless:
-            y_f = y
-            trk = a[t] * trk + K[i] * y
+            fed_back = z_nhat = y
         else:
-            y_f = y + streams.n_f[t]
-            trk = a[t] * trk + K[i] * (z + rho[i] * (y_f - z))
-        transmit(t, x, z, y, y_f, xhat)
-        xhat = a[t] * xhat + K[i] * y
-        x = a[t] * x + b[t] * streams.w[t]
-    error(T, x - xhat)
+            fed_back = np.add(y, n_f[t], out=y_f)
+            z_nhat = np.subtract(y_f, z, out=tmp)
+            z_nhat *= rho[i]
+            z_nhat += z  # z + rho (y_f - z)
+        trk *= a[t]
+        trk += np.multiply(z_nhat, K[i], out=tmp)  # a trk + K (z + nhat)
+        transmit(t, x, z, y, fed_back, xhat)
+        xhat *= a[t]
+        xhat += np.multiply(y, K[i], out=tmp)
+        x *= a[t]
+        x += np.multiply(w[t], b[t], out=tmp)
+    error(T, np.subtract(x, xhat, out=tmp))
     recorder.final(T, x, xhat)
-

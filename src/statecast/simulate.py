@@ -11,16 +11,18 @@ Normal deviates come from numpy's ziggurat sampler (``standard_normal``);
 golden files are tied to the numpy release documented in the README.
 
 ``monte_carlo`` draws step t's rows inside the closed loop, so its memory
-is O(M), not O(T*M).  Rows come in blocks of ceil(2**16 / M) steps.  From
-M = 4096 trials on, helper threads, one fewer than the usable CPUs (none
-with one CPU), draw the next blocks while the loop runs the current one;
-numpy releases the GIL both in the sampler and in the (M,)-wide arithmetic
-of the loop.  When the loop catches up with the helpers, it draws the
-queued blocks they have not started itself.  Narrower rows are drawn
-inline, because setting up each row's generator holds the GIL longer than
-sampling it releases it.  The results do not depend on the number of
-helpers, and nothing sets it.
-``sample_gaussian_streams`` materializes the same rows as (T, M) arrays.
+is O(M): a fixed number of (M,) rows, allocated once per run, with nothing
+allocated per step.  Rows come in blocks of ceil(2**16 / M) steps, drawn
+in place into one slab with a slot per block in flight, and the closed
+loop keeps its signals in preallocated rows too.  From M = 4096 trials on,
+helper threads, one fewer than the usable CPUs (none with one CPU), draw
+the next blocks while the loop runs the current one; numpy releases the
+GIL both in the sampler and in the (M,)-wide arithmetic of the loop.  When
+the loop catches up with the helpers, it draws the queued blocks they have
+not started itself.  Narrower rows are drawn inline, because setting up
+each row's generator holds the GIL longer than sampling it releases it.
+The results do not depend on the number of helpers, and nothing sets it.
+``sample_gaussian_streams`` draws the same rows into (T, M) arrays.
 
 Aggregation sums each per-step statistic over the trial axis with numpy's
 pairwise reduction, whose order is fixed by the array shape, so identical
@@ -146,13 +148,14 @@ class McConfig:
             raise ValidationError(f"trials must be >= 1, got {self.trials}")
 
 
-def _row(seed: int, stream: int, t: int, m: int) -> np.ndarray:
-    """m unit normals keyed by (seed, stream, t); entry i belongs to trial i."""
+def _row(seed: int, stream: int, t: int, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` with unit normals keyed by (seed, stream, t), entry i
+    belonging to trial i, and return it."""
     key = np.array(
         [np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64((stream << 48) | t)],
         dtype=np.uint64,
     )
-    return Generator(Philox(key=key)).standard_normal(m)
+    return Generator(Philox(key=key)).standard_normal(out=out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,27 +193,33 @@ def _step_rows(
     m: Optional[MeasurementModel],
     seed: int,
     t: int,
+    out,
+    scratch: Optional[np.ndarray],
     zeros: np.ndarray,
 ) -> tuple:
-    """Scaled noise rows (w, n, n_f, v) of step t for ``len(zeros)`` trials.
+    """Draw step t's scaled noise rows into ``out`` = (w, n, n_f[, v]) and
+    return the rows to read, (w, n, n_f, v).
 
-    n and n_f are ``zeros`` where they carry no noise (t = 0, N_f(t) of 0 or
-    +inf); v is None without a measurement model, and (w, v) are otherwise
-    drawn jointly with the measurement-noise covariance.
+    Rows that carry no noise (n at t = 0, n_f where N_f(t) is 0 or +inf)
+    are left untouched in ``out`` and read as ``zeros``; v is None without
+    a measurement model, and (w, v) are otherwise drawn jointly with the
+    measurement-noise covariance, through the (M,) row ``scratch``.
     """
-    M = len(zeros)
-    e1 = _row(seed, _STREAM_W, t, M)
-    if m is None:
-        w, v = e1, None
-    else:
+    w = _row(seed, _STREAM_W, t, out[0])
+    v = None
+    if m is not None:
         l11, l21, l22 = _wv_factor(m, t)
-        e2 = _row(seed, _STREAM_V, t, M)
-        w, v = l11 * e1, l21 * e1 + l22 * e2
+        v = _row(seed, _STREAM_V, t, out[3])
+        v *= l22
+        v += np.multiply(w, l21, out=scratch)  # v = l21 e1 + l22 e2
+        w *= l11
     n = n_f = zeros
     if t > 0:
-        n = math.sqrt(s.N[t]) * _row(seed, _STREAM_N, t, M)
+        n = _row(seed, _STREAM_N, t, out[1])
+        n *= math.sqrt(s.N[t])
         if 0.0 < s.N_f[t] < math.inf:
-            n_f = math.sqrt(s.N_f[t]) * _row(seed, _STREAM_NF, t, M)
+            n_f = _row(seed, _STREAM_NF, t, out[2])
+            n_f *= math.sqrt(s.N_f[t])
     return w, n, n_f, v
 
 
@@ -228,16 +237,17 @@ def sample_gaussian_streams(
     if measurement is not None:
         measurement = validate_measurement(measurement, T)
 
-    x0 = math.sqrt(s.V_xx0) * _row(cfg.seed, _STREAM_X0, 0, M)
+    x0 = math.sqrt(s.V_xx0) * _row(cfg.seed, _STREAM_X0, 0, np.empty(M))
     w = np.zeros((T, M))
     n = np.zeros((T, M))
     n_f = np.zeros((T, M))
     v = None if measurement is None else np.zeros((T, M))
+    scratch = None if measurement is None else np.empty(M)
+    # Rows that carry no noise stay zero, so the rows to read are not needed.
     zeros = np.zeros(M)
     for t in range(T):
-        w[t], n[t], n_f[t], v_t = _step_rows(s, measurement, cfg.seed, t, zeros)
-        if v is not None:
-            v[t] = v_t
+        out = (w[t], n[t], n_f[t]) if v is None else (w[t], n[t], n_f[t], v[t])
+        _step_rows(s, measurement, cfg.seed, t, out, scratch, zeros)
     return NoiseStreams(seed=cfg.seed, x0=x0, w=w, n=n, n_f=n_f, v=v)
 
 
@@ -282,16 +292,31 @@ class _Column:
         return self._rows.step(t)[self._k]
 
 
+def _draw_block(s, m, seed, lo, slot, scratch, zeros) -> list:
+    """The rows to read of steps lo, lo + 1, ..., drawn into ``slot``, the
+    (steps, rows, M) part of the slab that holds one block."""
+    hi = min(lo + len(slot), s.T)
+    return [_step_rows(s, m, seed, t, slot[t - lo], scratch, zeros) for t in range(lo, hi)]
+
+
 class _StreamedRows:
     """The noise rows of one Monte Carlo run, drawn as the closed loop needs them.
 
     Stands in for ``NoiseStreams`` in ``run_closed_loop``, which reads the
-    rows of step t only after those of every earlier step.  While the loop
-    runs block b, the helpers draw blocks b+1 .. b+depth.  When the loop
-    reaches a block that a helper is still drawing, this thread draws the
-    queued blocks no helper has started instead of waiting, so a slow or
-    starved helper costs at most the block it holds.  An exception raised
-    in a helper comes out of the read that needs its block, unchanged.
+    rows of step t only during step t, and after those of every earlier
+    step.  While the loop runs block b, the helpers draw blocks b+1 ..
+    b+depth.  When the loop reaches a block that a helper is still drawing,
+    this thread draws the queued blocks no helper has started instead of
+    waiting, so a slow or starved helper costs at most the block it holds.
+    An exception raised in a helper comes out of the read that needs its
+    block, unchanged.
+
+    Every block is drawn into slot b % slots of one slab allocated here, one
+    slot per block in flight: depth + 1 with helpers, 1 without.  Block
+    b + depth is queued only once the loop has left block b - 1, so it
+    reuses that block's slot.  The columns w, n, n_f and v are made on
+    access and the helpers' jobs hold no reference to this object, so it
+    and its slab are freed as soon as the run drops it.
     """
 
     def __init__(
@@ -305,40 +330,48 @@ class _StreamedRows:
         M = cfg.trials
         self._s, self._m, self._seed = s, m, cfg.seed
         self._zeros = np.zeros(M)
-        self._steps = -(-_BLOCK_ELEMENTS // M)
+        self._steps = min(-(-_BLOCK_ELEMENTS // M), s.T)
         self._blocks = -(-s.T // self._steps)
         self._pool, self._depth = pool, depth
+        slots = 1 if pool is None else depth + 1
+        self._slab = np.empty((slots, self._steps, 3 if m is None else 4, M))
+        self._scratch = [None] * slots if m is None else np.empty((slots, M))
         self._ahead = deque()  # futures of blocks _b + 1, _b + 2, ...
         self._drawn = {}  # blocks this thread took over from the queue
         self._b, self._block = -1, None
-        self.x0 = math.sqrt(s.V_xx0) * _row(cfg.seed, _STREAM_X0, 0, M)
-        self.w, self.n, self.n_f = _Column(self, 0), _Column(self, 1), _Column(self, 2)
-        self.v = None if m is None else _Column(self, 3)
+        self.x0 = math.sqrt(s.V_xx0) * _row(cfg.seed, _STREAM_X0, 0, np.empty(M))
 
-    def _draw_block(self, b: int) -> list:
+    w = property(lambda self: _Column(self, 0))
+    n = property(lambda self: _Column(self, 1))
+    n_f = property(lambda self: _Column(self, 2))
+    v = property(lambda self: None if self._m is None else _Column(self, 3))
+
+    def _job(self, b: int) -> tuple:
+        """The arguments of ``_draw_block`` for block b."""
+        k = b % len(self._slab)
         lo = b * self._steps
-        hi = min(lo + self._steps, self._s.T)
-        return [_step_rows(self._s, self._m, self._seed, t, self._zeros) for t in range(lo, hi)]
+        return self._s, self._m, self._seed, lo, self._slab[k], self._scratch[k], self._zeros
 
     def _take(self, b: int) -> list:
         """Block b's rows, after queueing blocks up to b + depth for the helpers."""
         ahead = self._ahead
         fut = ahead.popleft() if ahead else None
         while self._pool is not None and len(ahead) < self._depth and b + 1 + len(ahead) < self._blocks:
-            ahead.append(self._pool.submit(self._draw_block, b + 1 + len(ahead)))
+            ahead.append(self._pool.submit(_draw_block, *self._job(b + 1 + len(ahead))))
         if b in self._drawn:
             return self._drawn.pop(b)
         if fut is None or fut.cancel():
-            return self._draw_block(b)
+            return _draw_block(*self._job(b))
         for k, later in enumerate(ahead):
             if fut.done():
                 break
             if b + 1 + k not in self._drawn and later.cancel():
-                self._drawn[b + 1 + k] = self._draw_block(b + 1 + k)
+                self._drawn[b + 1 + k] = _draw_block(*self._job(b + 1 + k))
         return fut.result()
 
     def step(self, t: int) -> tuple:
-        """Rows (w, n, n_f, v) of step t."""
+        """Rows (w, n, n_f, v) of step t; their slot is reused once the loop
+        has moved on to a later block."""
         b, i = divmod(t, self._steps)
         if b != self._b:
             self._block, self._b = self._take(b), b
@@ -352,7 +385,7 @@ class _StreamedRows:
 
 class _MomentRecorder(Recorder):
     """Accumulates the 2nd and 4th sample moments of errors and the 2nd
-    moments of transmissions."""
+    moments of transmissions, squaring into one (trials,) row of its own."""
 
     def __init__(self, trials: int):
         self.M = trials
@@ -363,14 +396,16 @@ class _MomentRecorder(Recorder):
         self.s4_err = np.zeros(T)
         self.s2_z = np.zeros(T)
         self.transmitted = np.zeros(T, dtype=bool)
+        self._sq = np.empty(width)
 
     def error(self, t, err):
-        e2 = err**2
+        e2 = np.multiply(err, err, out=self._sq)
         self.s2_err[t - 1] = np.sum(e2)
-        self.s4_err[t - 1] = np.sum(e2 * e2)
+        e2 *= e2
+        self.s4_err[t - 1] = np.sum(e2)
 
     def transmit(self, t, x, z, y, y_f, xhat):
-        self.s2_z[t - 1] = np.sum(z**2)
+        self.s2_z[t - 1] = np.sum(np.multiply(z, z, out=self._sq))
         self.transmitted[t - 1] = True
 
 

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -5,6 +6,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +27,7 @@ from statecast import (
     sample_gaussian_streams,
 )
 from statecast import simulate
+from numpy.random import Generator, Philox
 from statecast.schemes import run_closed_loop
 from statecast.simulate import CSV_HEADER, format_float
 from statecast.stationarity import STATIONARITY_CHECKS
@@ -91,6 +94,18 @@ def test_correlated_measurement_noise_streams():
     assert abs(w.var(ddof=1) - 2.0) / 2.0 < 0.02
     assert abs(v.var(ddof=1) - 1.5) / 1.5 < 0.02
     assert abs(np.mean(w * v) - 0.8) < 0.02
+
+
+@pytest.mark.parametrize("m", [1, 37, 5000])
+def test_row_drawn_into_a_buffer_has_the_bytes_of_the_allocating_draw(m):
+    seed, stream, t = 2**64 - 5, simulate._STREAM_NF, 11
+    key = np.array([seed, (stream << 48) | t], dtype=np.uint64)
+    expected = Generator(Philox(key=key)).standard_normal(m)
+    buf = np.full((3, m), np.nan)
+    row = buf[1]
+    assert simulate._row(seed, stream, t, out=row) is row
+    assert row.tobytes() == expected.tobytes()
+    assert np.isnan(buf[[0, 2]]).all()
 
 
 def test_mc_config_validation():
@@ -261,10 +276,11 @@ def test_rows_drawn_inline_create_no_pool(monkeypatch, cpus, trials):
     _assert_same_summary(summary, _materialized_summary(s, kind, cfg, m))
 
 
-def test_many_helpers_and_fast_switching_keep_the_bytes(monkeypatch):
+@pytest.mark.parametrize("kind, nf, m", STREAMED_CASES, ids=STREAMED_IDS)
+def test_many_helpers_and_fast_switching_keep_the_bytes(monkeypatch, kind, nf, m):
     # more helpers than CPUs and a tiny switch interval interleave the
-    # helpers' blocks and this thread's take-overs as much as possible
-    kind, nf, m = STREAMED_CASES[-1]
+    # helpers' blocks and this thread's take-overs as much as possible,
+    # and every slot of the slab is reused several times
     s = _streamed_case(nf)
     cfg = McConfig(trials=1 << 16, seed=608)  # one step per block
     monkeypatch.setattr(simulate, "_pool", None)
@@ -278,6 +294,29 @@ def test_many_helpers_and_fast_switching_keep_the_bytes(monkeypatch):
         if simulate._pool is not None:
             simulate._pool.shutdown(wait=True)
     _assert_same_summary(summary, _materialized_summary(s, kind, cfg, m))
+
+
+def test_monte_carlo_frees_its_rows_when_it_returns(monkeypatch):
+    # with the cyclic collector off, a reference cycle through the run's
+    # rows would keep them, and their slab, alive after the call
+    runs = []
+
+    class Tracked(simulate._StreamedRows):
+        def __init__(self, *args):
+            super().__init__(*args)
+            runs.append(weakref.ref(self))
+
+    monkeypatch.setattr(simulate, "_StreamedRows", Tracked)
+    kind, nf, m = STREAMED_CASES[-1]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        monte_carlo(_streamed_case(nf), kind, McConfig(trials=8192, seed=5), measurement=m)
+        assert len(runs) == 1
+        assert runs[0]() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_helper_exception_comes_out_unchanged(monkeypatch):
@@ -373,23 +412,28 @@ _THREAD_PROBE = textwrap.dedent(
 )
 
 
-@pytest.fixture(scope="module")
-def thread_counts():
-    """OS thread counts of a fresh interpreter around ``import statecast`` and
-    one multi-block ``monte_carlo``, with numpy's BLAS pools capped at one
-    thread so that only statecast's own threads are counted."""
-    if not Path("/proc/self/task").is_dir() or not hasattr(os, "sched_getaffinity"):
-        pytest.skip("needs /proc/self/task and os.sched_getaffinity")
+def _probe(code: str) -> dict:
+    """The JSON that ``code`` prints last, run in a fresh interpreter with
+    numpy's BLAS pools capped at one thread."""
     env = dict(os.environ)
     caps = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
     env.update({var: "1" for var in caps})
     src = str(Path(simulate.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     out = subprocess.run(
-        [sys.executable, "-c", _THREAD_PROBE],
+        [sys.executable, "-c", code],
         env=env, capture_output=True, text=True, timeout=120, check=True,
     )
     return json.loads(out.stdout.splitlines()[-1])
+
+
+@pytest.fixture(scope="module")
+def thread_counts():
+    """OS thread counts of a fresh interpreter around ``import statecast`` and
+    one multi-block ``monte_carlo``, counting only statecast's own threads."""
+    if not Path("/proc/self/task").is_dir() or not hasattr(os, "sched_getaffinity"):
+        pytest.skip("needs /proc/self/task and os.sched_getaffinity")
+    return _probe(_THREAD_PROBE)
 
 
 def test_import_starts_no_thread(thread_counts):
@@ -398,3 +442,47 @@ def test_import_starts_no_thread(thread_counts):
 
 def test_monte_carlo_threads_at_most_usable_cpus(thread_counts):
     assert thread_counts["after"] <= thread_counts["cpus"]
+
+
+_FAULT_PROBE = textwrap.dedent(
+    """
+    import json, resource
+    import statecast as sc
+    m = sc.MeasurementModel(c=0.8, d=0.6, V_ww=1.2, V_wv=0.5, V_vv=0.9)
+    cases = {
+        "output_feedback": (sc.RegimeKind.OUTPUT_FEEDBACK, None),
+        "state_estimate_feedback": (sc.RegimeKind.STATE_ESTIMATE_FEEDBACK, None),
+        "separation_output_feedback": (sc.RegimeKind.SEPARATION_OUTPUT_FEEDBACK, m),
+    }
+    faults = {}
+    for name, (kind, meas) in cases.items():
+        # a warm-up call at each horizon, then a counted one, so that both
+        # counts start from the same state of the allocator
+        for T in (30, 120, 30, 120):
+            s = sc.SystemSchedule(T=T, a=0.9, b=1.0, P=1.0, N=1.0, N_f=0.5, V_xx0=1.0)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            sc.monte_carlo(s, kind, sc.McConfig(trials=65536, seed=3), measurement=meas)
+            faults[f"{name} {T}"] = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    print(json.dumps({"faults": faults, "page": resource.getpagesize()}))
+    """
+)
+
+
+@pytest.fixture(scope="module")
+def fault_counts():
+    """Minor page faults of a warmed ``monte_carlo`` at 65536 trials and
+    T = 30 and 120 in three regimes, counted by a fresh interpreter."""
+    try:
+        import resource  # noqa: F401
+    except ImportError:
+        pytest.skip("needs the resource module")
+    return _probe(_FAULT_PROBE)
+
+
+@pytest.mark.parametrize("regime", ["output_feedback", "state_estimate_feedback", "separation_output_feedback"])
+def test_monte_carlo_page_faults_do_not_grow_with_the_horizon(fault_counts, regime):
+    # the run allocates its (trials,) rows once, so four times the steps
+    # take no more page faults than one more row of 65536 trials would
+    row_pages = 65536 * 8 // fault_counts["page"]
+    faults = fault_counts["faults"]
+    assert faults[f"{regime} 120"] <= faults[f"{regime} 30"] + row_pages, faults
