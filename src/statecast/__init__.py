@@ -29,11 +29,9 @@ from .schemes import (
 from .simulate import (
     McConfig,
     McSummary,
-    NoiseStreams,
     OracleResult,
     exact_conditioning_oracle,
     monte_carlo,
-    sample_gaussian_streams,
 )
 from .stationarity import (
     StationaryReport,
@@ -51,7 +49,6 @@ __all__ = [
     "McConfig",
     "McSummary",
     "MeasurementModel",
-    "NoiseStreams",
     "OracleResult",
     "RegimeKind",
     "RegimePlan",
@@ -72,7 +69,6 @@ __all__ = [
     "predict_output_fb",
     "predict_separation",
     "predict_state_estimate_fb",
-    "sample_gaussian_streams",
     "solve_state_estimate_fp",
     "validate_measurement",
 ]

@@ -36,7 +36,6 @@ __all__ = [
     "PREDICTORS",
     "RegimePlan",
     "Recorder",
-    "ArrayRecorder",
     "build_plan",
     "check_regime_consistency",
     "run_closed_loop",
@@ -191,45 +190,17 @@ class Recorder:
         pass
 
 
-class ArrayRecorder(Recorder):
-    """Stores every signal as a (T, trials) array, row t-1 holding step t.
+def run_closed_loop(plan: RegimePlan, x0, rows, recorder: Recorder) -> None:
+    """Run the regime's filters over sampled noise.
 
-    z, y and y_f are zero in row T-1 (no transmission at the final step),
-    and y_f is zero wherever feedback is absent.  The hooks copy their
-    arguments into these arrays.
-    """
-
-    def start(self, T, width):
-        self.x = np.zeros((T, width))
-        self.z = np.zeros((T, width))
-        self.y = np.zeros((T, width))
-        self.y_f = np.zeros((T, width))
-        self.xhat = np.zeros((T, width))
-        self.sq_err = np.zeros((T, width))
-
-    def error(self, t, err):
-        self.sq_err[t - 1] = err * err
-
-    def transmit(self, t, x, z, y, y_f, xhat):
-        self.x[t - 1] = x
-        self.z[t - 1] = z
-        self.y[t - 1] = y
-        self.y_f[t - 1] = y_f
-        self.xhat[t - 1] = xhat
-
-    def final(self, T, x, xhat):
-        self.x[T - 1] = x
-        self.xhat[T - 1] = xhat
-
-
-def run_closed_loop(plan: RegimePlan, streams, recorder: Recorder) -> None:
-    """Run the regime's filters over sampled noise streams.
-
-    ``streams`` provides already-scaled samples: x0, w[t], n[t], n_f[t]
-    (zeros where N_f is 0 or +inf) and, for the separation regime, v[t]
-    jointly drawn with w[t].  x0 and every row are (trials,) arrays, one
-    trajectory per entry, and so is every signal handed to ``recorder``.
-    The rows of step t are read only during step t and never written.
+    ``x0`` holds the initial states x(0), and ``rows(t)`` returns step t's
+    already-scaled noise rows (w, n, n_f, v): n_f is zero where N_f is 0
+    or +inf, and v, read only in the separation regime, is jointly drawn
+    with w.  ``rows`` is called once per step, for t = 0, 1, ..., T-1 in
+    order, and the rows it returns are read only during step t and never
+    written, so a source may reuse them once step t + 1 has asked for its
+    own.  x0 and every row are (trials,) arrays, one trajectory per entry,
+    and so is every signal handed to ``recorder``.
     The signals live in (trials,) buffers allocated once per call and
     updated in place, so a hook's arguments are valid only during the hook
     (see ``Recorder``).  Gains are read from the plan (index t-1 holds step
@@ -271,14 +242,14 @@ def run_closed_loop(plan: RegimePlan, streams, recorder: Recorder) -> None:
     T = s.T
     a, b = s.a.tolist(), s.b.tolist()
     scale, K = plan.scale.tolist(), plan.K.tolist()
-    w, n, n_f = streams.w, streams.n, streams.n_f
-    width = len(streams.x0)
+    width = len(x0)
     recorder.start(T, width)
     error, transmit = recorder.error, recorder.transmit
     x, xhat, z, y, y_f, tmp, tmp2 = np.zeros((7, width))  # xhat(1) = +0.0
 
-    np.multiply(streams.x0, a[0], out=x)
-    x += np.multiply(w[0], b[0], out=tmp)  # x(1) = a x0 + b w(0)
+    w, _, _, v = rows(0)
+    np.multiply(x0, a[0], out=x)
+    x += np.multiply(w, b[0], out=tmp)  # x(1) = a x0 + b w(0)
 
     if plan.kind is RegimeKind.STATE_ESTIMATE_FEEDBACK:
         g, c1 = plan.g.tolist(), plan.c1.tolist()
@@ -287,14 +258,15 @@ def run_closed_loop(plan: RegimePlan, streams, recorder: Recorder) -> None:
         np.multiply(x, scale[0], out=z)
         for t in range(1, T):
             error(t, np.subtract(x, xhat, out=tmp))
+            w, n, n_f, _ = rows(t)
             i = t - 1
-            np.add(z, n[t], out=y)
-            np.add(xhat, n_f[t], out=y_f)
+            np.add(z, n, out=y)
+            np.add(xhat, n_f, out=y_f)
             transmit(t, x, z, y, y_f, xhat)
             xhat *= a[t]
             xhat += np.multiply(y, K[i], out=tmp)  # a xhat + K y
             np.multiply(x, a[t], out=x_next)
-            x_next += np.multiply(w[t], b[t], out=tmp)  # a x + b w
+            x_next += np.multiply(w, b[t], out=tmp)  # a x + b w
             if t < T - 1:
                 # xck = c1 xck + (x_next - a x) + g ((x - xck) - y_f)
                 np.subtract(x_next, np.multiply(x, a[t], out=tmp), out=tmp)
@@ -318,35 +290,35 @@ def run_closed_loop(plan: RegimePlan, streams, recorder: Recorder) -> None:
     m = plan.measurement
     if m is not None:
         L = plan.prefilter.L.tolist()
-        v = streams.v
         xb = np.empty(width)  # the pre-filter's prediction, then its estimate
-        np.multiply(streams.x0, m.c, out=xb)
-        xb += np.multiply(v[0], m.d, out=tmp)
+        np.multiply(x0, m.c, out=xb)
+        xb += np.multiply(v, m.d, out=tmp)
         xb *= L[0]
         xb *= a[0]  # a (L (c x0 + d v(0)))
     for t in range(1, T):
         error(t, np.subtract(x, xhat, out=tmp))
+        w, n, n_f, v = rows(t)
         i = t - 1
         if m is None:
             np.subtract(x, trk, out=z)
         else:
             # xb = xb + L ((c x + d v) - c xb), the filtered estimate
             np.multiply(x, m.c, out=tmp)
-            tmp += np.multiply(v[t], m.d, out=tmp2)
+            tmp += np.multiply(v, m.d, out=tmp2)
             tmp -= np.multiply(xb, m.c, out=tmp2)
             tmp *= L[t]
             xb += tmp
             np.subtract(xb, trk, out=z)
             xb *= a[t]
         z *= scale[i]
-        np.add(z, n[t], out=y)
+        np.add(z, n, out=y)
         if no_feedback[i]:
             fed_back = zeros
             z_nhat = np.add(z, 0.0, out=tmp)  # nhat = 0.0; the sum maps z = -0.0 to +0.0
         elif noiseless:
             fed_back = z_nhat = y
         else:
-            fed_back = np.add(y, n_f[t], out=y_f)
+            fed_back = np.add(y, n_f, out=y_f)
             z_nhat = np.subtract(y_f, z, out=tmp)
             z_nhat *= rho[i]
             z_nhat += z  # z + rho (y_f - z)
@@ -356,6 +328,6 @@ def run_closed_loop(plan: RegimePlan, streams, recorder: Recorder) -> None:
         xhat *= a[t]
         xhat += np.multiply(y, K[i], out=tmp)
         x *= a[t]
-        x += np.multiply(w[t], b[t], out=tmp)
+        x += np.multiply(w, b[t], out=tmp)
     error(T, np.subtract(x, xhat, out=tmp))
     recorder.final(T, x, xhat)

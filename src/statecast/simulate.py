@@ -22,7 +22,6 @@ the loop catches up with the helpers, it draws the queued blocks they have
 not started itself.  Narrower rows are drawn inline, because setting up
 each row's generator holds the GIL longer than sampling it releases it.
 The results do not depend on the number of helpers, and nothing sets it.
-``sample_gaussian_streams`` draws the same rows into (T, M) arrays.
 
 Aggregation sums each per-step statistic over the trial axis with numpy's
 pairwise reduction, whose order is fixed by the array shape, so identical
@@ -84,9 +83,7 @@ from .schemes import (
 __all__ = [
     "McConfig",
     "McSummary",
-    "NoiseStreams",
     "OracleResult",
-    "sample_gaussian_streams",
     "monte_carlo",
     "exact_conditioning_oracle",
     "format_float",
@@ -158,28 +155,6 @@ def _row(seed: int, stream: int, t: int, out: np.ndarray) -> np.ndarray:
     return Generator(Philox(key=key)).standard_normal(out=out)
 
 
-@dataclass(frozen=True, eq=False)
-class NoiseStreams:
-    """Already-scaled noise samples, one trajectory per column.
-
-    x0 has shape (M,), the others (T, M); row t holds the step-t samples.
-    n rows carry variance N(t), n_f rows N_f(t) (zeros where N_f is 0 or
-    +inf), and (w, v) rows are jointly drawn with the measurement-noise
-    covariance when a measurement model is present.
-    """
-
-    seed: int
-    x0: np.ndarray
-    w: np.ndarray
-    n: np.ndarray
-    n_f: np.ndarray
-    v: Optional[np.ndarray] = None
-
-    @property
-    def trials(self) -> int:
-        return len(self.x0)
-
-
 def _wv_factor(m: MeasurementModel, t: int) -> tuple[float, float, float]:
     """Cholesky factor (l11, l21, l22) of step t's (w, v) covariance."""
     l11 = math.sqrt(m.V_ww[t])
@@ -223,34 +198,6 @@ def _step_rows(
     return w, n, n_f, v
 
 
-def sample_gaussian_streams(
-    s: SystemSchedule,
-    cfg: McConfig,
-    measurement: Optional[MeasurementModel] = None,
-) -> NoiseStreams:
-    """Draw all noise streams for ``cfg.trials`` trajectories.
-
-    Identical (seed, trial, stream, t) always yields the identical sample;
-    distinct streams use distinct generator keys and are independent.
-    """
-    T, M = s.T, cfg.trials
-    if measurement is not None:
-        measurement = validate_measurement(measurement, T)
-
-    x0 = math.sqrt(s.V_xx0) * _row(cfg.seed, _STREAM_X0, 0, np.empty(M))
-    w = np.zeros((T, M))
-    n = np.zeros((T, M))
-    n_f = np.zeros((T, M))
-    v = None if measurement is None else np.zeros((T, M))
-    scratch = None if measurement is None else np.empty(M)
-    # Rows that carry no noise stay zero, so the rows to read are not needed.
-    zeros = np.zeros(M)
-    for t in range(T):
-        out = (w[t], n[t], n_f[t]) if v is None else (w[t], n[t], n_f[t], v[t])
-        _step_rows(s, measurement, cfg.seed, t, out, scratch, zeros)
-    return NoiseStreams(seed=cfg.seed, x0=x0, w=w, n=n, n_f=n_f, v=v)
-
-
 _pool_lock = threading.Lock()
 _pool = None  # the helper threads' executor, made by the first call that needs it
 
@@ -279,19 +226,6 @@ def _helper_pool(trials: int) -> tuple:
     return _pool, helpers
 
 
-class _Column:
-    """``rows.w[t]`` and the like: one stream's row of step t."""
-
-    __slots__ = ("_rows", "_k")
-
-    def __init__(self, rows: "_StreamedRows", k: int):
-        self._rows = rows
-        self._k = k
-
-    def __getitem__(self, t: int) -> np.ndarray:
-        return self._rows.step(t)[self._k]
-
-
 def _draw_block(s, m, seed, lo, slot, scratch, zeros) -> list:
     """The rows to read of steps lo, lo + 1, ..., drawn into ``slot``, the
     (steps, rows, M) part of the slab that holds one block."""
@@ -302,11 +236,11 @@ def _draw_block(s, m, seed, lo, slot, scratch, zeros) -> list:
 class _StreamedRows:
     """The noise rows of one Monte Carlo run, drawn as the closed loop needs them.
 
-    Stands in for ``NoiseStreams`` in ``run_closed_loop``, which reads the
-    rows of step t only during step t, and after those of every earlier
-    step.  While the loop runs block b, the helpers draw blocks b+1 ..
-    b+depth.  When the loop reaches a block that a helper is still drawing,
-    this thread draws the queued blocks no helper has started instead of
+    ``step`` is the ``rows`` of ``run_closed_loop``, which reads the rows
+    of step t only during step t, and after those of every earlier step.
+    While the loop runs block b, the helpers draw blocks b+1 .. b+depth.
+    When the loop reaches a block that a helper is still drawing, this
+    thread draws the queued blocks no helper has started instead of
     waiting, so a slow or starved helper costs at most the block it holds.
     An exception raised in a helper comes out of the read that needs its
     block, unchanged.
@@ -314,9 +248,8 @@ class _StreamedRows:
     Every block is drawn into slot b % slots of one slab allocated here, one
     slot per block in flight: depth + 1 with helpers, 1 without.  Block
     b + depth is queued only once the loop has left block b - 1, so it
-    reuses that block's slot.  The columns w, n, n_f and v are made on
-    access and the helpers' jobs hold no reference to this object, so it
-    and its slab are freed as soon as the run drops it.
+    reuses that block's slot.  The helpers' jobs hold no reference to this
+    object, so it and its slab are freed as soon as the run drops it.
     """
 
     def __init__(
@@ -340,11 +273,6 @@ class _StreamedRows:
         self._drawn = {}  # blocks this thread took over from the queue
         self._b, self._block = -1, None
         self.x0 = math.sqrt(s.V_xx0) * _row(cfg.seed, _STREAM_X0, 0, np.empty(M))
-
-    w = property(lambda self: _Column(self, 0))
-    n = property(lambda self: _Column(self, 1))
-    n_f = property(lambda self: _Column(self, 2))
-    v = property(lambda self: None if self._m is None else _Column(self, 3))
 
     def _job(self, b: int) -> tuple:
         """The arguments of ``_draw_block`` for block b."""
@@ -387,15 +315,10 @@ class _MomentRecorder(Recorder):
     """Accumulates the 2nd and 4th sample moments of errors and the 2nd
     moments of transmissions, squaring into one (trials,) row of its own."""
 
-    def __init__(self, trials: int):
-        self.M = trials
-
     def start(self, T, width):
-        self.T = T
         self.s2_err = np.zeros(T)
         self.s4_err = np.zeros(T)
         self.s2_z = np.zeros(T)
-        self.transmitted = np.zeros(T, dtype=bool)
         self._sq = np.empty(width)
 
     def error(self, t, err):
@@ -406,7 +329,6 @@ class _MomentRecorder(Recorder):
 
     def transmit(self, t, x, z, y, y_f, xhat):
         self.s2_z[t - 1] = np.sum(np.multiply(z, z, out=self._sq))
-        self.transmitted[t - 1] = True
 
 
 def _mean_se(s2: np.ndarray, s4: np.ndarray, M: int) -> tuple[np.ndarray, np.ndarray]:
@@ -468,19 +390,19 @@ def monte_carlo(
     """
     plan = build_plan(s, kind, measurement=measurement, form=form)
     M = cfg.trials
-    rec = _MomentRecorder(M)
+    rec = _MomentRecorder()
     pool, helpers = _helper_pool(M)
     # Two blocks queued beyond those the helpers hold: one for this thread to
     # take over while it would wait, one for the next helper that comes free.
     rows = _StreamedRows(plan.schedule, plan.measurement, cfg, pool, helpers + 2)
     try:
-        run_closed_loop(plan, rows, rec)
+        run_closed_loop(plan, rows.x0, rows.step, rec)
     finally:
         rows.close()
 
     emp_mse, emp_se = _mean_se(rec.s2_err, rec.s4_err, M)
     zpow = rec.s2_z / M
-    zpow[~rec.transmitted] = np.nan
+    zpow[-1] = np.nan  # no transmission at t = T
 
     return McSummary(
         pred=plan.prediction,

@@ -22,7 +22,7 @@ stays bounded as the horizon grows.  Thresholds:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .model import SystemSchedule, ValidationError, constant_values
@@ -141,15 +141,7 @@ def check_output_fb(s: SystemSchedule) -> StationaryReport:
     """
     a, b, P, N, N_f = _constants(s)
     if N_f == 0.0:
-        rep = check_noiseless(s)
-        return StationaryReport(
-            regime=RegimeKind.OUTPUT_FEEDBACK,
-            bounded=rep.bounded,
-            condition=rep.condition,
-            capacity=rep.capacity,
-            fixed_point=rep.fixed_point,
-            residuals=rep.residuals,
-        )
+        return replace(check_noiseless(s), regime=RegimeKind.OUTPUT_FEEDBACK)
     C = channel_capacity(P, N)
     regime = (
         RegimeKind.NO_FEEDBACK if math.isinf(N_f) else RegimeKind.OUTPUT_FEEDBACK

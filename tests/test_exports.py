@@ -18,6 +18,16 @@ def test_every_exported_name_resolves(name):
     assert not missing, f"{name}.__all__ names undefined attributes: {missing}"
 
 
+@pytest.mark.parametrize(
+    "module, name",
+    [("statecast", "NoiseStreams"), ("statecast.simulate", "NoiseStreams"), ("statecast.schemes", "ArrayRecorder")],
+)
+def test_test_only_surface_stays_out_of_the_package(module, name):
+    # monte_carlo streams its rows through run_closed_loop's rows(t), and
+    # recorders that keep whole trajectories live with the tests
+    assert not hasattr(importlib.import_module(module), name)
+
+
 def _section(heading: str) -> str:
     """The README's text under ``## heading``, up to the next heading."""
     section = README.read_text(encoding="utf-8").split(f"\n## {heading}\n", 1)[1]

@@ -4,39 +4,30 @@ import math
 import numpy as np
 import pytest
 
+from conftest import ArrayRecorder, Streams, keyed_streams
 from statecast import (
-    McConfig,
     MeasurementModel,
-    NoiseStreams,
     RegimeKind,
     SystemSchedule,
     ValidationError,
     build_plan,
     predict_noiseless_fb,
-    sample_gaussian_streams,
 )
-from statecast.schemes import ArrayRecorder, run_closed_loop
+from statecast.schemes import run_closed_loop
 
 
-def _run(s, kind, streams, measurement=None):
-    """The recorder of ``kind``'s closed loop over ``streams``: every signal
+def _loop(plan, streams):
+    """The recorder of ``plan``'s closed loop over ``streams``: every signal
     is a (T, trials) array, one trajectory per column."""
     rec = ArrayRecorder()
-    run_closed_loop(build_plan(s, kind, measurement=measurement), streams, rec)
+    run_closed_loop(plan, streams.x0, streams.rows, rec)
     return rec
 
 
-def _column(streams, trial):
-    """Width-1 streams holding column ``trial`` of ``streams``."""
-    pick = lambda arr: None if arr is None else arr[:, trial : trial + 1]
-    return NoiseStreams(
-        seed=streams.seed,
-        x0=streams.x0[trial : trial + 1],
-        w=pick(streams.w),
-        n=pick(streams.n),
-        n_f=pick(streams.n_f),
-        v=pick(streams.v),
-    )
+def _run(s, kind, streams, measurement=None):
+    """``_loop`` over the plan of ``kind`` on ``s``."""
+    return _loop(build_plan(s, kind, measurement=measurement), streams)
+
 
 # One schedule per regime for the hand-set-gain checks below (T = 4, a = 0.8).
 _HAND_N_F = {
@@ -48,27 +39,57 @@ _HAND_N_F = {
 }
 
 
-def _hand_run(kind, x0=1.0, w=(0.5, -0.3, 0.2, 0.1), **gains):
-    """One trajectory of ``kind`` over hand-built one-trial streams, with
-    the plan's gain arrays replaced by ``gains``; returns its recorder."""
-    N_f = _HAND_N_F[kind]
-    s = SystemSchedule(T=4, a=0.8, b=1.0, P=1.0, N=1.0, N_f=N_f, V_xx0=1.0)
+def _hand_plan(kind, **gains):
+    """``kind``'s plan on its T = 4 hand schedule, with the plan's gain
+    arrays replaced by ``gains``."""
+    s = SystemSchedule(T=4, a=0.8, b=1.0, P=1.0, N=1.0, N_f=_HAND_N_F[kind], V_xx0=1.0)
     m = MeasurementModel(c=1.0, d=0.5, V_ww=1.0, V_wv=0.0, V_vv=1.0)
     plan = build_plan(s, kind, measurement=m)
-    plan = dataclasses.replace(plan, **{k: np.array(v, dtype=float) for k, v in gains.items()})
-    noisy_fb = 0.0 < N_f < math.inf
+    return dataclasses.replace(plan, **{k: np.array(v, dtype=float) for k, v in gains.items()})
+
+
+def _hand_streams(kind, x0=1.0, w=(0.5, -0.3, 0.2, 0.1)):
+    """Hand-built one-trial streams for ``kind``'s hand schedule."""
+    noisy_fb = 0.0 < _HAND_N_F[kind] < math.inf
     col = lambda vals: np.array(vals, dtype=float).reshape(4, 1)
-    streams = NoiseStreams(
-        seed=0,
+    return Streams(
         x0=np.array([x0]),
         w=col(w),
         n=col([0.0, 0.4, -0.7, 0.0]),
         n_f=col([0.0, 0.2, 0.3, 0.0] if noisy_fb else [0.0] * 4),
         v=col([0.0] * 4),
     )
+
+
+def _hand_run(kind, x0=1.0, w=(0.5, -0.3, 0.2, 0.1), **gains):
+    """One trajectory of ``kind`` over hand-built one-trial streams, with
+    the plan's gain arrays replaced by ``gains``; returns its recorder."""
+    return _loop(_hand_plan(kind, **gains), _hand_streams(kind, x0, w))
+
+
+@pytest.mark.parametrize("kind", list(RegimeKind), ids=lambda kind: kind.value)
+def test_closed_loop_asks_for_each_steps_rows_once_in_order(kind):
+    # the contract monte_carlo's reused row slots rely on: step t's rows are
+    # asked for once, after every earlier step's, and read only during
+    # step t, so rows overwritten with NaN once the next step asks for its
+    # own leave the trajectory unchanged
+    streams = _hand_streams(kind)
+    calls = []
+
+    def rows(t):
+        if calls:
+            for row in streams.rows(calls[-1]):
+                row[:] = math.nan
+        calls.append(t)
+        return streams.rows(t)
+
+    plan = _hand_plan(kind)
     rec = ArrayRecorder()
-    run_closed_loop(plan, streams, rec)
-    return rec
+    run_closed_loop(plan, streams.x0, rows, rec)
+    assert calls == list(range(plan.schedule.T))
+    ref = _loop(plan, _hand_streams(kind))
+    for field in ("x", "z", "y", "y_f", "xhat", "sq_err"):
+        assert np.array_equal(getattr(rec, field), getattr(ref, field)), field
 
 
 def test_decoder_zero_gain_coasts():
@@ -125,7 +146,7 @@ def test_regime_schedule_consistency_enforced():
 def test_output_fb_at_zero_feedback_noise_equals_noiseless_scheme():
     # shared noise streams; the two filter arrangements agree to rounding
     s = SystemSchedule(T=20, a=0.8, b=1.0, P=1.0, N=1.0, N_f=0.0, V_xx0=1.0)
-    streams = sample_gaussian_streams(s, McConfig(trials=4, seed=99))
+    streams = keyed_streams(s, 4, 99)
     r_out = _run(s, RegimeKind.OUTPUT_FEEDBACK, streams)
     r_nl = _run(s, RegimeKind.NOISELESS_FEEDBACK, streams)
     assert np.max(np.abs(r_out.z - r_nl.z)) <= 1e-12
@@ -140,7 +161,7 @@ def test_zero_noise_transmitter_replicates_decoder_exactly(kind):
     # s(t), recovered from z(t) = scale * (x(t) - s(t)), matches xhat(t)
     s = SystemSchedule(T=15, a=0.8, b=1.0, P=1.0, N=1.0, N_f=0.0, V_xx0=1.0)
     plan = build_plan(s, kind)
-    streams = sample_gaussian_streams(s, McConfig(trials=1, seed=4))
+    streams = keyed_streams(s, 1, 4)
     rec = _run(s, kind, streams)
     for t in range(1, s.T):
         scale = plan.scale[t - 1]
@@ -161,7 +182,7 @@ def test_noiseless_plan_on_bounded_unstable_plant():
 
 def test_no_feedback_equals_output_fb_at_infinite_noise_bitwise():
     s = SystemSchedule(T=25, a=0.9, b=1.0, P=1.0, N=1.0, N_f=math.inf, V_xx0=1.0)
-    streams = sample_gaussian_streams(s, McConfig(trials=3, seed=5))
+    streams = keyed_streams(s, 3, 5)
     r1 = _run(s, RegimeKind.NO_FEEDBACK, streams)
     r2 = _run(s, RegimeKind.OUTPUT_FEEDBACK, streams)
     assert np.array_equal(r1.z, r2.z)
@@ -173,14 +194,14 @@ def test_se_first_transmission_carries_the_initial_state():
     # xcheck(1) = x(1): recover it from z(1)
     s = SystemSchedule(T=5, a=0.9, b=1.0, P=1.0, N=1.0, N_f=0.5, V_xx0=0.0)
     plan = build_plan(s, RegimeKind.STATE_ESTIMATE_FEEDBACK)
-    streams = sample_gaussian_streams(s, McConfig(trials=1, seed=8))
+    streams = keyed_streams(s, 1, 8)
     rec = _run(s, RegimeKind.STATE_ESTIMATE_FEEDBACK, streams)
     assert rec.z[0, 0] / plan.scale[0] == pytest.approx(rec.x[0, 0], abs=1e-14)
 
 
 def test_se_feedback_carries_decoder_estimate():
     s = SystemSchedule(T=8, a=0.9, b=1.0, P=1.0, N=1.0, N_f=0.5, V_xx0=1.0)
-    streams = sample_gaussian_streams(s, McConfig(trials=1, seed=13))
+    streams = keyed_streams(s, 1, 13)
     rec = _run(s, RegimeKind.STATE_ESTIMATE_FEEDBACK, streams)
     for t in range(1, s.T):
         expect = rec.xhat[t - 1, 0] + streams.n_f[t, 0]
@@ -189,7 +210,7 @@ def test_se_feedback_carries_decoder_estimate():
 
 def test_near_noiseless_channel_tracks_plant():
     s = SystemSchedule(T=40, a=0.7, b=1.0, P=1.0, N=1e-12, N_f=0.0, V_xx0=1.0)
-    streams = sample_gaussian_streams(s, McConfig(trials=1, seed=5))
+    streams = keyed_streams(s, 1, 5)
     rec = _run(s, RegimeKind.NOISELESS_FEEDBACK, streams)
     dev = np.abs(rec.xhat[1:] - 0.7 * rec.x[:-1])
     assert dev.max() < 1e-4
@@ -198,7 +219,7 @@ def test_near_noiseless_channel_tracks_plant():
 def test_channel_and_record_identities(rng):
     # y = z + n at transmitting steps; sq_err = (x - xhat)^2; tail slots zero
     s = SystemSchedule(T=10, a=0.9, b=1.0, P=1.0, N=0.7, N_f=0.2, V_xx0=1.0)
-    streams = sample_gaussian_streams(s, McConfig(trials=1, seed=21))
+    streams = keyed_streams(s, 1, 21)
     rec = _run(s, RegimeKind.OUTPUT_FEEDBACK, streams)
     assert np.allclose(rec.y[: s.T - 1], rec.z[: s.T - 1] + streams.n[1:], atol=0)
     assert np.allclose(rec.sq_err, (rec.x - rec.xhat) ** 2, atol=0)
@@ -275,7 +296,7 @@ def test_golden_trajectories(name):
     g = GOLDEN[name]
     s = SystemSchedule(**g["schedule"])
     m = MeasurementModel(**g["measurement"]) if "measurement" in g else None
-    streams = sample_gaussian_streams(s, McConfig(trials=3, seed=g["seed"]), measurement=m)
+    streams = keyed_streams(s, 3, g["seed"], m)
     rec = _run(s, g["kind"], streams, measurement=m)
     for field in ("x", "z", "y", "y_f", "xhat", "sq_err"):
         assert np.array_equal(getattr(rec, field)[:, 0], np.array(g[field])), field
@@ -284,10 +305,10 @@ def test_golden_trajectories(name):
 def test_vectorized_engine_matches_per_trajectory_runs():
     # a width-5 run reproduces five independent width-1 runs bitwise
     s = SystemSchedule(T=12, a=0.9, b=1.0, P=1.0, N=1.0, N_f=0.3, V_xx0=1.0)
-    streams = sample_gaussian_streams(s, McConfig(trials=5, seed=31))
+    streams = keyed_streams(s, 5, 31)
     vec = _run(s, RegimeKind.OUTPUT_FEEDBACK, streams)
     for trial in range(5):
-        one = _run(s, RegimeKind.OUTPUT_FEEDBACK, _column(streams, trial))
+        one = _run(s, RegimeKind.OUTPUT_FEEDBACK, streams.column(trial))
         assert np.array_equal(vec.xhat[:, trial : trial + 1], one.xhat)
         assert np.array_equal(vec.sq_err[:, trial : trial + 1], one.sq_err)
 
@@ -296,9 +317,8 @@ def test_transmission_orthogonality_noiseless_and_its_failure_when_noisy():
     # noiseless feedback: z(t) is uncorrelated with every past y(k)
     M = 20_000
     s = SystemSchedule(T=8, a=0.9, b=1.0, P=1.0, N=1.0, N_f=0.0, V_xx0=1.0)
-    streams = sample_gaussian_streams(s, McConfig(trials=M, seed=71))
-    rec = ArrayRecorder()
-    run_closed_loop(build_plan(s, RegimeKind.NOISELESS_FEEDBACK), streams, rec)
+    streams = keyed_streams(s, M, 71)
+    rec = _run(s, RegimeKind.NOISELESS_FEEDBACK, streams)
     bound = 5.0 / math.sqrt(M)
     for t in range(2, s.T):  # rows t-1 hold step t
         for k in range(1, t):
@@ -311,9 +331,8 @@ def test_transmission_orthogonality_noiseless_and_its_failure_when_noisy():
     # matches scale(t+1) * K(t) * N * N_f / (N + N_f)
     s2 = SystemSchedule(T=8, a=0.9, b=1.0, P=1.0, N=1.0, N_f=0.4, V_xx0=1.0)
     plan2 = build_plan(s2, RegimeKind.OUTPUT_FEEDBACK)
-    streams2 = sample_gaussian_streams(s2, McConfig(trials=M, seed=72))
-    rec2 = ArrayRecorder()
-    run_closed_loop(plan2, streams2, rec2)
+    streams2 = keyed_streams(s2, M, 72)
+    rec2 = _loop(plan2, streams2)
     for t in range(2, s2.T - 1):
         prod = rec2.z[t] * rec2.y[t - 1]
         emp = float(np.mean(prod))

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import keyed_streams
 from statecast import (
     McConfig,
     MeasurementModel,
@@ -24,7 +25,6 @@ from statecast import (
     predict_noiseless_fb,
     predict_output_fb,
     predict_state_estimate_fb,
-    sample_gaussian_streams,
 )
 from statecast import simulate
 from numpy.random import Generator, Philox
@@ -35,9 +35,8 @@ from statecast.stationarity import STATIONARITY_CHECKS
 
 def test_same_seed_gives_identical_streams():
     s = SystemSchedule(T=10, a=0.9, b=1.0, P=1.0, N=1.0, N_f=0.3, V_xx0=1.0)
-    cfg = McConfig(trials=64, seed=2024)
-    s1 = sample_gaussian_streams(s, cfg)
-    s2 = sample_gaussian_streams(s, cfg)
+    s1 = keyed_streams(s, 64, 2024)
+    s2 = keyed_streams(s, 64, 2024)
     for name in ("x0", "w", "n", "n_f"):
         assert np.array_equal(getattr(s1, name), getattr(s2, name))
 
@@ -45,8 +44,8 @@ def test_same_seed_gives_identical_streams():
 def test_trials_are_extensible():
     # trial k's samples do not depend on how many trials were drawn
     s = SystemSchedule(T=6, a=0.9, b=1.0, P=1.0, N=1.0, N_f=0.3, V_xx0=1.0)
-    small = sample_gaussian_streams(s, McConfig(trials=10, seed=7))
-    big = sample_gaussian_streams(s, McConfig(trials=1000, seed=7))
+    small = keyed_streams(s, 10, 7)
+    big = keyed_streams(s, 1000, 7)
     assert np.array_equal(small.w, big.w[:, :10])
     assert np.array_equal(small.n, big.n[:, :10])
     assert np.array_equal(small.x0, big.x0[:10])
@@ -54,7 +53,7 @@ def test_trials_are_extensible():
 
 def test_stream_moments():
     s = SystemSchedule(T=2, a=0.9, b=1.0, P=1.0, N=1.7, N_f=0.3, V_xx0=1.0)
-    streams = sample_gaussian_streams(s, McConfig(trials=1_000_000, seed=11))
+    streams = keyed_streams(s, 1_000_000, 11)
     w = streams.w[0]
     assert abs(w.mean()) < 4.0 / math.sqrt(len(w))
     n1 = streams.n[1]
@@ -65,8 +64,8 @@ def test_stream_moments():
 
 def test_streams_mutually_independent():
     s = SystemSchedule(T=3, a=0.9, b=1.0, P=1.0, N=1.0, N_f=1.0, V_xx0=1.0)
-    streams = sample_gaussian_streams(s, McConfig(trials=200_000, seed=3))
-    M = streams.trials
+    M = 200_000
+    streams = keyed_streams(s, M, 3)
     pairs = [
         (streams.w[1], streams.n[1]),
         (streams.w[1], streams.n_f[1]),
@@ -82,14 +81,14 @@ def test_streams_mutually_independent():
 
 def test_infinite_feedback_noise_stream_is_zero():
     s = SystemSchedule(T=4, a=0.9, b=1.0, P=1.0, N=1.0, N_f=math.inf, V_xx0=1.0)
-    streams = sample_gaussian_streams(s, McConfig(trials=8, seed=5))
+    streams = keyed_streams(s, 8, 5)
     assert np.all(streams.n_f == 0.0)
 
 
 def test_correlated_measurement_noise_streams():
     s = SystemSchedule(T=3, a=0.9, b=1.0, P=1.0, N=1.0, N_f=0.1, V_xx0=1.0)
     m = MeasurementModel(c=1.0, d=1.0, V_ww=2.0, V_wv=0.8, V_vv=1.5)
-    streams = sample_gaussian_streams(s, McConfig(trials=400_000, seed=9), measurement=m)
+    streams = keyed_streams(s, 400_000, 9, m)
     w, v = streams.w[1], streams.v[1]
     assert abs(w.var(ddof=1) - 2.0) / 2.0 < 0.02
     assert abs(v.var(ddof=1) - 1.5) / 1.5 < 0.02
@@ -237,10 +236,11 @@ def _streamed_case(nf):
 
 
 def _materialized_summary(s, kind, cfg, m):
-    """(emp_mse, emp_se, emp_zpow) from the (T, M) streams."""
-    rec = simulate._MomentRecorder(cfg.trials)
+    """(emp_mse, emp_se, emp_zpow) from the (T, M) reference streams."""
+    rec = simulate._MomentRecorder()
     plan = build_plan(s, kind, measurement=m)
-    run_closed_loop(plan, sample_gaussian_streams(s, cfg, measurement=m), rec)
+    streams = keyed_streams(s, cfg.trials, cfg.seed, m)
+    run_closed_loop(plan, streams.x0, streams.rows, rec)
     mse, se = simulate._mean_se(rec.s2_err, rec.s4_err, cfg.trials)
     zpow = rec.s2_z / cfg.trials
     zpow[-1] = np.nan
@@ -260,6 +260,20 @@ def test_streamed_rows_match_materialized_streams(kind, nf, m, trials):
     cfg = McConfig(trials=trials, seed=606)
     summary = monte_carlo(s, kind, cfg, measurement=m)
     _assert_same_summary(summary, _materialized_summary(s, kind, cfg, m))
+
+
+@pytest.mark.parametrize("kind, nf, m", STREAMED_CASES, ids=STREAMED_IDS)
+def test_streamed_rows_are_the_keyed_reference_rows(kind, nf, m):
+    # the rows the loop reads, block by block, have the bytes of rows drawn
+    # one by one under their (seed, stream, t) keys
+    plan = build_plan(_streamed_case(nf), kind, measurement=m)
+    cfg = McConfig(trials=20_000, seed=609)
+    rows = simulate._StreamedRows(plan.schedule, plan.measurement, cfg, None, 0)
+    ref = keyed_streams(plan.schedule, cfg.trials, cfg.seed, plan.measurement)
+    assert rows.x0.tobytes() == ref.x0.tobytes()
+    for t in range(T_STREAMED):
+        got = [None if row is None else row.tobytes() for row in rows.step(t)]
+        assert got == [None if row is None else row.tobytes() for row in ref.rows(t)], t
 
 
 @pytest.mark.parametrize("cpus, trials", [(1, 20_000), (None, 500)], ids=["one_cpu", "few_trials"])
