@@ -8,7 +8,6 @@ from .model import (
     SystemSchedule,
     ValidationError,
     VariancePrediction,
-    validate_measurement,
 )
 from .recursions import (
     Gains,
@@ -70,5 +69,4 @@ __all__ = [
     "predict_separation",
     "predict_state_estimate_fb",
     "solve_state_estimate_fp",
-    "validate_measurement",
 ]

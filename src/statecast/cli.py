@@ -103,8 +103,7 @@ class ExperimentSpec:
     regime: RegimeKind
     output: str
     measurement: Optional[MeasurementModel] = None
-    trials: int = 0
-    seed: int = 0
+    mc: Optional[McConfig] = None
     form: str = "proof"
     sweep_N_f: Optional[list[float]] = None
 
@@ -250,10 +249,10 @@ def parse_config(path: str, overrides: Optional[dict] = None) -> ExperimentSpec:
         V_xx0=_scalar(_require(sched_sec, "v_xx0", "schedule"), "schedule.V_xx0"),
     )
 
-    measurement = None
+    entries = None
     if "measurement" in cfg:
         msec = cfg["measurement"]
-        measurement = MeasurementModel(
+        entries = dict(
             c=_scalar(_require(msec, "c", "measurement"), "measurement.c"),
             d=_scalar(_require(msec, "d", "measurement"), "measurement.d"),
             V_ww=_floats(msec.get("v_ww", "1.0"), "measurement.V_ww"),
@@ -275,14 +274,15 @@ def parse_config(path: str, overrides: Optional[dict] = None) -> ExperimentSpec:
     if form not in recursions.SIGBAR_FORMS:
         raise ValidationError(f"form must be one of {recursions.SIGBAR_FORMS}")
 
-    trials = seed = 0
+    mc = None
     if mode == "simulate":
-        trials = _scalar(_require(exp, "trials", "experiment"), "experiment.trials", int)
-        seed = _scalar(_require(exp, "seed", "experiment"), "experiment.seed", int)
-        if trials < 1:
-            raise ValidationError("trials must be >= 1")
+        mc = McConfig(
+            trials=_scalar(_require(exp, "trials", "experiment"), "experiment.trials", int),
+            seed=_scalar(_require(exp, "seed", "experiment"), "experiment.seed", int),
+        )
 
-    if regime is RegimeKind.SEPARATION_OUTPUT_FEEDBACK and measurement is None:
+    separation = regime is RegimeKind.SEPARATION_OUTPUT_FEEDBACK
+    if separation and entries is None:
         raise ValidationError("separation regime requires a [measurement] section")
 
     sweep = None
@@ -297,16 +297,16 @@ def parse_config(path: str, overrides: Optional[dict] = None) -> ExperimentSpec:
         mode=mode,
         regime=regime,
         output=output,
-        measurement=measurement,
-        trials=trials,
-        seed=seed,
+        # Only the separation regime reads the model, so only it builds one.
+        measurement=MeasurementModel(**entries) if separation else None,
+        mc=mc,
         form=form,
         sweep_N_f=sweep,
     )
 
 
 def _prediction(spec: ExperimentSpec):
-    check_regime_consistency(spec.schedule, spec.regime)
+    """The prediction of a spec whose regime pairing has been checked."""
     return PREDICTORS[spec.regime](spec.schedule, spec.measurement, spec.form)[0]
 
 
@@ -315,10 +315,10 @@ def _predict_csv(pred) -> str:
 
 
 def _oracle_csv(spec: ExperimentSpec) -> str:
-    pred = _prediction(spec)
     res = exact_conditioning_oracle(
         spec.schedule, spec.regime, measurement=spec.measurement
     )
+    pred = _prediction(spec)
     return csv_table("t,oracle_mse,scheme_mse,pred_mse", (res.mse, res.scheme_mse, pred.mse))
 
 
@@ -342,13 +342,14 @@ def _write(path: str, text: str) -> None:
 def run(spec: ExperimentSpec) -> int:
     """Run the configured mode, write its artifact, return the exit code."""
     if spec.mode == "predict":
+        check_regime_consistency(spec.schedule, spec.regime)
         _write(spec.output, _predict_csv(_prediction(spec)))
         return EXIT_OK
     if spec.mode == "simulate":
         summary = monte_carlo(
             spec.schedule,
             spec.regime,
-            McConfig(trials=spec.trials, seed=spec.seed),
+            spec.mc,
             measurement=spec.measurement,
             form=spec.form,
         )
@@ -405,7 +406,7 @@ def compare(spec: ExperimentSpec) -> int:
     summary = monte_carlo(
         spec.schedule,
         spec.regime,
-        McConfig(trials=spec.trials, seed=spec.seed),
+        spec.mc,
         measurement=spec.measurement,
         form=spec.form,
     )

@@ -1,6 +1,5 @@
-"""Domain types shared by every regime: parameter schedules, which check
-themselves when built, the measurement model and its validation, and
-prediction series.
+"""Domain types shared by every regime: parameter schedules and the
+measurement model, which check themselves when built, and prediction series.
 
 Time convention used throughout the package
 -------------------------------------------
@@ -31,7 +30,6 @@ __all__ = [
     "MeasurementModel",
     "VariancePrediction",
     "constant_values",
-    "validate_measurement",
 ]
 
 class ValidationError(ValueError):
@@ -43,15 +41,13 @@ class ValidationError(ValueError):
 
 
 def _as_series(name: str, value, T: int) -> np.ndarray:
-    """Broadcast a scalar to length ``T`` or pass a length-``T`` sequence through."""
+    """``value`` as a float array, not copied, checked to be a scalar or of length ``T``."""
     arr = np.asarray(value, dtype=float)
-    if arr.ndim == 0:
-        return np.full(T, float(arr))
-    if arr.ndim != 1 or arr.shape[0] != T:
+    if arr.shape not in ((), (T,)):
         raise ValidationError(
             f"{name} must be a scalar or a length-{T} sequence, got shape {arr.shape}"
         )
-    return arr.copy()
+    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,7 +78,7 @@ class SystemSchedule:
         if not isinstance(T, (int, np.integer)) or isinstance(T, bool) or T < 1:
             raise ValidationError(f"T must be a positive integer, got {T!r}")
         T = int(T)
-        series = {name: _as_series(name, getattr(self, name), T)
+        series = {name: np.full(T, _as_series(name, getattr(self, name), T))
                   for name in ("a", "b", "P", "N", "N_f")}
         for name in ("a", "b"):
             for t, v in enumerate(series[name].tolist()):
@@ -113,6 +109,9 @@ def constant_values(s: SystemSchedule) -> Optional[tuple]:
     return tuple(seq[0] for seq in seqs)
 
 
+_COV = ("V_ww", "V_wv", "V_vv")
+
+
 @dataclass(frozen=True, eq=False)
 class MeasurementModel:
     """Transmitter-side measurement ``gamma(t) = c x(t) + d v(t)``.
@@ -120,7 +119,7 @@ class MeasurementModel:
     The joint per-step covariance of ``(w(t), v(t))`` is given by
     ``V_ww``, ``V_wv``, ``V_vv`` for ``t = 0..T`` (one more entry than the
     schedule: the innovation variance at the final step is still needed).
-    Scalars broadcast.
+    Scalars broadcast; the entries are checked once, when the model is built.
     """
 
     c: float
@@ -129,31 +128,39 @@ class MeasurementModel:
     V_wv: Union[float, np.ndarray] = 0.0
     V_vv: Union[float, np.ndarray] = 0.0
 
+    def __post_init__(self):
+        cov = [np.array(getattr(self, name), dtype=float) for name in _COV]
+        # The sequences must share one length; a scalar stands for every step.
+        n = max((arr.size for arr in cov if arr.ndim), default=1)
+        steps = [np.full(n, _as_series(name, arr, n)).tolist() for name, arr in zip(_COV, cov)]
+        for t, (V_ww, V_wv, V_vv) in enumerate(zip(*steps)):
+            if V_ww < 0.0:
+                raise ValidationError(f"V_ww({t}) must be >= 0")
+            if V_vv < 0.0:
+                raise ValidationError(f"V_vv({t}) must be >= 0")
+            # PSD of the 2x2 joint noise covariance, with a rounding allowance.
+            if V_wv * V_wv > V_ww * V_vv * (1.0 + 1e-12) + 1e-300:
+                raise ValidationError(
+                    f"noise covariance at step {t} is not positive semidefinite"
+                )
+        if not (math.isfinite(self.c) and math.isfinite(self.d)):
+            raise ValidationError("c and d must be finite")
+        for name, value in (("c", float(self.c)), ("d", float(self.d)), *zip(_COV, cov)):
+            object.__setattr__(self, name, value)
+
+    def check_horizon(self, T: int) -> None:
+        """Reject sequences that do not hold the steps t = 0..T; reads only lengths."""
+        for name in _COV:
+            _as_series(name, getattr(self, name), T + 1)
+
+    def at(self, t: int) -> tuple[float, float, float]:
+        """(V_ww, V_wv, V_vv) of step t."""
+        cov = (self.V_ww, self.V_wv, self.V_vv)
+        return tuple(float(arr[t] if arr.ndim else arr) for arr in cov)
+
     def noise_cov(self, t: int) -> np.ndarray:
-        return np.array(
-            [[self.V_ww[t], self.V_wv[t]], [self.V_wv[t], self.V_vv[t]]]
-        )
-
-
-def validate_measurement(m: MeasurementModel, T: int) -> MeasurementModel:
-    """Broadcast the noise covariance entries to length T+1 and check PSD per step."""
-    n = T + 1
-    V_ww = _as_series("V_ww", m.V_ww, n)
-    V_wv = _as_series("V_wv", m.V_wv, n)
-    V_vv = _as_series("V_vv", m.V_vv, n)
-    for t in range(n):
-        if V_ww[t] < 0.0:
-            raise ValidationError(f"V_ww({t}) must be >= 0")
-        if V_vv[t] < 0.0:
-            raise ValidationError(f"V_vv({t}) must be >= 0")
-        # PSD of the 2x2 joint noise covariance, with a rounding allowance.
-        if V_wv[t] ** 2 > V_ww[t] * V_vv[t] * (1.0 + 1e-12) + 1e-300:
-            raise ValidationError(
-                f"noise covariance at step {t} is not positive semidefinite"
-            )
-    if not (math.isfinite(m.c) and math.isfinite(m.d)):
-        raise ValidationError("c and d must be finite")
-    return MeasurementModel(c=float(m.c), d=float(m.d), V_ww=V_ww, V_wv=V_wv, V_vv=V_vv)
+        V_ww, V_wv, V_vv = self.at(t)
+        return np.array([[V_ww, V_wv], [V_wv, V_vv]])
 
 
 @dataclass(frozen=True, eq=False)

@@ -39,7 +39,6 @@ from .model import (
     SystemSchedule,
     ValidationError,
     VariancePrediction,
-    validate_measurement,
 )
 
 __all__ = [
@@ -277,28 +276,28 @@ def kalman_prefilter(s: SystemSchedule, m: MeasurementModel) -> KalmanPrefilter:
     covariance.  V_xixi(0) = V_xx0.  A zero innovation variance at any step
     is reported as an error.
     """
-    m = validate_measurement(m, s.T)
+    m.check_horizon(s.T)
     T = s.T
     c, d = m.c, m.d
     L = np.empty(T + 1)
     V = np.empty(T + 1)
     V_filt = np.empty(T + 1)
+    beta2 = np.empty(T)
     V[0] = s.V_xx0
     for t in range(T + 1):
-        innov = c * c * V[t] + d * d * m.V_vv[t]
+        V_vv = m.at(t)[2]
+        innov = c * c * V[t] + d * d * V_vv
         if innov <= 0.0:
             raise ValidationError(f"degenerate innovation variance at step {t}")
         L[t] = V[t] * c / innov
-        V_filt[t] = (1.0 - L[t] * c) ** 2 * V[t] + L[t] ** 2 * d * d * m.V_vv[t]
+        V_filt[t] = (1.0 - L[t] * c) ** 2 * V[t] + L[t] ** 2 * d * d * V_vv
+        if t > 0:
+            beta2[t - 1] = L[t] ** 2 * innov
         if t < T:
             a, b = s.a[t], s.b[t]
             noise = np.array([b, -a * L[t] * d])
             V[t + 1] = (a - a * L[t] * c) ** 2 * V[t] + noise @ m.noise_cov(t) @ noise
-    beta2 = np.empty(T)
-    for t in range(T):
-        innov_next = c * c * V[t + 1] + d * d * m.V_vv[t + 1]
-        beta2[t] = L[t + 1] ** 2 * innov_next
-    V_xbreve0 = L[0] ** 2 * (c**2 * s.V_xx0 + d**2 * m.V_vv[0])
+    V_xbreve0 = L[0] ** 2 * (c**2 * s.V_xx0 + d**2 * m.at(0)[2])
     return KalmanPrefilter(
         L=L, V_xixi=V, beta2=beta2, V_xixi_filt=V_filt, V_xbreve0=V_xbreve0
     )

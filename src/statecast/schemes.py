@@ -27,7 +27,6 @@ from .model import (
     SystemSchedule,
     ValidationError,
     VariancePrediction,
-    validate_measurement,
 )
 from . import recursions
 
@@ -113,8 +112,8 @@ def build_plan(
 ) -> RegimePlan:
     """Precompute predictions and per-step gains for a regime.
 
-    The measurement model is kept, and validated, only for the separation
-    regime; the other regimes observe x(t) itself and ignore it.
+    The measurement model is kept only for the separation regime; the other
+    regimes observe x(t) itself and ignore it.
     """
     check_regime_consistency(s, kind)
     T = s.T
@@ -127,8 +126,6 @@ def build_plan(
         measurement = None
     elif measurement is None:
         raise ValidationError("separation regime requires a measurement model")
-    else:
-        measurement = validate_measurement(measurement, T)
     prediction, kf = predictor(s, measurement, form)
 
     scale = np.zeros(T)

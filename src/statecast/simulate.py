@@ -70,7 +70,6 @@ from .model import (
     SystemSchedule,
     ValidationError,
     VariancePrediction,
-    validate_measurement,
 )
 from .schemes import (
     Recorder,
@@ -157,9 +156,10 @@ def _row(seed: int, stream: int, t: int, out: np.ndarray) -> np.ndarray:
 
 def _wv_factor(m: MeasurementModel, t: int) -> tuple[float, float, float]:
     """Cholesky factor (l11, l21, l22) of step t's (w, v) covariance."""
-    l11 = math.sqrt(m.V_ww[t])
-    l21 = m.V_wv[t] / l11 if l11 > 0.0 else 0.0
-    l22 = math.sqrt(max(m.V_vv[t] - l21 * l21, 0.0))
+    V_ww, V_wv, V_vv = m.at(t)
+    l11 = math.sqrt(V_ww)
+    l21 = V_wv / l11 if l11 > 0.0 else 0.0
+    l22 = math.sqrt(max(V_vv - l21 * l21, 0.0))
     return l11, l21, l22
 
 
@@ -169,7 +169,6 @@ def _step_rows(
     seed: int,
     t: int,
     out,
-    scratch: Optional[np.ndarray],
     zeros: np.ndarray,
 ) -> tuple:
     """Draw step t's scaled noise rows into ``out`` = (w, n, n_f[, v]) and
@@ -178,7 +177,7 @@ def _step_rows(
     Rows that carry no noise (n at t = 0, n_f where N_f(t) is 0 or +inf)
     are left untouched in ``out`` and read as ``zeros``; v is None without
     a measurement model, and (w, v) are otherwise drawn jointly with the
-    measurement-noise covariance, through the (M,) row ``scratch``.
+    measurement-noise covariance, through n's row, which n overwrites later.
     """
     w = _row(seed, _STREAM_W, t, out[0])
     v = None
@@ -186,7 +185,7 @@ def _step_rows(
         l11, l21, l22 = _wv_factor(m, t)
         v = _row(seed, _STREAM_V, t, out[3])
         v *= l22
-        v += np.multiply(w, l21, out=scratch)  # v = l21 e1 + l22 e2
+        v += np.multiply(w, l21, out=out[1])  # v = l21 e1 + l22 e2
         w *= l11
     n = n_f = zeros
     if t > 0:
@@ -226,11 +225,11 @@ def _helper_pool(trials: int) -> tuple:
     return _pool, helpers
 
 
-def _draw_block(s, m, seed, lo, slot, scratch, zeros) -> list:
+def _draw_block(s, m, seed, lo, slot, zeros) -> list:
     """The rows to read of steps lo, lo + 1, ..., drawn into ``slot``, the
     (steps, rows, M) part of the slab that holds one block."""
     hi = min(lo + len(slot), s.T)
-    return [_step_rows(s, m, seed, t, slot[t - lo], scratch, zeros) for t in range(lo, hi)]
+    return [_step_rows(s, m, seed, t, slot[t - lo], zeros) for t in range(lo, hi)]
 
 
 class _StreamedRows:
@@ -268,7 +267,6 @@ class _StreamedRows:
         self._pool, self._depth = pool, depth
         slots = 1 if pool is None else depth + 1
         self._slab = np.empty((slots, self._steps, 3 if m is None else 4, M))
-        self._scratch = [None] * slots if m is None else np.empty((slots, M))
         self._ahead = deque()  # futures of blocks _b + 1, _b + 2, ...
         self._drawn = {}  # blocks this thread took over from the queue
         self._b, self._block = -1, None
@@ -278,7 +276,7 @@ class _StreamedRows:
         """The arguments of ``_draw_block`` for block b."""
         k = b % len(self._slab)
         lo = b * self._steps
-        return self._s, self._m, self._seed, lo, self._slab[k], self._scratch[k], self._zeros
+        return self._s, self._m, self._seed, lo, self._slab[k], self._zeros
 
     def _take(self, b: int) -> list:
         """Block b's rows, after queueing blocks up to b + depth for the helpers."""
@@ -550,7 +548,7 @@ def exact_conditioning_oracle(
     if kind is RegimeKind.SEPARATION_OUTPUT_FEEDBACK:
         if measurement is None:
             raise ValidationError("separation regime requires a measurement model")
-        measurement = validate_measurement(measurement, s.T)
+        measurement.check_horizon(s.T)
 
     X, Y, Xh = _Unroller(s, kind, measurement, perturb).run()
     T = s.T

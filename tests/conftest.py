@@ -5,7 +5,7 @@ from typing import Optional
 import numpy as np
 import pytest
 
-from statecast import MeasurementModel, SystemSchedule, simulate, validate_measurement
+from statecast import MeasurementModel, SystemSchedule, simulate
 from statecast.schemes import Recorder
 
 
@@ -123,14 +123,14 @@ def keyed_streams(s, trials, seed, measurement=None):
     w, n, n_f = np.zeros((3, T, trials))
     v = None
     if measurement is not None:
-        m = validate_measurement(measurement, T)
         v = np.zeros((T, trials))
     for t in range(T):
         w[t] = unit(simulate._STREAM_W, t)
         if v is not None:
-            l11 = math.sqrt(m.V_ww[t])
-            l21 = m.V_wv[t] / l11 if l11 > 0.0 else 0.0
-            l22 = math.sqrt(max(m.V_vv[t] - l21 * l21, 0.0))
+            V_ww, V_wv, V_vv = measurement.at(t)
+            l11 = math.sqrt(V_ww)
+            l21 = V_wv / l11 if l11 > 0.0 else 0.0
+            l22 = math.sqrt(max(V_vv - l21 * l21, 0.0))
             v[t] = unit(simulate._STREAM_V, t) * l22 + w[t] * l21
             w[t] *= l11
         if t > 0:

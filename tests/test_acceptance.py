@@ -40,7 +40,6 @@ from statecast import (
     predict_separation,
     predict_state_estimate_fb,
     solve_state_estimate_fp,
-    validate_measurement,
 )
 from statecast.cli import main as cli_main
 from statecast.recursions import se_step
@@ -321,7 +320,6 @@ def test_criterion_07_quartic_fixed_point():
 
 
 def _independent_prefilter(s, m):
-    m = validate_measurement(m, s.T)
     c, d = m.c, m.d
     L = np.empty(s.T + 1)
     V = np.empty(s.T + 1)

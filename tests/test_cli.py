@@ -264,6 +264,31 @@ def test_residual_form_key_selects_recursion_variant(tmp_path):
     assert main(["run", str(cfg_bad)]) == EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize("entries", ["V_vv = -1", "V_ww = 1\nV_wv = 2\nV_vv = 1"])
+def test_measurement_section_is_ignored_outside_separation(tmp_path, command, entries):
+    # values the model would reject are never built into one outside the
+    # separation regime, so the artifact is the one without the section
+    plain = GOLDEN_DIR / "output_fb_compare.ini"
+    with_section = tmp_path / "m.ini"
+    with_section.write_text(plain.read_text() + f"\n[measurement]\nc = 1\nd = 1\n{entries}\n")
+    artifacts = []
+    for ini in (plain, with_section):
+        out = tmp_path / f"{len(artifacts)}.csv"
+        assert main([command, str(ini), "--trials", "500", "--output", str(out)]) == 0
+        artifacts.append(out.read_bytes())
+    assert artifacts[0] == artifacts[1]
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_zero_trials_is_one_line_validation_error(tmp_path, capsys, command):
+    ini = str(GOLDEN_DIR / "output_fb_compare.ini")
+    out = tmp_path / "out.csv"
+    assert main([command, ini, "--trials", "0", "--output", str(out)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: trials must be >= 1, got 0\n"
+    assert not out.exists()
+
+
 def test_regime_schedule_mismatch_is_validation_error(tmp_path):
     cfg = write_cfg(tmp_path, T=6, N_f=0.5, regime="no_feedback")
     assert main(["run", str(cfg)]) == EXIT_VALIDATION

@@ -20,11 +20,18 @@ def test_every_exported_name_resolves(name):
 
 @pytest.mark.parametrize(
     "module, name",
-    [("statecast", "NoiseStreams"), ("statecast.simulate", "NoiseStreams"), ("statecast.schemes", "ArrayRecorder")],
+    [
+        ("statecast", "NoiseStreams"),
+        ("statecast.simulate", "NoiseStreams"),
+        ("statecast.schemes", "ArrayRecorder"),
+        ("statecast", "validate_measurement"),
+        ("statecast.model", "validate_measurement"),
+    ],
 )
 def test_test_only_surface_stays_out_of_the_package(module, name):
-    # monte_carlo streams its rows through run_closed_loop's rows(t), and
-    # recorders that keep whole trajectories live with the tests
+    # monte_carlo streams its rows through run_closed_loop's rows(t),
+    # recorders that keep whole trajectories live with the tests, and a
+    # measurement model checks itself when built
     assert not hasattr(importlib.import_module(module), name)
 
 

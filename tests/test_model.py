@@ -7,10 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from statecast import (
+    McConfig,
     MeasurementModel,
+    RegimeKind,
     SystemSchedule,
     ValidationError,
-    validate_measurement,
+    build_plan,
+    exact_conditioning_oracle,
+    kalman_prefilter,
+    monte_carlo,
 )
 from statecast.model import constant_values
 
@@ -119,9 +124,62 @@ def test_constant_helpers():
 
 
 def test_measurement_validation():
-    m = validate_measurement(MeasurementModel(c=1, d=1, V_ww=1, V_wv=0, V_vv=1), T=3)
-    assert m.V_ww.shape == (4,)
+    # checked when built; scalars stay scalars until read at a step
+    m = MeasurementModel(c=1, d=1, V_ww=1, V_wv=0, V_vv=[1, 2, 3, 4])
+    assert (m.c, m.at(0), m.at(3)) == (1.0, (1.0, 0.0, 1.0), (1.0, 0.0, 4.0))
+    m.check_horizon(3)
     with pytest.raises(ValidationError, match="not positive semidefinite"):
-        validate_measurement(MeasurementModel(c=1, d=1, V_ww=1, V_wv=2, V_vv=1), T=3)
+        MeasurementModel(c=1, d=1, V_ww=1, V_wv=2, V_vv=1)
     with pytest.raises(ValidationError, match=r"V_vv\(0\)"):
-        validate_measurement(MeasurementModel(c=1, d=1, V_ww=1, V_wv=0, V_vv=-1), T=3)
+        MeasurementModel(c=1, d=1, V_ww=1, V_wv=0, V_vv=-1)
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        ({"V_ww": [1, 1, 1, -1]}, "V_ww(3) must be >= 0"),
+        ({"V_ww": [1, -1], "V_vv": [-1, 1]}, "V_vv(0) must be >= 0"),
+        ({"V_wv": [0, 0, 1.5], "V_vv": 2}, "noise covariance at step 2 is not positive semidefinite"),
+        ({"c": math.nan}, "c and d must be finite"),
+        ({"d": math.inf, "V_vv": -1}, "V_vv(0) must be >= 0"),
+        ({"V_ww": [1, 1, 1, 1], "V_vv": [1, 1, 1]}, "V_vv must be a scalar or a length-4 sequence, got shape (3,)"),
+        ({"V_wv": [[0.0]]}, "V_wv must be a scalar or a length-1 sequence, got shape (1, 1)"),
+    ],
+)
+def test_measurement_entry_errors_raise_when_built(entries, message):
+    with pytest.raises(ValidationError) as info:
+        MeasurementModel(**{"c": 1.0, "d": 1.0, **entries})
+    assert str(info.value) == message
+
+
+def test_measurement_horizon_mismatch_reads_no_entry(monkeypatch):
+    s = SystemSchedule(T=3, a=0.9, b=1.0, P=1.0, N=1.0, N_f=0.1, V_xx0=1.0)
+    m = MeasurementModel(c=1.0, d=1.0, V_ww=[1.0] * 5, V_vv=1.0)
+    m.check_horizon(4)
+
+    def no_reads(*args, **kwargs):
+        raise AssertionError("an entry was read")
+
+    sep = RegimeKind.SEPARATION_OUTPUT_FEEDBACK
+    monkeypatch.setattr(MeasurementModel, "at", no_reads)
+    for call in (
+        lambda: kalman_prefilter(s, m),
+        lambda: build_plan(s, sep, measurement=m),
+        lambda: monte_carlo(s, sep, McConfig(trials=8, seed=1), measurement=m),
+        lambda: exact_conditioning_oracle(s, sep, measurement=m),
+    ):
+        with pytest.raises(ValidationError) as info:
+            call()
+        assert str(info.value) == "V_ww must be a scalar or a length-4 sequence, got shape (5,)"
+    # the check reads shapes only: no entry is converted or copied
+    asarray = np.asarray
+
+    def uncopied(value, dtype=None):
+        assert asarray(value, dtype=dtype) is value, "an entry was copied"
+        return value
+
+    monkeypatch.setattr(np, "asarray", uncopied)
+    monkeypatch.setattr(np, "array", no_reads)
+    monkeypatch.setattr(np, "full", no_reads)
+    with pytest.raises(ValidationError, match=r"length-6 sequence, got shape \(5,\)"):
+        m.check_horizon(5)

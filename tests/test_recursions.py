@@ -23,7 +23,6 @@ from statecast import (
     predict_separation,
     predict_state_estimate_fb,
     solve_state_estimate_fp,
-    validate_measurement,
 )
 from statecast.recursions import nhat_variance, ntilde_variance, se_step
 
@@ -418,7 +417,6 @@ def test_prefilter_degenerate_innovation_raises():
 def _joint_conditioning_kf(s, m):
     """Independent re-derivation: per-step joint-Gaussian conditioning of
     (error, innovation), then explicit error-dynamics variance propagation."""
-    m = validate_measurement(m, s.T)
     T, c, d = s.T, m.c, m.d
     L = np.empty(T + 1)
     V = np.empty(T + 1)
@@ -456,7 +454,7 @@ def test_prefilter_matches_predictor_form_riccati(rng):
     # classic predictor-form update, valid for uncorrelated (w, v)
     for _ in range(50):
         s = random_schedule(rng, time_varying=True)
-        m = validate_measurement(random_measurement(rng, s.T, correlated=False), s.T)
+        m = random_measurement(rng, s.T, correlated=False)
         kf = kalman_prefilter(s, m)
         V = s.V_xx0
         for t in range(s.T):
@@ -493,7 +491,7 @@ def test_separation_never_beats_full_state_measurement(rng):
     # full-state baseline with matched process noise b*sqrt(V_ww)
     for _ in range(30):
         s = random_schedule(rng, nf=float(rng.choice([0.0, 0.3, 2.0])))
-        m = validate_measurement(random_measurement(rng, s.T, correlated=False), s.T)
+        m = random_measurement(rng, s.T, correlated=False)
         full = SystemSchedule(
             T=s.T,
             a=s.a,

@@ -359,37 +359,85 @@ def test_helper_exception_comes_out_unchanged(monkeypatch):
     assert helper_raised.is_set()
 
 
+def _counted(counts: dict, key: str, fn):
+    def counted(*args, **kwargs):
+        counts[key] += 1
+        return fn(*args, **kwargs)
+
+    return counted
+
+
 def _count_checks(monkeypatch) -> dict:
-    """{"schedules": schedules built, "measurements": ``validate_measurement``
-    calls from every statecast module that imports it}, counted from now on."""
-    counts = {"schedules": 0, "measurements": 0}
-    post_init = SystemSchedule.__post_init__
-    check = sys.modules["statecast.model"].validate_measurement
-
-    def counted_post_init(self):
-        counts["schedules"] += 1
-        post_init(self)
-
-    def counted_check(*args, **kwargs):
-        counts["measurements"] += 1
-        return check(*args, **kwargs)
-
-    monkeypatch.setattr(SystemSchedule, "__post_init__", counted_post_init)
+    """{"schedules": schedules built, "measurements": measurement models
+    built, "pairings": ``check_regime_consistency`` calls from every
+    statecast module that imports it}, counted from now on.  Each build is
+    the one check of that input's entries."""
+    counts = {"schedules": 0, "measurements": 0, "pairings": 0}
+    for cls, key in ((SystemSchedule, "schedules"), (MeasurementModel, "measurements")):
+        monkeypatch.setattr(cls, "__post_init__", _counted(counts, key, cls.__post_init__))
+    check = sys.modules["statecast.schemes"].check_regime_consistency
     for mod_name, mod in list(sys.modules.items()):
-        if mod_name.startswith("statecast") and getattr(mod, "validate_measurement", None) is check:
-            monkeypatch.setattr(mod, "validate_measurement", counted_check)
+        if mod_name.startswith("statecast") and getattr(mod, "check_regime_consistency", None) is check:
+            monkeypatch.setattr(mod, "check_regime_consistency", _counted(counts, "pairings", check))
     return counts
 
 
 def test_separation_monte_carlo_checks_each_input_once_per_stage(monkeypatch):
-    # the schedule checked itself when built; separation_total builds the
-    # filtered-estimate chain, and build_plan and kalman_prefilter each
-    # check the measurement
+    # the schedule and the model checked themselves when built;
+    # separation_total builds the filtered-estimate chain, and nothing
+    # checks the model's entries again
     s = _streamed_case(0.5)
+    small = SystemSchedule(T=8, a=0.9, b=1.0, P=1.0, N=1.0, N_f=0.1, V_xx0=1.0)
     m = MeasurementModel(c=0.8, d=0.6, V_ww=1.2, V_wv=0.5, V_vv=0.9)
     counts = _count_checks(monkeypatch)
     monte_carlo(s, RegimeKind.SEPARATION_OUTPUT_FEEDBACK, McConfig(trials=8, seed=3), measurement=m)
-    assert counts == {"schedules": 1, "measurements": 2}
+    assert counts == {"schedules": 1, "measurements": 0, "pairings": 1}
+    exact_conditioning_oracle(small, RegimeKind.SEPARATION_OUTPUT_FEEDBACK, measurement=m)
+    assert counts == {"schedules": 1, "measurements": 0, "pairings": 2}
+
+
+_SEPARATION_INI = """
+[schedule]
+T = 8
+a = 0.9
+b = 1.0
+P = 1.0
+N = 1.0
+N_f = 0.1
+V_xx0 = 1.0
+
+[measurement]
+c = 0.8
+d = 0.6
+V_ww = 1.2
+V_wv = 0.5
+V_vv = 0.9
+
+[experiment]
+mode = simulate
+regime = separation_output_feedback
+trials = 8
+seed = 3
+output = out.csv
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, pairings",
+    [(["run", "--set", "experiment.mode=oracle"], 1), (["compare"], 2)],
+    ids=["oracle", "compare"],
+)
+def test_cli_separation_checks_the_model_once(tmp_path, monkeypatch, argv, pairings):
+    # the model is built, and so checked, once by parse_config; oracle mode
+    # leaves the pairing check to the oracle, and compare's two library
+    # entry points each check their own inputs
+    from statecast.cli import main
+
+    ini = tmp_path / "sep.ini"
+    ini.write_text(_SEPARATION_INI)
+    counts = _count_checks(monkeypatch)
+    assert main([argv[0], str(ini), *argv[1:], "--output", str(tmp_path / "out.csv")]) == 0
+    assert counts == {"schedules": 2, "measurements": 1, "pairings": pairings}
 
 
 @pytest.mark.parametrize("nf", [0.0, 0.5])
@@ -406,7 +454,7 @@ def test_output_feedback_paths_build_no_schedule(monkeypatch, nf):
     exact_conditioning_oracle(s, kind)
     for check in STATIONARITY_CHECKS.values():
         check(s, "proof")
-    assert counts == {"schedules": 0, "measurements": 0}
+    assert counts == {"schedules": 0, "measurements": 0, "pairings": 3}
 
 
 _THREAD_PROBE = textwrap.dedent(
