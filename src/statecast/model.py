@@ -138,6 +138,9 @@ class MeasurementModel:
                 raise ValidationError(f"V_ww({t}) must be >= 0")
             if V_vv < 0.0:
                 raise ValidationError(f"V_vv({t}) must be >= 0")
+            for name, v in zip(_COV, (V_ww, V_wv, V_vv)):
+                if not math.isfinite(v):
+                    raise ValidationError(f"{name}({t}) must be finite")
             # PSD of the 2x2 joint noise covariance, with a rounding allowance.
             if V_wv * V_wv > V_ww * V_vv * (1.0 + 1e-12) + 1e-300:
                 raise ValidationError(

@@ -98,6 +98,16 @@ def ntilde_variance(N: float, N_f: float) -> float:
     return N * N_f / (N + N_f)
 
 
+def _sq(x: float) -> float:
+    """x ** 2 of a Python float as numpy's float64 scalar computes it: by
+    libm's pow, whose result a product x * x does not always match, and as
+    inf, not an ``OverflowError``, past the largest double."""
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf
+
+
 def _finite_prediction(sigma2, vbar, mse) -> VariancePrediction:
     """The prediction, or a ``ValidationError`` naming the first step whose
     mse overflowed to inf or became NaN (as it does when any term does)."""
@@ -125,14 +135,15 @@ def predict_output_fb(s: SystemSchedule) -> VariancePrediction:
     that overflows; no ``RuntimeWarning`` escapes.
     """
     T = s.T
+    a_, b_, P_, N_, N_f_ = (seq.tolist() for seq in (s.a, s.b, s.P, s.N, s.N_f))
     sigma2 = np.empty(T)
     vbar = np.empty(T)
     vbar[0] = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        vss, vsx, vxx = 0.0, 0.0, s.a[0] ** 2 * s.V_xx0 + s.b[0] ** 2
+        vss, vsx, vxx = 0.0, 0.0, _sq(a_[0]) * s.V_xx0 + _sq(b_[0])
         sigma2[0] = vss - 2.0 * vsx + vxx
         for t in range(1, T):
-            a, b, P, N, N_f = s.a[t], s.b[t], s.P[t], s.N[t], s.N_f[t]
+            a, b, P, N, N_f = a_[t], b_[t], P_[t], N_[t], N_f_[t]
             K = gains(a, P, N, sigma2[t - 1]).K
             A = np.array([[a * N / (P + N), a * P / (P + N)], [0.0, a]])
             m = A @ np.array([[vss, vsx], [vsx, vxx]]) @ A.T
@@ -156,7 +167,7 @@ def predict_output_fb(s: SystemSchedule) -> VariancePrediction:
                     f"sigma2 = {sig:.6g}"
                 )
             sigma2[t] = sig
-            vbar[t] = a**2 * vbar[t - 1] + K**2 * ntilde_variance(N, N_f)
+            vbar[t] = _sq(a) * vbar[t - 1] + _sq(K) * ntilde_variance(N, N_f)
         mse = sigma2 + vbar
     return _finite_prediction(sigma2, vbar, mse)
 
@@ -170,12 +181,13 @@ def predict_noiseless_fb(s: SystemSchedule) -> VariancePrediction:
     is a ``ValidationError`` naming its step.
     """
     T = s.T
+    a, b, P, N = (seq.tolist() for seq in (s.a, s.b, s.P, s.N))
     sigma2 = np.empty(T)
     with np.errstate(over="ignore", invalid="ignore"):
-        sigma2[0] = s.a[0] ** 2 * s.V_xx0 + s.b[0] ** 2
+        sigma2[0] = _sq(a[0]) * s.V_xx0 + _sq(b[0])
         for t in range(1, T):
-            ratio = s.N[t] / (s.N[t] + s.P[t])
-            sigma2[t] = ratio * s.a[t] ** 2 * sigma2[t - 1] + s.b[t] ** 2
+            ratio = N[t] / (N[t] + P[t])
+            sigma2[t] = ratio * _sq(a[t]) * sigma2[t - 1] + _sq(b[t])
     return _finite_prediction(sigma2, np.zeros(T), sigma2.copy())
 
 
@@ -278,6 +290,7 @@ def kalman_prefilter(s: SystemSchedule, m: MeasurementModel) -> KalmanPrefilter:
     """
     m.check_horizon(s.T)
     T = s.T
+    a_, b_ = s.a.tolist(), s.b.tolist()
     c, d = m.c, m.d
     L = np.empty(T + 1)
     V = np.empty(T + 1)
@@ -294,7 +307,7 @@ def kalman_prefilter(s: SystemSchedule, m: MeasurementModel) -> KalmanPrefilter:
         if t > 0:
             beta2[t - 1] = L[t] ** 2 * innov
         if t < T:
-            a, b = s.a[t], s.b[t]
+            a, b = a_[t], b_[t]
             noise = np.array([b, -a * L[t] * d])
             V[t + 1] = (a - a * L[t] * c) ** 2 * V[t] + noise @ m.noise_cov(t) @ noise
     V_xbreve0 = L[0] ** 2 * (c**2 * s.V_xx0 + d**2 * m.at(0)[2])

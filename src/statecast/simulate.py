@@ -11,17 +11,25 @@ Normal deviates come from numpy's ziggurat sampler (``standard_normal``);
 golden files are tied to the numpy release documented in the README.
 
 ``monte_carlo`` draws step t's rows inside the closed loop, so its memory
-is O(M): a fixed number of (M,) rows, allocated once per run, with nothing
-allocated per step.  Rows come in blocks of ceil(2**16 / M) steps, drawn
-in place into one slab with a slot per block in flight, and the closed
-loop keeps its signals in preallocated rows too.  From M = 4096 trials on,
-helper threads, one fewer than the usable CPUs (none with one CPU), draw
-the next blocks while the loop runs the current one; numpy releases the
-GIL both in the sampler and in the (M,)-wide arithmetic of the loop.  When
-the loop catches up with the helpers, it draws the queued blocks they have
-not started itself.  Narrower rows are drawn inline, because setting up
-each row's generator holds the GIL longer than sampling it releases it.
-The results do not depend on the number of helpers, and nothing sets it.
+is O(M) with a small constant and nothing is allocated per step.  A run
+holds at most 10 (M,) rows, allocated once: the loop's signals (see
+``run_closed_loop``) and the recorder's squares.  The noise goes through
+one slab of fixed size.  It holds blocks of about ``_BLOCK_ELEMENTS`` =
+32768 trial-steps: ceil(32768 / M) whole steps for small M, otherwise one
+of floor(M / 32768) equal slices of a step's trials, one slot per block in
+flight, so it never holds more than (helpers + 3) slots x 5 rows x 65535
+values: 10.5 MB on 2 CPUs whatever M is, 5.3 MB at M = 1e5.  The loop
+makes every update that reads noise slice by slice, and a row's slices
+come from its one keyed generator in trial order, so they hold the bytes
+of the whole row.  From M = 4096 trials on, helper threads, one fewer than
+the usable CPUs (none with one CPU), draw the next blocks while the loop
+runs the current one; numpy releases the GIL both in the sampler and in
+the arithmetic of the loop.  Each block is drawn stream by stream, and
+when the loop catches up with the helpers, it draws the queued streams
+they have not started itself.  Narrower rows are drawn inline, because
+setting up each row's generator holds the GIL longer than sampling it
+releases it.  The results do not depend on the number of helpers, and
+nothing sets it.
 
 Aggregation sums each per-step statistic over the trial axis with numpy's
 pairwise reduction, whose order is fixed by the array shape, so identical
@@ -104,9 +112,14 @@ ORACLE_HORIZON_MAX = 12
 # past outputs' covariance in the oracle.
 _PINV_RCOND = 1e-12
 
-# Trial-steps per block of rows that a helper thread draws ahead: a block is
-# ceil(_BLOCK_ELEMENTS / M) steps, so small M hands over many steps at once.
-_BLOCK_ELEMENTS = 1 << 16
+# Trial-steps per block of rows drawn at once: ceil(_BLOCK_ELEMENTS / M)
+# whole steps for small M, one of floor(M / _BLOCK_ELEMENTS) equal slices
+# of a step's trials for large M, so the slab does not grow with M.  The
+# closed loop runs its noise-reading updates slice by slice, and slices of
+# 16K-64K trials suit it best: on 2 CPUs at M = 1e5 its output-feedback
+# step took 1463 us on whole rows, 1270-1319 us in such slices and 1323 us
+# in slices of 8K.
+_BLOCK_ELEMENTS = 1 << 15
 # Fewest trials for which helpers draw ahead.  A narrower row spends more of
 # its time setting up its generator under the GIL than sampling outside it,
 # so a helper mostly contends with the loop for the GIL: on 2 CPUs, drawing
@@ -144,14 +157,35 @@ class McConfig:
             raise ValidationError(f"trials must be >= 1, got {self.trials}")
 
 
-def _row(seed: int, stream: int, t: int, out: np.ndarray) -> np.ndarray:
-    """Fill ``out`` with unit normals keyed by (seed, stream, t), entry i
-    belonging to trial i, and return it."""
+def _generator(seed: int, stream: int, t: int) -> Generator:
+    """The generator of the unit normals keyed by (seed, stream, t)."""
     key = np.array(
         [np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64((stream << 48) | t)],
         dtype=np.uint64,
     )
-    return Generator(Philox(key=key)).standard_normal(out=out)
+    return Generator(Philox(key=key))
+
+
+def _row(seed: int, stream: int, t: int, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` with unit normals keyed by (seed, stream, t), entry i
+    belonging to trial i, and return it."""
+    return _generator(seed, stream, t).standard_normal(out=out)
+
+
+def _slice(gens: dict, seed: int, stream: int, t: int, lo: int, hi: int, M: int, out):
+    """Fill ``out`` with entries lo..hi-1 of the M unit normals keyed by
+    (seed, stream, t), and return it.
+
+    A row's slices come from one generator advanced in trial order, so they
+    hold the bytes of the whole row drawn at once: the slice at lo = 0 makes
+    the generator, and every slice but the last leaves it in ``gens`` for
+    the next one.
+    """
+    gen = gens.pop((stream, t)) if lo else _generator(seed, stream, t)
+    gen.standard_normal(out=out)
+    if hi < M:
+        gens[stream, t] = gen
+    return out
 
 
 def _wv_factor(m: MeasurementModel, t: int) -> tuple[float, float, float]:
@@ -163,38 +197,37 @@ def _wv_factor(m: MeasurementModel, t: int) -> tuple[float, float, float]:
     return l11, l21, l22
 
 
-def _step_rows(
-    s: SystemSchedule,
-    m: Optional[MeasurementModel],
-    seed: int,
-    t: int,
-    out,
-    zeros: np.ndarray,
-) -> tuple:
-    """Draw step t's scaled noise rows into ``out`` = (w, n, n_f[, v]) and
-    return the rows to read, (w, n, n_f, v).
+def _streams_drawn(s: SystemSchedule) -> list:
+    """The streams each step t draws: w at every step, n from t = 1 on and
+    n_f where 0 < N_f(t) < inf.  A row that a step does not draw reads as
+    zeros."""
+    W, N, NF = _STREAM_W, _STREAM_N, _STREAM_NF
+    return [(W,)] + [(W, N, NF) if 0.0 < nf < math.inf else (W, N) for nf in s.N_f.tolist()[1:]]
 
-    Rows that carry no noise (n at t = 0, n_f where N_f(t) is 0 or +inf)
-    are left untouched in ``out`` and read as ``zeros``; v is None without
-    a measurement model, and (w, v) are otherwise drawn jointly with the
-    measurement-noise covariance, through n's row, which n overwrites later.
+
+def _draw(s, m, seed, stream, drawn, t0, t1, lo, hi, M, slot, gens) -> None:
+    """Draw ``stream``'s scaled rows of steps t0..t1-1, trials lo..hi-1, into
+    row ``stream - 1`` of each step of ``slot``, the (steps, rows, width)
+    part of the slab that holds one block, skipping the steps whose
+    ``drawn`` streams leave it out.
+
+    With a measurement model, w comes with v (row 3): (w, v) are drawn
+    jointly with the measurement-noise covariance, through the slot's last
+    row, which no other stream writes.
     """
-    w = _row(seed, _STREAM_W, t, out[0])
-    v = None
-    if m is not None:
-        l11, l21, l22 = _wv_factor(m, t)
-        v = _row(seed, _STREAM_V, t, out[3])
-        v *= l22
-        v += np.multiply(w, l21, out=out[1])  # v = l21 e1 + l22 e2
-        w *= l11
-    n = n_f = zeros
-    if t > 0:
-        n = _row(seed, _STREAM_N, t, out[1])
-        n *= math.sqrt(s.N[t])
-        if 0.0 < s.N_f[t] < math.inf:
-            n_f = _row(seed, _STREAM_NF, t, out[2])
-            n_f *= math.sqrt(s.N_f[t])
-    return w, n, n_f, v
+    for t in range(t0, t1):
+        if stream not in drawn[t]:
+            continue
+        rows = slot[t - t0, :, : hi - lo]
+        row = _slice(gens, seed, stream, t, lo, hi, M, rows[stream - 1])
+        if stream != _STREAM_W:
+            row *= math.sqrt((s.N if stream == _STREAM_N else s.N_f)[t])
+        elif m is not None:
+            l11, l21, l22 = _wv_factor(m, t)
+            v = _slice(gens, seed, _STREAM_V, t, lo, hi, M, rows[_STREAM_V - 1])
+            v *= l22
+            v += np.multiply(row, l21, out=rows[-1])  # v = l21 e1 + l22 e2
+            row *= l11
 
 
 _pool_lock = threading.Lock()
@@ -225,24 +258,85 @@ def _helper_pool(trials: int) -> tuple:
     return _pool, helpers
 
 
-def _draw_block(s, m, seed, lo, slot, zeros) -> list:
-    """The rows to read of steps lo, lo + 1, ..., drawn into ``slot``, the
-    (steps, rows, M) part of the slab that holds one block."""
-    hi = min(lo + len(slot), s.T)
-    return [_step_rows(s, m, seed, t, slot[t - lo], zeros) for t in range(lo, hi)]
+class _Draw:
+    """One stream's rows of one block (``_draw``'s arguments), drawn once,
+    by a helper or by the loop's thread.
+
+    The draw of a block that continues a step's rows past their first
+    slice needs the generators the previous slice left, so it runs
+    ``after`` the same stream's draw in the block before.  If that one drew
+    nothing (it raised or was abandoned), neither does this one: the run
+    has failed or stopped before it reads this block.
+    """
+
+    __slots__ = ("job", "after", "busy", "ok")
+
+    def __init__(self, job: tuple, after: Optional["_Draw"]):
+        self.job, self.after = job, after
+        self.busy = threading.Lock()  # held until this draw is over
+        self.busy.acquire()
+        self.ok = False  # the rows are drawn
+
+    def ready(self) -> bool:
+        """Whether this draw can start without waiting."""
+        return self.after is None or not self.after.busy.locked()
+
+    def run(self) -> None:
+        try:
+            after = self.after
+            if after is not None:
+                with after.busy:  # wait until it is over
+                    pass
+            if after is None or after.ok:
+                _draw(*self.job)
+                self.ok = True
+        finally:
+            self.busy.release()
+
+
+def _abandon(pending: deque) -> None:
+    """End the draws left in ``pending`` without drawing them."""
+    while True:
+        try:
+            pending.popleft().busy.release()
+        except IndexError:
+            return
+
+
+def _drain(pending: deque) -> None:
+    """Run the draws in ``pending``, taking each off it first, until none
+    is left; another thread may be taking draws off it too.  If a draw
+    raises, the ones left are abandoned, so no later draw waits on them."""
+    try:
+        while True:
+            try:
+                draw = pending.popleft()
+            except IndexError:
+                return
+            draw.run()
+    except BaseException:
+        _abandon(pending)
+        raise
 
 
 class _StreamedRows:
     """The noise rows of one Monte Carlo run, drawn as the closed loop needs them.
 
-    ``step`` is the ``rows`` of ``run_closed_loop``, which reads the rows
-    of step t only during step t, and after those of every earlier step.
+    ``step`` is the ``rows`` of ``run_closed_loop``.  Rows are drawn in
+    blocks of about ``_BLOCK_ELEMENTS`` trial-steps: ceil(_BLOCK_ELEMENTS /
+    M) whole steps when M is at most _BLOCK_ELEMENTS, otherwise one of
+    floor(M / _BLOCK_ELEMENTS) equal slices of one step's trials (the last
+    may be shorter), so a block holds fewer than 2 * _BLOCK_ELEMENTS
+    trial-steps whatever M is.  Each block is drawn stream by stream: w
+    (with v in the separation regime), n and n_f are separate draws, and
+    a stream's slices of one step are drawn in trial order.
+
     While the loop runs block b, the helpers draw blocks b+1 .. b+depth.
     When the loop reaches a block that a helper is still drawing, this
-    thread draws the queued blocks no helper has started instead of
-    waiting, so a slow or starved helper costs at most the block it holds.
-    An exception raised in a helper comes out of the read that needs its
-    block, unchanged.
+    thread draws queued draws that no helper has started, and whose slice
+    before is drawn, instead of waiting, so a slow or starved helper costs
+    at most the draws it holds.  An exception raised in a helper comes out
+    of the read that needs its block, unchanged.
 
     Every block is drawn into slot b % slots of one slab allocated here, one
     slot per block in flight: depth + 1 with helpers, 1 without.  Block
@@ -260,53 +354,95 @@ class _StreamedRows:
         depth: int,
     ):
         M = cfg.trials
-        self._s, self._m, self._seed = s, m, cfg.seed
-        self._zeros = np.zeros(M)
-        self._steps = min(-(-_BLOCK_ELEMENTS // M), s.T)
-        self._blocks = -(-s.T // self._steps)
+        self._s, self._m, self._seed, self._M = s, m, cfg.seed, M
+        self._width = -(-M // max(M // _BLOCK_ELEMENTS, 1))  # trials per slice
+        self._slices = -(-M // self._width)  # slices per step
+        self._steps = min(-(-_BLOCK_ELEMENTS // M), s.T)  # steps per block
+        self._blocks = -(-s.T // self._steps) * self._slices
+        self._drawn = _streams_drawn(s)
         self._pool, self._depth = pool, depth
         slots = 1 if pool is None else depth + 1
-        self._slab = np.empty((slots, self._steps, 3 if m is None else 4, M))
-        self._ahead = deque()  # futures of blocks _b + 1, _b + 2, ...
-        self._drawn = {}  # blocks this thread took over from the queue
+        # rows w, n, n_f and, with a measurement model, v and the (w, v) scratch
+        self._slab = np.empty((slots, self._steps, 3 if m is None else 5, self._width))
+        self._zeros = np.zeros(self._width)
+        self._gens = {}  # generators of rows drawn up to a slice, by (stream, t)
+        self._ahead = deque()  # (draws not yet taken, helper's job) of blocks _b + 1, ...
+        self._last = {}  # each stream's draw in the last block made
         self._b, self._block = -1, None
-        self.x0 = math.sqrt(s.V_xx0) * _row(cfg.seed, _STREAM_X0, 0, np.empty(M))
 
-    def _job(self, b: int) -> tuple:
-        """The arguments of ``_draw_block`` for block b."""
-        k = b % len(self._slab)
-        lo = b * self._steps
-        return self._s, self._m, self._seed, lo, self._slab[k], self._zeros
+    def _span(self, b: int) -> tuple:
+        """(t0, t1, lo, hi): block b holds steps t0..t1-1 of trials lo..hi-1."""
+        group, k = divmod(b, self._slices)
+        t0, lo = group * self._steps, k * self._width
+        return t0, min(t0 + self._steps, self._s.T), lo, min(lo + self._width, self._M)
+
+    def _draws(self, b: int) -> list:
+        """The draws of block b, one per stream that its steps draw; blocks
+        are made in order."""
+        t0, t1, lo, hi = span = self._span(b)
+        slot = self._slab[b % len(self._slab)]
+        drawn = self._drawn
+        streams = drawn[t0] if t1 == t0 + 1 else sorted(set().union(*drawn[t0:t1]))
+        draws = []
+        for stream in streams:
+            job = (self._s, self._m, self._seed, stream, drawn, *span, self._M, slot, self._gens)
+            draw = _Draw(job, self._last[stream] if lo else None)
+            self._last[stream] = draw
+            draws.append(draw)
+        return draws
+
+    def _rows(self, b: int) -> list:
+        """The rows (w, n, n_f, v) to read of each step of block b."""
+        t0, t1, lo, hi = self._span(b)
+        slot = self._slab[b % len(self._slab), :, :, : hi - lo]
+        zeros = self._zeros[: hi - lo]
+        rows = []
+        for t in range(t0, t1):
+            w, n, n_f, v = slot[t - t0, :4] if self._m is not None else (*slot[t - t0], None)
+            drawn = self._drawn[t]
+            rows.append((w, n if t else zeros, n_f if _STREAM_NF in drawn else zeros, v))
+        return rows
 
     def _take(self, b: int) -> list:
         """Block b's rows, after queueing blocks up to b + depth for the helpers."""
         ahead = self._ahead
-        fut = ahead.popleft() if ahead else None
+        pending, fut = ahead.popleft() if ahead else (deque(self._draws(b)), None)
         while self._pool is not None and len(ahead) < self._depth and b + 1 + len(ahead) < self._blocks:
-            ahead.append(self._pool.submit(_draw_block, *self._job(b + 1 + len(ahead))))
-        if b in self._drawn:
-            return self._drawn.pop(b)
-        if fut is None or fut.cancel():
-            return _draw_block(*self._job(b))
-        for k, later in enumerate(ahead):
-            if fut.done():
-                break
-            if b + 1 + k not in self._drawn and later.cancel():
-                self._drawn[b + 1 + k] = _draw_block(*self._job(b + 1 + k))
-        return fut.result()
+            later = deque(self._draws(b + 1 + len(ahead)))
+            ahead.append((later, self._pool.submit(_drain, later)))
+        _drain(pending)
+        if fut is not None and not fut.cancel():
+            # a helper is still drawing this block: run the queued blocks'
+            # draws that can start now instead of waiting
+            for later, _ in ahead:
+                while not fut.done():
+                    try:
+                        draw = later.popleft()
+                    except IndexError:
+                        break
+                    if not draw.ready():
+                        later.appendleft(draw)
+                        break
+                    draw.run()
+            fut.result()
+        return self._rows(b)
 
-    def step(self, t: int) -> tuple:
-        """Rows (w, n, n_f, v) of step t; their slot is reused once the loop
-        has moved on to a later block."""
-        b, i = divmod(t, self._steps)
-        if b != self._b:
-            self._block, self._b = self._take(b), b
-        return self._block[i]
+    def step(self, t: int):
+        """Step t's rows (w, n, n_f, v), slice by slice in trial order; a
+        slice's slot is reused once the loop has moved on to a later block."""
+        group, i = divmod(t, self._steps)
+        for b in range(group * self._slices, (group + 1) * self._slices):
+            if b != self._b:
+                self._block, self._b = self._take(b), b
+            yield self._block[i]
 
     def close(self) -> None:
-        """Cancel the blocks no helper has started (the loop stopped early)."""
-        while self._ahead:
-            self._ahead.popleft().cancel()
+        """Cancel the blocks no helper has started (the loop stopped early)
+        and abandon their draws, so no helper waits on them."""
+        for pending, fut in self._ahead:
+            if fut.cancel():
+                _abandon(pending)
+        self._ahead.clear()
 
 
 class _MomentRecorder(Recorder):
@@ -393,8 +529,10 @@ def monte_carlo(
     # Two blocks queued beyond those the helpers hold: one for this thread to
     # take over while it would wait, one for the next helper that comes free.
     rows = _StreamedRows(plan.schedule, plan.measurement, cfg, pool, helpers + 2)
+    x = _row(cfg.seed, _STREAM_X0, 0, np.empty(M))  # x(0), which the loop updates in place
+    x *= math.sqrt(s.V_xx0)
     try:
-        run_closed_loop(plan, rows.x0, rows.step, rec)
+        run_closed_loop(plan, x, rows.step, rec)
     finally:
         rows.close()
 

@@ -103,8 +103,9 @@ class Streams:
     v: Optional[np.ndarray] = None
 
     def rows(self, t):
-        """Step t's rows (w, n, n_f, v), the ``rows`` of ``run_closed_loop``."""
-        return self.w[t], self.n[t], self.n_f[t], None if self.v is None else self.v[t]
+        """Step t's rows (w, n, n_f, v) as one slice of all trials, the
+        ``rows`` of ``run_closed_loop``."""
+        return [(self.w[t], self.n[t], self.n_f[t], None if self.v is None else self.v[t])]
 
     def column(self, trial):
         """Width-1 streams holding trajectory ``trial``."""

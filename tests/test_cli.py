@@ -234,6 +234,19 @@ def test_compare_sweep_rejects_the_separation_regime(tmp_path, capsys):
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize("entry, message", [("V_ww = nan", "V_ww(0)"), ("V_ww = inf\nV_vv = 1", "V_ww(0)"),
+                                            ("V_wv = nan\nV_vv = 1", "V_wv(0)"), ("V_vv = nan", "V_vv(0)")])
+def test_non_finite_measurement_entry_is_one_line_error(tmp_path, capsys, entry, message):
+    # named where it was set, not as the filtered-estimate chain's b(0)
+    cfg = write_cfg(
+        tmp_path, T=4, a=0.9, N_f=0.5, regime="separation_output_feedback", mode="simulate",
+        extra=f"trials = 10\nseed = 1\n\n[measurement]\nc = 1\nd = 1\n{entry}\n",
+    )
+    assert main(["run", str(cfg)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: {message} must be finite\n"
+    assert not (tmp_path / "out.csv").exists()
+
+
 @pytest.mark.parametrize("value, shown", [("-0.5", "-0.5"), ("nan", "nan")])
 def test_compare_sweep_rejects_a_bad_N_f_naming_the_sweep(tmp_path, capsys, value, shown):
     cfg = write_cfg(

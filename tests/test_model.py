@@ -144,6 +144,10 @@ def test_measurement_validation():
         ({"d": math.inf, "V_vv": -1}, "V_vv(0) must be >= 0"),
         ({"V_ww": [1, 1, 1, 1], "V_vv": [1, 1, 1]}, "V_vv must be a scalar or a length-4 sequence, got shape (3,)"),
         ({"V_wv": [[0.0]]}, "V_wv must be a scalar or a length-1 sequence, got shape (1, 1)"),
+        ({"V_ww": math.nan}, "V_ww(0) must be finite"),
+        ({"V_vv": [1, math.nan]}, "V_vv(1) must be finite"),
+        ({"V_wv": [0, 0, math.nan], "V_vv": 1}, "V_wv(2) must be finite"),
+        ({"V_ww": math.inf, "V_vv": 1}, "V_ww(0) must be finite"),
     ],
 )
 def test_measurement_entry_errors_raise_when_built(entries, message):

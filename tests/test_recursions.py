@@ -246,6 +246,26 @@ def test_noiseless_divergence_at_capacity():
     assert p.sigma2[-1] > 300.0
 
 
+@pytest.mark.parametrize(
+    "predict, message",
+    [
+        (predict_output_fb, "covariance of (s, x) at step 1 is not finite and PSD: "
+                            "V_ss = inf, V_sx = inf, V_xx = inf, sigma2 = nan"),
+        (predict_noiseless_fb, "predicted mse at step 0 is not finite"),
+    ],
+    ids=["output_fb", "noiseless"],
+)
+def test_squares_past_the_largest_double_are_inf_not_an_error(predict, message):
+    # the predictors square the schedule as Python floats: a(0)^2 = 1e400
+    # is inf, as it was for a numpy scalar, not an OverflowError
+    s = SystemSchedule(T=4, a=1e200, b=1.0, P=1.0, N=1.0, N_f=0.5, V_xx0=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError) as info:
+            predict(s)
+    assert str(info.value) == message
+
+
 def _unguarded(s, step, first, second=0.0):
     """Plain iteration of a scalar predictor's step, overflow left in."""
     out = [(first, second)]

@@ -20,7 +20,7 @@ def _loop(plan, streams):
     """The recorder of ``plan``'s closed loop over ``streams``: every signal
     is a (T, trials) array, one trajectory per column."""
     rec = ArrayRecorder()
-    run_closed_loop(plan, streams.x0, streams.rows, rec)
+    run_closed_loop(plan, streams.x0.copy(), streams.rows, rec)
     return rec
 
 
@@ -70,24 +70,29 @@ def _hand_run(kind, x0=1.0, w=(0.5, -0.3, 0.2, 0.1), **gains):
 @pytest.mark.parametrize("kind", list(RegimeKind), ids=lambda kind: kind.value)
 def test_closed_loop_asks_for_each_steps_rows_once_in_order(kind):
     # the contract monte_carlo's reused row slots rely on: step t's rows are
-    # asked for once, after every earlier step's, and read only during
-    # step t, so rows overwritten with NaN once the next step asks for its
-    # own leave the trajectory unchanged
-    streams = _hand_streams(kind)
+    # asked for once, after every earlier step's, as slices in trial order,
+    # and a slice is read only until the next one (or the end of the step)
+    # is asked for, so slices overwritten with NaN from then on leave every
+    # trajectory unchanged
+    plan = _hand_plan(kind)
+    s, trials, width = plan.schedule, 7, 3
+    streams = keyed_streams(s, trials, 41, plan.measurement)
     calls = []
 
     def rows(t):
-        if calls:
-            for row in streams.rows(calls[-1]):
-                row[:] = math.nan
         calls.append(t)
-        return streams.rows(t)
+        (whole,) = streams.rows(t)
+        for lo in range(0, trials, width):
+            part = tuple(None if row is None else row[lo : lo + width] for row in whole)
+            yield part
+            for row in part:
+                if row is not None:
+                    row[:] = math.nan
 
-    plan = _hand_plan(kind)
     rec = ArrayRecorder()
-    run_closed_loop(plan, streams.x0, rows, rec)
-    assert calls == list(range(plan.schedule.T))
-    ref = _loop(plan, _hand_streams(kind))
+    run_closed_loop(plan, streams.x0.copy(), rows, rec)
+    assert calls == list(range(s.T))
+    ref = _loop(plan, keyed_streams(s, trials, 41, plan.measurement))
     for field in ("x", "z", "y", "y_f", "xhat", "sq_err"):
         assert np.array_equal(getattr(rec, field), getattr(ref, field)), field
 

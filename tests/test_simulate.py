@@ -226,7 +226,7 @@ STREAMED_CASES = [
     ),
 ]
 STREAMED_IDS = [kind.value for kind, _, _ in STREAMED_CASES]
-# 500 trials: one block, drawn inline; 20000: blocks of 4 steps, drawn ahead.
+# 500 trials: one block, drawn inline; 20000: blocks of 2 steps, drawn ahead.
 STREAMED_TRIALS = (500, 20_000)
 
 
@@ -240,7 +240,7 @@ def _materialized_summary(s, kind, cfg, m):
     rec = simulate._MomentRecorder()
     plan = build_plan(s, kind, measurement=m)
     streams = keyed_streams(s, cfg.trials, cfg.seed, m)
-    run_closed_loop(plan, streams.x0, streams.rows, rec)
+    run_closed_loop(plan, streams.x0.copy(), streams.rows, rec)
     mse, se = simulate._mean_se(rec.s2_err, rec.s4_err, cfg.trials)
     zpow = rec.s2_z / cfg.trials
     zpow[-1] = np.nan
@@ -264,16 +264,23 @@ def test_streamed_rows_match_materialized_streams(kind, nf, m, trials):
 
 @pytest.mark.parametrize("kind, nf, m", STREAMED_CASES, ids=STREAMED_IDS)
 def test_streamed_rows_are_the_keyed_reference_rows(kind, nf, m):
-    # the rows the loop reads, block by block, have the bytes of rows drawn
-    # one by one under their (seed, stream, t) keys
+    # the slices the loop reads, block by block, join into rows with the
+    # bytes of rows drawn whole under their (seed, stream, t) keys, whether
+    # a block holds two whole steps, exactly one, the widest single slice,
+    # or one of three slices of a step, the last of them shorter
     plan = build_plan(_streamed_case(nf), kind, measurement=m)
-    cfg = McConfig(trials=20_000, seed=609)
-    rows = simulate._StreamedRows(plan.schedule, plan.measurement, cfg, None, 0)
-    ref = keyed_streams(plan.schedule, cfg.trials, cfg.seed, plan.measurement)
-    assert rows.x0.tobytes() == ref.x0.tobytes()
-    for t in range(T_STREAMED):
-        got = [None if row is None else row.tobytes() for row in rows.step(t)]
-        assert got == [None if row is None else row.tobytes() for row in ref.rows(t)], t
+    width = simulate._BLOCK_ELEMENTS
+    for trials in (width - 1, width, width + 1, 2 * width - 1, 3 * width + 7):
+        cfg = McConfig(trials=trials, seed=609)
+        rows = simulate._StreamedRows(plan.schedule, plan.measurement, cfg, None, 0)
+        ref = keyed_streams(plan.schedule, trials, cfg.seed, plan.measurement)
+        for t in range(T_STREAMED):
+            # a slice's bytes are copied before the next one is asked for
+            got = [[None if row is None else row.tobytes() for row in part] for part in rows.step(t)]
+            assert len(got) == max(trials // width, 1), (trials, t)
+            joined = [None if parts[0] is None else b"".join(parts) for parts in zip(*got)]
+            (whole,) = ref.rows(t)
+            assert joined == [None if row is None else row.tobytes() for row in whole], (trials, t)
 
 
 @pytest.mark.parametrize("cpus, trials", [(1, 20_000), (None, 500)], ids=["one_cpu", "few_trials"])
@@ -293,10 +300,11 @@ def test_rows_drawn_inline_create_no_pool(monkeypatch, cpus, trials):
 @pytest.mark.parametrize("kind, nf, m", STREAMED_CASES, ids=STREAMED_IDS)
 def test_many_helpers_and_fast_switching_keep_the_bytes(monkeypatch, kind, nf, m):
     # more helpers than CPUs and a tiny switch interval interleave the
-    # helpers' blocks and this thread's take-overs as much as possible,
-    # and every slot of the slab is reused several times
+    # helpers' draws and this thread's take-overs as much as possible,
+    # every slot of the slab is reused several times, and each step's rows
+    # are drawn in two slices, the second one shorter
     s = _streamed_case(nf)
-    cfg = McConfig(trials=1 << 16, seed=608)  # one step per block
+    cfg = McConfig(trials=2 * simulate._BLOCK_ELEMENTS + 5, seed=608)
     monkeypatch.setattr(simulate, "_pool", None)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(6)), raising=False)
     interval = sys.getswitchinterval()
@@ -548,3 +556,32 @@ def test_monte_carlo_page_faults_do_not_grow_with_the_horizon(fault_counts, regi
     row_pages = 65536 * 8 // fault_counts["page"]
     faults = fault_counts["faults"]
     assert faults[f"{regime} 120"] <= faults[f"{regime} 30"] + row_pages, faults
+
+
+_RSS_PROBE = textwrap.dedent(
+    """
+    import json, resource
+    import statecast as sc
+    m = sc.MeasurementModel(c=0.8, d=0.6, V_ww=1.2, V_wv=0.5, V_vv=0.9)
+    s = sc.SystemSchedule(T=20, a=0.9, b=1.0, P=1.0, N=1.0, N_f=0.5, V_xx0=1.0)
+    kind = sc.RegimeKind.SEPARATION_OUTPUT_FEEDBACK
+    # a narrow threaded run first, so that the helpers and every code path
+    # exist before the peak is read
+    sc.monte_carlo(s, kind, sc.McConfig(trials=8192, seed=1), measurement=m)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    sc.monte_carlo(s, kind, sc.McConfig(trials=1 << 18, seed=2), measurement=m)
+    after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    print(json.dumps({"kib": after - before}))
+    """
+)
+
+
+def test_monte_carlo_holds_a_fixed_number_of_full_rows():
+    # separation holds the most (trials,) rows: the loop's 9 (x, x(t+1),
+    # xhat, z, y, y_f, a scratch row, the tracker and xb) and the
+    # recorder's squares, plus a slab of fixed size for the noise, about
+    # 12.5 rows of 2**18 trials in all; drawing whole steps ahead held 29
+    if not sys.platform.startswith("linux"):
+        pytest.skip("reads ru_maxrss in KiB, as Linux reports it")
+    row_kib = (1 << 18) * 8 // 1024
+    assert _probe(_RSS_PROBE)["kib"] <= 14 * row_kib
