@@ -45,16 +45,24 @@ Any other line, a duplicate key or section, and a line before the first
 header is a one-line ``malformed config: <path> line <n>: ...`` error.
 
 Flags override file keys (``--set section.key=value``).  Exit codes:
-0 success, 1 I/O failure, 2 validation error (including a malformed
-config, a value that does not parse as a number and a file that is not
-UTF-8), 3 stationarity mode reported an unbounded system.
+0 success, 1 I/O or memory failure, 2 validation error (including a
+malformed config, a value that does not parse as a number and a file that
+is not UTF-8), 3 stationarity mode reported an unbounded system.
+
+Importing this module and parsing a config load only ``statecast.model``
+(and numpy).  Each mode imports the modules it runs when it runs, each with
+what it imports itself (``recursions`` in every case):
+
+* predict: ``schemes``;
+* stationarity: ``stationarity`` and ``schemes``;
+* the ``compare`` sweep: ``stationarity``;
+* simulate, oracle and ``compare``: ``simulate`` (with ``schemes`` and
+  ``numpy.random``).
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
-import json
 import re
 import sys
 from dataclasses import dataclass, replace
@@ -63,21 +71,15 @@ from typing import Optional
 import numpy as np
 
 from .model import (
+    SIGBAR_FORMS,
+    McConfig,
     MeasurementModel,
+    RegimeKind,
     SystemSchedule,
     ValidationError,
-)
-from .schemes import PREDICTORS, RegimeKind, check_regime_consistency
-from .simulate import (
-    CSV_HEADER,
-    McConfig,
-    ORACLE_HORIZON_MAX,
     csv_table,
-    exact_conditioning_oracle,
     format_float,
-    monte_carlo,
 )
-from . import recursions, stationarity
 
 __all__ = ["ExperimentSpec", "parse_config", "run", "compare", "main"]
 
@@ -271,8 +273,8 @@ def parse_config(path: str, overrides: Optional[dict] = None) -> ExperimentSpec:
         raise ValidationError(f"regime must be one of: {names}; got {regime_name!r}")
     output = _require(exp, "output", "experiment").strip()
     form = exp.get("form", "proof").strip().lower()
-    if form not in recursions.SIGBAR_FORMS:
-        raise ValidationError(f"form must be one of {recursions.SIGBAR_FORMS}")
+    if form not in SIGBAR_FORMS:
+        raise ValidationError(f"form must be one of {SIGBAR_FORMS}")
 
     mc = None
     if mode == "simulate":
@@ -307,6 +309,8 @@ def parse_config(path: str, overrides: Optional[dict] = None) -> ExperimentSpec:
 
 def _prediction(spec: ExperimentSpec):
     """The prediction of a spec whose regime pairing has been checked."""
+    from .schemes import PREDICTORS
+
     return PREDICTORS[spec.regime](spec.schedule, spec.measurement, spec.form)[0]
 
 
@@ -315,6 +319,8 @@ def _predict_csv(pred) -> str:
 
 
 def _oracle_csv(spec: ExperimentSpec) -> str:
+    from .simulate import exact_conditioning_oracle
+
     res = exact_conditioning_oracle(
         spec.schedule, spec.regime, measurement=spec.measurement
     )
@@ -323,13 +329,17 @@ def _oracle_csv(spec: ExperimentSpec) -> str:
 
 
 def _stationarity_check(regime: RegimeKind):
-    check = stationarity.STATIONARITY_CHECKS.get(regime)
+    from .stationarity import STATIONARITY_CHECKS
+
+    check = STATIONARITY_CHECKS.get(regime)
     if check is None:
         raise ValidationError(f"stationarity mode does not support regime {regime.value}")
     return check
 
 
 def _stationarity_report(spec: ExperimentSpec):
+    from .schemes import check_regime_consistency
+
     check_regime_consistency(spec.schedule, spec.regime)
     return _stationarity_check(spec.regime)(spec.schedule, spec.form)
 
@@ -342,10 +352,14 @@ def _write(path: str, text: str) -> None:
 def run(spec: ExperimentSpec) -> int:
     """Run the configured mode, write its artifact, return the exit code."""
     if spec.mode == "predict":
+        from .schemes import check_regime_consistency
+
         check_regime_consistency(spec.schedule, spec.regime)
         _write(spec.output, _predict_csv(_prediction(spec)))
         return EXIT_OK
     if spec.mode == "simulate":
+        from .simulate import monte_carlo
+
         summary = monte_carlo(
             spec.schedule,
             spec.regime,
@@ -358,6 +372,8 @@ def run(spec: ExperimentSpec) -> int:
     if spec.mode == "oracle":
         _write(spec.output, _oracle_csv(spec))
         return EXIT_OK
+    import json
+
     report = _stationarity_report(spec)
     _write(
         spec.output,
@@ -403,6 +419,8 @@ def compare(spec: ExperimentSpec) -> int:
         return EXIT_OK
     if spec.mode != "simulate":
         raise ValidationError("compare requires mode = simulate")
+    from .simulate import CSV_HEADER, ORACLE_HORIZON_MAX, exact_conditioning_oracle, monte_carlo
+
     summary = monte_carlo(
         spec.schedule,
         spec.regime,
@@ -435,12 +453,15 @@ def compare(spec: ExperimentSpec) -> int:
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The ``statecast`` parser, built on first use and reused by every call.
+def _parser():
+    """The ``statecast`` ``argparse.ArgumentParser``, built on first use and
+    reused by every call.
 
     Reuse is safe: parsing leaves the parser unchanged, and argparse copies
     the ``--set`` default list before appending to it.
     """
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="statecast",
         description="Run channel-communication experiments from a config file.",
@@ -491,6 +512,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_VALIDATION
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except MemoryError as exc:  # numpy's names the allocation; a bare one is empty
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_IO
 
 

@@ -1,5 +1,8 @@
-"""Domain types shared by every regime: parameter schedules and the
-measurement model, which check themselves when built, and prediction series.
+"""Domain types shared by every regime: parameter schedules, the
+measurement model and the Monte Carlo configuration, which check themselves
+when built, the regime and residual-form names, prediction series and the
+CSV number format.  Parsing a config needs this module alone, so it imports
+no other part of the package.
 
 Time convention used throughout the package
 -------------------------------------------
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from enum import Enum
 from typing import Optional, Union
 
 import numpy as np
@@ -38,6 +42,22 @@ class ValidationError(ValueError):
     The message names the first violated constraint, including the step
     index for per-step constraints (e.g. ``"P(0) must be > 0"``).
     """
+
+
+class RegimeKind(Enum):
+    OUTPUT_FEEDBACK = "output_feedback"
+    NO_FEEDBACK = "no_feedback"
+    NOISELESS_FEEDBACK = "noiseless_feedback"
+    STATE_ESTIMATE_FEEDBACK = "state_estimate_feedback"
+    SEPARATION_OUTPUT_FEEDBACK = "separation_output_feedback"
+
+
+#: The residual recursions of state-estimate feedback (see ``recursions``).
+SIGBAR_FORMS = ("proof", "stated")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _as_series(name: str, value, T: int) -> np.ndarray:
@@ -75,7 +95,7 @@ class SystemSchedule:
 
     def __post_init__(self):
         T = self.T
-        if not isinstance(T, (int, np.integer)) or isinstance(T, bool) or T < 1:
+        if not _is_int(T) or T < 1:
             raise ValidationError(f"T must be a positive integer, got {T!r}")
         T = int(T)
         series = {name: np.full(T, _as_series(name, getattr(self, name), T))
@@ -186,3 +206,40 @@ class VariancePrediction:
         if not (len(self.sigma2) == len(self.vbar) == len(self.mse)):
             raise ValidationError("prediction series must share one length")
 
+
+@dataclass(frozen=True)
+class McConfig:
+    """Monte Carlo run configuration, checked when it is built.
+
+    ``seed`` keys the noise streams as one unsigned 64-bit word, so it must
+    lie in [0, 2**64): no two accepted seeds draw the same noise.
+    """
+
+    trials: int
+    seed: int
+
+    def __post_init__(self):
+        if not _is_int(self.trials):
+            raise ValidationError(f"trials must be an integer, got {self.trials!r}")
+        if self.trials < 1:
+            raise ValidationError(f"trials must be >= 1, got {self.trials}")
+        if not _is_int(self.seed) or not 0 <= self.seed < 1 << 64:
+            raise ValidationError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
+        # Python ints: a numpy integer would wrap in the run's block arithmetic.
+        object.__setattr__(self, "trials", int(self.trials))
+        object.__setattr__(self, "seed", int(self.seed))
+
+
+def format_float(x: float) -> str:
+    """17 significant digits: enough to round-trip any double exactly."""
+    return f"{x:.17g}"
+
+
+def csv_table(header: str, columns, footer=()) -> str:
+    """CSV text: the ``header`` line, then for t = 1, 2, ... a row of t and
+    each column's entry t-1 in ``format_float``, then the ``footer`` lines."""
+    rows = zip(*(col.tolist() for col in columns))
+    lines = [header]
+    lines += [",".join([str(t), *map(format_float, row)]) for t, row in enumerate(rows, 1)]
+    lines += footer
+    return "\n".join(lines) + "\n"

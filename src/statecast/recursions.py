@@ -35,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
+    SIGBAR_FORMS,
     MeasurementModel,
     SystemSchedule,
     ValidationError,
@@ -55,8 +56,6 @@ __all__ = [
     "separation_total",
     "SIGBAR_FORMS",
 ]
-
-SIGBAR_FORMS = ("proof", "stated")
 
 
 @dataclass(frozen=True)

@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Optional
 
 import numpy as np
 
 from .model import (
     MeasurementModel,
+    RegimeKind,
     SystemSchedule,
     ValidationError,
     VariancePrediction,
@@ -39,14 +39,6 @@ __all__ = [
     "check_regime_consistency",
     "run_closed_loop",
 ]
-
-
-class RegimeKind(Enum):
-    OUTPUT_FEEDBACK = "output_feedback"
-    NO_FEEDBACK = "no_feedback"
-    NOISELESS_FEEDBACK = "noiseless_feedback"
-    STATE_ESTIMATE_FEEDBACK = "state_estimate_feedback"
-    SEPARATION_OUTPUT_FEEDBACK = "separation_output_feedback"
 
 
 #: Each regime's variance predictor: ``PREDICTORS[kind](s, measurement, form)``

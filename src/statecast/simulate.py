@@ -74,14 +74,17 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .model import (
+    McConfig,
     MeasurementModel,
+    RegimeKind,
     SystemSchedule,
     ValidationError,
     VariancePrediction,
+    csv_table,
+    format_float,
 )
 from .schemes import (
     Recorder,
-    RegimeKind,
     build_plan,
     check_regime_consistency,
     run_closed_loop,
@@ -130,39 +133,10 @@ _THREADED_TRIALS = 1 << 12
 CSV_HEADER = "t,pred_sigma2,pred_vbar,pred_mse,emp_mse,emp_se,emp_zpow"
 
 
-def format_float(x: float) -> str:
-    """17 significant digits: enough to round-trip any double exactly."""
-    return f"{x:.17g}"
-
-
-def csv_table(header: str, columns, footer=()) -> str:
-    """CSV text: the ``header`` line, then for t = 1, 2, ... a row of t and
-    each column's entry t-1 in ``format_float``, then the ``footer`` lines."""
-    rows = zip(*(col.tolist() for col in columns))
-    lines = [header]
-    lines += [",".join([str(t), *map(format_float, row)]) for t, row in enumerate(rows, 1)]
-    lines += footer
-    return "\n".join(lines) + "\n"
-
-
-@dataclass(frozen=True)
-class McConfig:
-    """Monte Carlo run configuration, checked when it is built."""
-
-    trials: int
-    seed: int
-
-    def __post_init__(self):
-        if self.trials < 1:
-            raise ValidationError(f"trials must be >= 1, got {self.trials}")
-
-
 def _generator(seed: int, stream: int, t: int) -> Generator:
-    """The generator of the unit normals keyed by (seed, stream, t)."""
-    key = np.array(
-        [np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64((stream << 48) | t)],
-        dtype=np.uint64,
-    )
+    """The generator of the unit normals keyed by (seed, stream, t); the seed
+    is in [0, 2**64), as ``McConfig`` checks."""
+    key = np.array([np.uint64(seed), np.uint64((stream << 48) | t)], dtype=np.uint64)
     return Generator(Philox(key=key))
 
 

@@ -25,9 +25,8 @@ import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .model import SystemSchedule, ValidationError, constant_values
-from .recursions import SIGBAR_FORMS, ntilde_variance, se_step
-from .schemes import RegimeKind
+from .model import SIGBAR_FORMS, RegimeKind, SystemSchedule, ValidationError, constant_values
+from .recursions import ntilde_variance, se_step
 
 __all__ = [
     "STATIONARITY_CHECKS",

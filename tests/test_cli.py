@@ -302,6 +302,40 @@ def test_zero_trials_is_one_line_validation_error(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "seed", ["18446744073709551617", "-18446744073709551615", "18446744073709551616", "-1"]
+)
+def test_seed_outside_64_bits_is_one_line_validation_error(tmp_path, capsys, seed):
+    # the noise is keyed by a 64-bit word, so such a seed would alias another
+    ini = str(GOLDEN_DIR / "output_fb_compare.ini")
+    out = tmp_path / "out.csv"
+    assert main(["run", ini, "--seed", seed, "--output", str(out)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: seed must be an integer in [0, 2**64), got {seed}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_allocation_failure_is_one_line_io_error(tmp_path, capsys, command):
+    # a row of 2**59 trials needs 4 EiB, past any 64-bit address space, so
+    # its allocation fails before any memory is touched
+    ini = str(GOLDEN_DIR / "output_fb_compare.ini")
+    out = tmp_path / "out.csv"
+    assert main([command, ini, "--trials", str(2**59), "--output", str(out)]) == cli.EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "4.00 EiB" in err and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+def test_bare_memory_error_still_names_the_failure(tmp_path, capsys, monkeypatch):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("statecast.simulate.monte_carlo", out_of_memory)
+    ini = str(GOLDEN_DIR / "output_fb_compare.ini")
+    assert main(["run", ini, "--output", str(tmp_path / "out.csv")]) == cli.EXIT_IO
+    assert capsys.readouterr().err == "error: out of memory\n"
+
+
 def test_regime_schedule_mismatch_is_validation_error(tmp_path):
     cfg = write_cfg(tmp_path, T=6, N_f=0.5, regime="no_feedback")
     assert main(["run", str(cfg)]) == EXIT_VALIDATION
@@ -416,6 +450,43 @@ def test_import_leaves_configparser_out():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
     assert proc.stdout.strip() == "False"
+
+
+_COLD_START_PROBE = """
+import sys
+import statecast
+from statecast import cli
+sim_ini, stat_ini, out = sys.argv[1:]
+cli.parse_config(sim_ini)
+parsed = sorted(sys.modules)
+code = cli.main(["run", stat_ini, "--output", out])
+loaded = sorted(sys.modules)
+import json
+print(json.dumps({"parsed": parsed, "stationarity": loaded, "code": code}))
+"""
+# Modules a config parse does not need: the package's other modules, numpy's
+# sampler, and the CLI's argument and JSON handling.
+_NOT_FOR_PARSING = (
+    "statecast.simulate", "statecast.schemes", "statecast.recursions",
+    "statecast.stationarity", "numpy.random", "argparse", "json",
+)
+
+
+def test_parsing_and_stationarity_mode_load_only_what_they_run(tmp_path):
+    stat_ini = write_cfg(tmp_path, T=2, a=0.9, N_f=0.1, regime="output_feedback",
+                         mode="stationarity", output=str(tmp_path / "r.json"))
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_START_PROBE, str(GOLDEN_DIR / "noiseless_sim.ini"),
+         str(stat_ini), str(tmp_path / "r.json")],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    probe = json.loads(proc.stdout.splitlines()[-1])
+    assert probe["code"] == 0 and (tmp_path / "r.json").exists()
+    assert [m for m in _NOT_FOR_PARSING if m in probe["parsed"]] == []
+    assert [m for m in ("statecast.simulate", "numpy.random") if m in probe["stationarity"]] == []
 
 
 _HEAD = "[schedule]\nT = 2\na = 0.5\nb = 1\nP = 1\nN = 1\nN_f = 0\nV_xx0 = 1\n"

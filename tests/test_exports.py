@@ -1,5 +1,9 @@
 import importlib
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -33,6 +37,35 @@ def test_test_only_surface_stays_out_of_the_package(module, name):
     # recorders that keep whole trajectories live with the tests, and a
     # measurement model checks itself when built
     assert not hasattr(importlib.import_module(module), name)
+
+
+_LAZY_PROBE = """
+import importlib, sys
+import statecast
+loaded = sorted(m for m in sys.modules if m.startswith("statecast"))
+listed = sorted(set(statecast.__all__) - set(dir(statecast)))
+lazy = {name: getattr(statecast, name) for name in statecast.__all__}
+lazy_simulate = statecast.simulate
+mods = {m: importlib.import_module(f"statecast.{m}") for m in %r}
+# every module that holds a public name of any module holds one object under
+# it, the one the package gives for its own names
+names = set(lazy).union(*(mod.__all__ for mod in mods.values()))
+differ = [f"{m}.{n}" for n in sorted(names) for m, mod in mods.items()
+          if hasattr(mod, n) and getattr(mod, n) is not lazy.setdefault(n, getattr(mod, n))]
+import json
+print(json.dumps({"loaded": loaded, "listed": listed, "differ": differ,
+                  "simulate": lazy_simulate is mods["simulate"]}))
+""" % (SUBMODULES,)
+
+
+def test_bare_import_loads_nothing_and_names_resolve_to_their_modules():
+    env = dict(os.environ)
+    src = str(Path(importlib.import_module("statecast").__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", _LAZY_PROBE], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    probe = json.loads(proc.stdout.splitlines()[-1])
+    assert probe == {"loaded": ["statecast"], "listed": [], "differ": [], "simulate": True}
 
 
 def _section(heading: str) -> str:

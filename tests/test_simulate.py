@@ -112,6 +112,33 @@ def test_mc_config_validation():
         McConfig(trials=0, seed=1)
 
 
+@pytest.mark.parametrize(
+    "trials, seed, message",
+    [
+        (1, -1, r"^seed must be an integer in \[0, 2\*\*64\), got -1$"),
+        (1, 2**64, r"^seed must be an integer in \[0, 2\*\*64\), got 18446744073709551616$"),
+        (1, 2**64 + 1, r"^seed must be an integer in \[0, 2\*\*64\), got 18446744073709551617$"),
+        (1, np.int64(-3), r"^seed must be an integer in \[0, 2\*\*64\), got "),
+        (1, 1.0, r"^seed must be an integer in \[0, 2\*\*64\), got 1.0$"),
+        (1, True, r"^seed must be an integer in \[0, 2\*\*64\), got True$"),
+        (2.0, 1, r"^trials must be an integer, got 2.0$"),
+        (True, 1, r"^trials must be an integer, got True$"),
+    ],
+)
+def test_mc_config_rejects_aliasing_seeds_and_non_integers(trials, seed, message):
+    # the noise is keyed by the seed as one 64-bit word, so a seed outside
+    # [0, 2**64) would draw another seed's noise
+    with pytest.raises(ValidationError, match=message):
+        McConfig(trials=trials, seed=seed)
+
+
+def test_mc_config_accepts_the_64_bit_range_as_python_ints():
+    for seed in (0, 2**64 - 1, np.uint64(2**64 - 1), np.int64(7)):
+        cfg = McConfig(trials=np.int32(3), seed=seed)
+        assert (cfg.trials, cfg.seed) == (3, int(seed))
+        assert type(cfg.trials) is int and type(cfg.seed) is int
+
+
 def test_monte_carlo_matches_prediction_all_regimes(rng):
     cfg = McConfig(trials=20_000, seed=7)
     m = MeasurementModel(c=1.0, d=0.5, V_ww=1.0, V_wv=0.0, V_vv=1.0)
