@@ -182,36 +182,30 @@ class Recorder:
         pass
 
 
-def run_closed_loop(plan: RegimePlan, x0, rows, recorder: Recorder) -> None:
+def run_closed_loop(plan: RegimePlan, x0, rows, recorder: Recorder, work) -> None:
     """Run the regime's filters over sampled noise.
 
     ``x0`` holds the initial states x(0); the loop takes it over as its
     state row, so it is overwritten.  ``rows(t)`` returns step t's
-    already-scaled noise rows (w, n, n_f, v) as an iterable of slices that
-    cover the trials in order: each slice is a tuple of equally long arrays
-    for the next trials.  n_f is zero where N_f is 0 or +inf, and v, read
-    only in the separation regime, is jointly drawn with w.  ``rows`` is
-    called once per step, for t = 0, 1, ..., T-1 in order; the loop reads a
-    slice only until it asks for the next one (or for the end of the step)
-    and never writes it, so a source may reuse a slice's memory from then
-    on.  x0 and every signal handed to ``recorder`` are (trials,) arrays,
-    one trajectory per entry.  The signals live in (trials,) buffers
-    allocated once per call and updated in place: 8 rows counting x0 (x,
-    x(t+1), xhat, z, y, y_f, a scratch row and the tracker), 9 in the
-    separation regime (plus the pre-filter's) and under state-estimate
-    feedback (xcheck and a second scratch row in place of the tracker).  A
-    hook's arguments are therefore valid only during the hook (see
-    ``Recorder``); the fed-back output of a step without feedback is a
-    read-only row of zeros.  Gains are read from the plan (index t-1 holds
-    step t): scale, K, rho, no_feedback and, for state-estimate feedback, g
-    and c1.
+    already-scaled noise rows (w, n, n_f, v), each as long as x0: n_f is
+    zero where N_f is 0 or +inf, and v, read only in the separation regime,
+    is jointly drawn with w.  ``rows`` is called once per step, for
+    t = 0, 1, ..., T-1 in order, and the rows it returns are read only
+    during step t and never written, so a source may reuse their memory
+    once step t + 1 has asked for its own.  x0 and every signal handed to
+    ``recorder`` are (trials,) arrays, one trajectory per entry.
 
-    Each step t = 1..T-1 has three parts: the ``error`` hook on whole rows;
-    one pass over step t's slices that makes every update reading noise
-    (the pre-filter, z, y, y_f and nhat, the tracker, x(t+1) into a second
-    state row and, for state-estimate feedback, xcheck(t+1)); then the
-    ``transmit`` hook on whole rows, the decoder update and the rest.  A
-    hook sees whole rows, so the recorder's reductions keep their order.
+    The other signals live in the rows of ``work``, an (8, trials) array
+    that the caller allocates, and are updated in place: xhat, z, y, y_f, a
+    scratch row and the tracker, plus the pre-filter's row in the separation
+    regime; under state-estimate feedback xcheck, x(t+1) and a second
+    scratch row take the tracker's place.  A hook's arguments are therefore
+    valid only during the hook (see ``Recorder``); the fed-back output of a
+    step without feedback is a read-only row of zeros.  ``monte_carlo``
+    passes one array to the runs of all its leaves: allocating these rows
+    in each run instead raised mc_wide's peak RSS by about 0.5 MB.  Gains
+    are read from the plan (index t-1 holds step t): scale, K, rho,
+    no_feedback and, for state-estimate feedback, g and c1.
 
     Every regime shares the plant x(t+1) = a x(t) + b w(t), the channel
     y(t) = z(t) + n(t) and the decoder xhat(t+1) = a xhat(t) + K(t) y(t),
@@ -242,8 +236,9 @@ def run_closed_loop(plan: RegimePlan, x0, rows, recorder: Recorder) -> None:
     files: nhat is formed as rho * (y_f - z) = rho * ((z + n + n_f) - z),
     not rho * (n + n_f).  The in-place updates keep the association of the
     formulas above; at most the two operands of a product or a sum swap,
-    which leaves every IEEE result unchanged.  Slicing changes no result:
-    every element sees the same operations in the same order.
+    which leaves every IEEE result unchanged.  Every trajectory sees the
+    same operations whatever the width, so running the loop over parts of
+    the trials changes no result.
     """
     s = plan.schedule
     T = s.T
@@ -253,56 +248,46 @@ def run_closed_loop(plan: RegimePlan, x0, rows, recorder: Recorder) -> None:
     recorder.start(T, width)
     error, transmit = recorder.error, recorder.transmit
     x = x0
-    x_next, xhat, z, y, y_f, tmp = np.zeros((6, width))  # xhat(1) = +0.0
+    xhat, z, y, y_f, tmp = work[:5]
+    xhat.fill(0.0)  # xhat(1) = +0.0
     m = plan.measurement
+
+    w, _, _, v = rows(0)
     if m is not None:
         L = plan.prefilter.L.tolist()
-        xb = np.empty(width)  # the pre-filter's prediction, then its estimate
-
-    lo = 0
-    for w, _, _, v in rows(0):
-        hi = lo + len(w)
-        xs, ts = x[lo:hi], tmp[lo:hi]
-        if m is not None:
-            xbs = np.multiply(xs, m.c, out=xb[lo:hi])
-            xbs += np.multiply(v, m.d, out=ts)
-            xbs *= L[0]
-            xbs *= a[0]  # a (L (c x0 + d v(0)))
-        xs *= a[0]
-        xs += np.multiply(w, b[0], out=ts)  # x(1) = a x0 + b w(0)
-        lo = hi
+        xb = work[6]  # the pre-filter's prediction, then its estimate
+        np.multiply(x, m.c, out=xb)
+        xb += np.multiply(v, m.d, out=tmp)
+        xb *= L[0]
+        xb *= a[0]  # a (L (c x0 + d v(0)))
+    x *= a[0]
+    x += np.multiply(w, b[0], out=tmp)  # x(1) = a x0 + b w(0)
 
     if plan.kind is RegimeKind.STATE_ESTIMATE_FEEDBACK:
         g, c1 = plan.g.tolist(), plan.c1.tolist()
-        xck, tmp2 = np.empty((2, width))
+        xck, x_next, tmp2 = work[5:]
         xck[:] = x
         np.multiply(x, scale[0], out=z)
         for t in range(1, T):
             error(t, np.subtract(x, xhat, out=tmp))
+            w, n, n_f, _ = rows(t)
             i = t - 1
-            lo = 0
-            for w, n, n_f, _ in rows(t):
-                hi = lo + len(w)
-                xs, xns, yfs, ts = x[lo:hi], x_next[lo:hi], y_f[lo:hi], tmp[lo:hi]
-                np.add(z[lo:hi], n, out=y[lo:hi])
-                np.add(xhat[lo:hi], n_f, out=yfs)
-                np.multiply(xs, a[t], out=xns)
-                xns += np.multiply(w, b[t], out=ts)  # a x + b w
-                if t < T - 1:
-                    # xck = c1 xck + (x_next - a x) + g ((x - xck) - y_f)
-                    xcks, t2s = xck[lo:hi], tmp2[lo:hi]
-                    np.subtract(xns, np.multiply(xs, a[t], out=ts), out=ts)
-                    np.subtract(xs, xcks, out=t2s)
-                    t2s -= yfs
-                    t2s *= g[i]
-                    xcks *= c1[i]
-                    xcks += ts
-                    xcks += t2s
-                lo = hi
+            np.add(z, n, out=y)
+            np.add(xhat, n_f, out=y_f)
             transmit(t, x, z, y, y_f, xhat)
             xhat *= a[t]
             xhat += np.multiply(y, K[i], out=tmp)  # a xhat + K y
+            np.multiply(x, a[t], out=x_next)
+            x_next += np.multiply(w, b[t], out=tmp)  # a x + b w
             if t < T - 1:
+                # xck = c1 xck + (x_next - a x) + g ((x - xck) - y_f)
+                np.subtract(x_next, np.multiply(x, a[t], out=tmp), out=tmp)
+                np.subtract(x, xck, out=tmp2)
+                tmp2 -= y_f
+                tmp2 *= g[i]
+                xck *= c1[i]
+                xck += tmp
+                xck += tmp2
                 np.multiply(xck, scale[t], out=z)
             x, x_next = x_next, x
         error(T, np.subtract(x, xhat, out=tmp))
@@ -311,47 +296,43 @@ def run_closed_loop(plan: RegimePlan, x0, rows, recorder: Recorder) -> None:
 
     rho, no_feedback = plan.rho.tolist(), plan.no_feedback.tolist()
     noiseless = plan.kind is RegimeKind.NOISELESS_FEEDBACK
-    trk = np.zeros(width)  # the encoder's copy s(t) of the decoder state, s(1) = +0.0
+    trk = work[5]  # the encoder's copy s(t) of the decoder state
+    trk.fill(0.0)  # s(1) = +0.0
     nothing = np.broadcast_to(0.0, (width,))  # the fed-back output without feedback
     for t in range(1, T):
         error(t, np.subtract(x, xhat, out=tmp))
+        w, n, n_f, v = rows(t)
         i = t - 1
-        lo = 0
-        for w, n, n_f, v in rows(t):
-            hi = lo + len(w)
-            xs, zs, ys, trks, ts = x[lo:hi], z[lo:hi], y[lo:hi], trk[lo:hi], tmp[lo:hi]
-            if m is None:
-                np.subtract(xs, trks, out=zs)
-            else:
-                # xb = xb + L ((c x + d v) - c xb), the filtered estimate,
-                # with z's slice as scratch until z is formed
-                xbs = xb[lo:hi]
-                np.multiply(xs, m.c, out=ts)
-                ts += np.multiply(v, m.d, out=zs)
-                ts -= np.multiply(xbs, m.c, out=zs)
-                ts *= L[t]
-                xbs += ts
-                np.subtract(xbs, trks, out=zs)
-                xbs *= a[t]
-            zs *= scale[i]
-            np.add(zs, n, out=ys)
-            if no_feedback[i]:
-                z_nhat = np.add(zs, 0.0, out=ts)  # nhat = 0.0; the sum maps z = -0.0 to +0.0
-            elif noiseless:
-                z_nhat = ys
-            else:
-                yfs = np.add(ys, n_f, out=y_f[lo:hi])
-                z_nhat = np.subtract(yfs, zs, out=ts)
-                z_nhat *= rho[i]
-                z_nhat += zs  # z + rho (y_f - z)
-            trks *= a[t]
-            trks += np.multiply(z_nhat, K[i], out=ts)  # a trk + K (z + nhat)
-            xns = np.multiply(xs, a[t], out=x_next[lo:hi])
-            xns += np.multiply(w, b[t], out=ts)
-            lo = hi
-        transmit(t, x, z, y, nothing if no_feedback[i] else y if noiseless else y_f, xhat)
+        if m is None:
+            np.subtract(x, trk, out=z)
+        else:
+            # xb = xb + L ((c x + d v) - c xb), the filtered estimate, with
+            # z as scratch until z is formed
+            np.multiply(x, m.c, out=tmp)
+            tmp += np.multiply(v, m.d, out=z)
+            tmp -= np.multiply(xb, m.c, out=z)
+            tmp *= L[t]
+            xb += tmp
+            np.subtract(xb, trk, out=z)
+            xb *= a[t]
+        z *= scale[i]
+        np.add(z, n, out=y)
+        if no_feedback[i]:
+            fed_back = nothing
+            z_nhat = np.add(z, 0.0, out=tmp)  # nhat = 0.0; the sum maps z = -0.0 to +0.0
+        elif noiseless:
+            fed_back = z_nhat = y
+        else:
+            fed_back = np.add(y, n_f, out=y_f)
+            z_nhat = np.subtract(y_f, z, out=tmp)
+            z_nhat *= rho[i]
+            z_nhat += z  # z + rho (y_f - z)
+        trk *= a[t]
+        trk += np.multiply(z_nhat, K[i], out=tmp)  # a trk + K (z + nhat)
+        transmit(t, x, z, y, fed_back, xhat)
         xhat *= a[t]
         xhat += np.multiply(y, K[i], out=tmp)
-        x, x_next = x_next, x
+        x *= a[t]
+        x += np.multiply(w, b[t], out=tmp)
     error(T, np.subtract(x, xhat, out=tmp))
     recorder.final(T, x, xhat)

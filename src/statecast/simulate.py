@@ -10,30 +10,33 @@ the trial count, of the horizon, and of which thread draws it and when.
 Normal deviates come from numpy's ziggurat sampler (``standard_normal``);
 golden files are tied to the numpy release documented in the README.
 
-``monte_carlo`` draws step t's rows inside the closed loop, so its memory
-is O(M) with a small constant and nothing is allocated per step.  A run
-holds at most 10 (M,) rows, allocated once: the loop's signals (see
-``run_closed_loop``) and the recorder's squares.  The noise goes through
-one slab of fixed size.  It holds blocks of about ``_BLOCK_ELEMENTS`` =
-32768 trial-steps: ceil(32768 / M) whole steps for small M, otherwise one
-of floor(M / 32768) equal slices of a step's trials, one slot per block in
-flight, so it never holds more than (helpers + 3) slots x 5 rows x 65535
-values: 10.5 MB on 2 CPUs whatever M is, 5.3 MB at M = 1e5.  The loop
-makes every update that reads noise slice by slice, and a row's slices
-come from its one keyed generator in trial order, so they hold the bytes
-of the whole row.  From M = 4096 trials on, helper threads, one fewer than
-the usable CPUs (none with one CPU), draw the next blocks while the loop
-runs the current one; numpy releases the GIL both in the sampler and in
-the arithmetic of the loop.  Each block is drawn stream by stream, and
-when the loop catches up with the helpers, it draws the queued streams
-they have not started itself.  Narrower rows are drawn inline, because
-setting up each row's generator holds the GIL longer than sampling it
-releases it.  The results do not depend on the number of helpers, and
-nothing sets it.
+``monte_carlo`` runs the closed loop leaf by leaf over the trials: M trials
+split the way numpy's pairwise summation splits a row of M values, until
+each leaf holds at most ``_LEAF`` = 16384 trials (M <= 16384 is one leaf).
+A run's memory is therefore O(``_LEAF``) whatever M is, and nothing is
+allocated per step.  A run holds 10 leaf-wide rows: the loop's 8 (see
+``run_closed_loop``), allocated once, and x(0) and the recorder's squares,
+allocated for each leaf.  The noise goes through one slab of fixed size,
+with one slot per block in flight, and a block holds
+floor(``_BLOCK_ELEMENTS`` / width) =
+floor(32768 / width) whole steps of one leaf, so the slab never holds more
+than (helpers + 1) slots x 5 rows x 32768 values: 2.6 MB on 2 CPUs, 2.0
+MB at M = 1e5.  A row's leaves come from its one keyed generator in trial
+order, so they hold the bytes of the whole row.  From M = 4096 trials on,
+helper threads, one fewer than the usable CPUs (none with one CPU), draw
+the next blocks while the loop runs the current one, running on into the
+next leaves; numpy releases the GIL both in the sampler and in the
+arithmetic of the loop.  Each block is drawn stream by stream, and when
+the loop catches up with the helpers, it draws the queued streams they
+have not started itself.  Narrower rows are drawn inline, because setting
+up each row's generator holds the GIL longer than sampling it releases it.
+The results do not depend on the number of helpers, and nothing sets it.
 
-Aggregation sums each per-step statistic over the trial axis with numpy's
-pairwise reduction, whose order is fixed by the array shape, so identical
-configurations produce bitwise-identical summaries.
+Aggregation sums each per-step statistic over a leaf's trials with numpy's
+pairwise reduction and adds the leaves' sums up the same tree, left +
+right, which is how ``np.sum`` would add the whole row: the summaries are
+bitwise those of a run over whole (M,) rows, and identical configurations
+produce bitwise-identical summaries.
 
 Oracle
 ------
@@ -115,13 +118,18 @@ ORACLE_HORIZON_MAX = 12
 # past outputs' covariance in the oracle.
 _PINV_RCOND = 1e-12
 
-# Trial-steps per block of rows drawn at once: ceil(_BLOCK_ELEMENTS / M)
-# whole steps for small M, one of floor(M / _BLOCK_ELEMENTS) equal slices
-# of a step's trials for large M, so the slab does not grow with M.  The
-# closed loop runs its noise-reading updates slice by slice, and slices of
-# 16K-64K trials suit it best: on 2 CPUs at M = 1e5 its output-feedback
-# step took 1463 us on whole rows, 1270-1319 us in such slices and 1323 us
-# in slices of 8K.
+# Most trials in a leaf, the trials one run of the closed loop covers.  The
+# run's rows and slab grow with it, and narrower leaves take more numpy
+# calls and blocks per trial: on 2 CPUs at M = 1e5, leaves of at most 8192
+# trials took about 19% longer than leaves of at most 16384.
+_LEAF = 1 << 14
+# Most trial-steps in a block of rows drawn at once: a block holds
+# floor(_BLOCK_ELEMENTS / width) whole steps of one leaf, for the widest
+# leaf's width, so at least two.  Each block costs the loop's thread its
+# bookkeeping and a hand-over to or from a helper: on 2 CPUs at M = 1e5
+# (leaves of about 12500 trials), blocks of two steps took 6% less time
+# than blocks of one, and queueing one block per helper rather than two
+# more kept most of that gain with half the slab.
 _BLOCK_ELEMENTS = 1 << 15
 # Fewest trials for which helpers draw ahead.  A narrower row spends more of
 # its time setting up its generator under the GIL than sampling outside it,
@@ -140,12 +148,6 @@ def _generator(seed: int, stream: int, t: int) -> Generator:
     return Generator(Philox(key=key))
 
 
-def _row(seed: int, stream: int, t: int, out: np.ndarray) -> np.ndarray:
-    """Fill ``out`` with unit normals keyed by (seed, stream, t), entry i
-    belonging to trial i, and return it."""
-    return _generator(seed, stream, t).standard_normal(out=out)
-
-
 def _slice(gens: dict, seed: int, stream: int, t: int, lo: int, hi: int, M: int, out):
     """Fill ``out`` with entries lo..hi-1 of the M unit normals keyed by
     (seed, stream, t), and return it.
@@ -160,6 +162,40 @@ def _slice(gens: dict, seed: int, stream: int, t: int, lo: int, hi: int, M: int,
     if hi < M:
         gens[stream, t] = gen
     return out
+
+
+def _split(n: int) -> int:
+    """The length of the left part when numpy's pairwise summation splits a
+    row of n > 128 values: n // 2 rounded down to a multiple of 8."""
+    return n // 2 - (n // 2) % 8
+
+
+def _leaves(lo: int, hi: int):
+    """The leaves of trials lo..hi-1 as (lo, hi) spans, in trial order: a
+    node of more than ``_LEAF`` trials splits where ``_split`` says."""
+    if hi - lo <= _LEAF:
+        yield lo, hi
+    else:
+        mid = lo + _split(hi - lo)
+        yield from _leaves(lo, mid)
+        yield from _leaves(mid, hi)
+
+
+def _tree_sum(lo: int, hi: int, leaf):
+    """The sum of ``leaf(lo, hi)`` over the leaves of trials lo..hi-1, added
+    left + right up the tree of ``_leaves``, which calls ``leaf`` in trial
+    order.
+
+    ``np.sum`` adds a contiguous row the same way: it splits a part of more
+    than 128 values where ``_split`` says and returns left + right, and
+    every part split here holds more than ``_LEAF`` > 128 trials.  So when
+    ``leaf`` returns ``np.sum`` over its trials of a row, this is ``np.sum``
+    of the whole row, bit for bit.
+    """
+    if hi - lo <= _LEAF:
+        return leaf(lo, hi)
+    mid = lo + _split(hi - lo)
+    return _tree_sum(lo, mid, leaf) + _tree_sum(mid, hi, leaf)
 
 
 def _wv_factor(m: MeasurementModel, t: int) -> tuple[float, float, float]:
@@ -236,11 +272,11 @@ class _Draw:
     """One stream's rows of one block (``_draw``'s arguments), drawn once,
     by a helper or by the loop's thread.
 
-    The draw of a block that continues a step's rows past their first
-    slice needs the generators the previous slice left, so it runs
-    ``after`` the same stream's draw in the block before.  If that one drew
-    nothing (it raised or was abandoned), neither does this one: the run
-    has failed or stopped before it reads this block.
+    The draw of a block of any leaf but the first needs the generators that
+    the same stream's draw of the same steps in the leaf before left, so it
+    runs ``after`` that draw, and lets go of it once it is over.  If that
+    one drew nothing (it raised or was abandoned), neither does this one:
+    the run has failed or stopped before it reads this block.
     """
 
     __slots__ = ("job", "after", "busy", "ok")
@@ -257,7 +293,7 @@ class _Draw:
 
     def run(self) -> None:
         try:
-            after = self.after
+            after, self.after = self.after, None
             if after is not None:
                 with after.busy:  # wait until it is over
                     pass
@@ -296,21 +332,23 @@ def _drain(pending: deque) -> None:
 class _StreamedRows:
     """The noise rows of one Monte Carlo run, drawn as the closed loop needs them.
 
-    ``step`` is the ``rows`` of ``run_closed_loop``.  Rows are drawn in
-    blocks of about ``_BLOCK_ELEMENTS`` trial-steps: ceil(_BLOCK_ELEMENTS /
-    M) whole steps when M is at most _BLOCK_ELEMENTS, otherwise one of
-    floor(M / _BLOCK_ELEMENTS) equal slices of one step's trials (the last
-    may be shorter), so a block holds fewer than 2 * _BLOCK_ELEMENTS
-    trial-steps whatever M is.  Each block is drawn stream by stream: w
-    (with v in the separation regime), n and n_f are separate draws, and
-    a stream's slices of one step are drawn in trial order.
+    ``step`` is the ``rows`` of ``run_closed_loop``, which runs once per
+    leaf of trials (see ``_leaves``), leaf after leaf.  Rows are drawn in
+    blocks of ``_steps`` whole steps of one leaf, floor(_BLOCK_ELEMENTS /
+    ``width``) for the widest leaf's ``width``, so a block holds at most
+    _BLOCK_ELEMENTS trial-steps whatever M is.  Each block is drawn stream
+    by stream: w (with v in the separation regime), n and n_f are separate
+    draws.  A row's leaves are drawn in trial order from its one keyed
+    generator, which waits in ``_gens`` from one leaf to the next: at most
+    4T generators of about 0.6 KB each.
 
-    While the loop runs block b, the helpers draw blocks b+1 .. b+depth.
-    When the loop reaches a block that a helper is still drawing, this
-    thread draws queued draws that no helper has started, and whose slice
-    before is drawn, instead of waiting, so a slow or starved helper costs
-    at most the draws it holds.  An exception raised in a helper comes out
-    of the read that needs its block, unchanged.
+    While the loop runs block b, the helpers draw blocks b+1 .. b+depth,
+    into the next leaves once a leaf's blocks run out.  When the loop
+    reaches a block that a helper is still drawing, this thread draws queued
+    draws that no helper has started, and whose draw in the leaf before is
+    over, instead of waiting, so a slow or starved helper costs at most the
+    draws it holds.  An exception raised in a helper comes out of the read
+    that needs its block, unchanged.
 
     Every block is drawn into slot b % slots of one slab allocated here, one
     slot per block in flight: depth + 1 with helpers, 1 without.  Block
@@ -329,45 +367,49 @@ class _StreamedRows:
     ):
         M = cfg.trials
         self._s, self._m, self._seed, self._M = s, m, cfg.seed, M
-        self._width = -(-M // max(M // _BLOCK_ELEMENTS, 1))  # trials per slice
-        self._slices = -(-M // self._width)  # slices per step
-        self._steps = min(-(-_BLOCK_ELEMENTS // M), s.T)  # steps per block
-        self._blocks = -(-s.T // self._steps) * self._slices
+        self.width = leaves = 0  # the widest leaf's trials; the number of leaves
+        for lo, hi in _leaves(0, M):
+            self.width, leaves = max(self.width, hi - lo), leaves + 1
+        self._steps = min(_BLOCK_ELEMENTS // self.width, s.T)  # steps per block
+        self._groups = -(-s.T // self._steps)  # blocks per leaf
+        self._blocks = leaves * self._groups
         self._drawn = _streams_drawn(s)
         self._pool, self._depth = pool, depth
         slots = 1 if pool is None else depth + 1
         # rows w, n, n_f and, with a measurement model, v and the (w, v) scratch
-        self._slab = np.empty((slots, self._steps, 3 if m is None else 5, self._width))
-        self._zeros = np.zeros(self._width)
-        self._gens = {}  # generators of rows drawn up to a slice, by (stream, t)
-        self._ahead = deque()  # (draws not yet taken, helper's job) of blocks _b + 1, ...
-        self._last = {}  # each stream's draw in the last block made
-        self._b, self._block = -1, None
+        self._slab = np.empty((slots, self._steps, 3 if m is None else 5, self.width))
+        self._zeros = np.zeros(self.width)
+        self._gens = {}  # generators of rows drawn up to a leaf, by (stream, t)
+        self._spans = _leaves(0, M)  # the spans of the leaves after the last block made
+        self._span = None  # the span of the last block made
+        self._ahead = deque()  # (span, draws not yet taken, helper's job) of blocks _b + 1, ...
+        self._last = {}  # the last draw made, by (stream, block of a leaf)
+        self._leaf, self._b, self._block = -1, -1, None
 
-    def _span(self, b: int) -> tuple:
-        """(t0, t1, lo, hi): block b holds steps t0..t1-1 of trials lo..hi-1."""
-        group, k = divmod(b, self._slices)
-        t0, lo = group * self._steps, k * self._width
-        return t0, min(t0 + self._steps, self._s.T), lo, min(lo + self._width, self._M)
-
-    def _draws(self, b: int) -> list:
-        """The draws of block b, one per stream that its steps draw; blocks
+    def _make(self, b: int) -> tuple:
+        """Block b's span (t0, t1, lo, hi), for steps t0..t1-1 of trials
+        lo..hi-1, and its draws, one per stream that its steps draw; blocks
         are made in order."""
-        t0, t1, lo, hi = span = self._span(b)
+        group = b % self._groups
+        if not group:
+            self._span = next(self._spans)
+        lo, hi = self._span
+        t0 = group * self._steps
+        t1 = min(t0 + self._steps, self._s.T)
         slot = self._slab[b % len(self._slab)]
         drawn = self._drawn
         streams = drawn[t0] if t1 == t0 + 1 else sorted(set().union(*drawn[t0:t1]))
-        draws = []
+        draws = deque()
         for stream in streams:
-            job = (self._s, self._m, self._seed, stream, drawn, *span, self._M, slot, self._gens)
-            draw = _Draw(job, self._last[stream] if lo else None)
-            self._last[stream] = draw
+            job = (self._s, self._m, self._seed, stream, drawn, t0, t1, lo, hi, self._M, slot, self._gens)
+            draw = _Draw(job, self._last[stream, group] if lo else None)
+            self._last[stream, group] = draw
             draws.append(draw)
-        return draws
+        return (t0, t1, lo, hi), draws
 
-    def _rows(self, b: int) -> list:
+    def _rows(self, b: int, span: tuple) -> list:
         """The rows (w, n, n_f, v) to read of each step of block b."""
-        t0, t1, lo, hi = self._span(b)
+        t0, t1, lo, hi = span
         slot = self._slab[b % len(self._slab), :, :, : hi - lo]
         zeros = self._zeros[: hi - lo]
         rows = []
@@ -380,15 +422,15 @@ class _StreamedRows:
     def _take(self, b: int) -> list:
         """Block b's rows, after queueing blocks up to b + depth for the helpers."""
         ahead = self._ahead
-        pending, fut = ahead.popleft() if ahead else (deque(self._draws(b)), None)
+        span, pending, fut = ahead.popleft() if ahead else (*self._make(b), None)
         while self._pool is not None and len(ahead) < self._depth and b + 1 + len(ahead) < self._blocks:
-            later = deque(self._draws(b + 1 + len(ahead)))
-            ahead.append((later, self._pool.submit(_drain, later)))
+            later_span, later = self._make(b + 1 + len(ahead))
+            ahead.append((later_span, later, self._pool.submit(_drain, later)))
         _drain(pending)
         if fut is not None and not fut.cancel():
             # a helper is still drawing this block: run the queued blocks'
             # draws that can start now instead of waiting
-            for later, _ in ahead:
+            for _, later, _ in ahead:
                 while not fut.done():
                     try:
                         draw = later.popleft()
@@ -399,44 +441,48 @@ class _StreamedRows:
                         break
                     draw.run()
             fut.result()
-        return self._rows(b)
+        return self._rows(b, span)
 
-    def step(self, t: int):
-        """Step t's rows (w, n, n_f, v), slice by slice in trial order; a
-        slice's slot is reused once the loop has moved on to a later block."""
+    def step(self, t: int) -> tuple:
+        """Step t's rows (w, n, n_f, v) of the current leaf, t = 0 starting
+        the next leaf; a block's slot is reused once the loop has moved on
+        to a later block."""
+        if not t:
+            self._leaf += 1
         group, i = divmod(t, self._steps)
-        for b in range(group * self._slices, (group + 1) * self._slices):
-            if b != self._b:
-                self._block, self._b = self._take(b), b
-            yield self._block[i]
+        b = self._leaf * self._groups + group
+        if b != self._b:
+            self._block, self._b = self._take(b), b
+        return self._block[i]
 
     def close(self) -> None:
         """Cancel the blocks no helper has started (the loop stopped early)
         and abandon their draws, so no helper waits on them."""
-        for pending, fut in self._ahead:
+        for _, pending, fut in self._ahead:
             if fut.cancel():
                 _abandon(pending)
         self._ahead.clear()
 
 
 class _MomentRecorder(Recorder):
-    """Accumulates the 2nd and 4th sample moments of errors and the 2nd
-    moments of transmissions, squaring into one (trials,) row of its own."""
+    """Sums, over one run's trials, the squares and fourth powers of the
+    errors and the squares of the transmissions into ``sums``, a new (3, T)
+    array at each start whose rows are s2_err, s4_err and s2_z, squaring
+    into a (trials,) row of its own."""
 
     def start(self, T, width):
-        self.s2_err = np.zeros(T)
-        self.s4_err = np.zeros(T)
-        self.s2_z = np.zeros(T)
+        self.sums = np.zeros((3, T))
+        self.s2_err, self.s4_err, self.s2_z = self.sums
         self._sq = np.empty(width)
 
     def error(self, t, err):
         e2 = np.multiply(err, err, out=self._sq)
-        self.s2_err[t - 1] = np.sum(e2)
+        self.s2_err[t - 1] = np.add.reduce(e2)  # np.sum's reduction, without its wrapper
         e2 *= e2
-        self.s4_err[t - 1] = np.sum(e2)
+        self.s4_err[t - 1] = np.add.reduce(e2)
 
     def transmit(self, t, x, z, y, y_f, xhat):
-        self.s2_z[t - 1] = np.sum(np.multiply(z, z, out=self._sq))
+        self.s2_z[t - 1] = np.add.reduce(np.multiply(z, z, out=self._sq))
 
 
 def _mean_se(s2: np.ndarray, s4: np.ndarray, M: int) -> tuple[np.ndarray, np.ndarray]:
@@ -498,20 +544,28 @@ def monte_carlo(
     """
     plan = build_plan(s, kind, measurement=measurement, form=form)
     M = cfg.trials
-    rec = _MomentRecorder()
     pool, helpers = _helper_pool(M)
-    # Two blocks queued beyond those the helpers hold: one for this thread to
-    # take over while it would wait, one for the next helper that comes free.
-    rows = _StreamedRows(plan.schedule, plan.measurement, cfg, pool, helpers + 2)
-    x = _row(cfg.seed, _STREAM_X0, 0, np.empty(M))  # x(0), which the loop updates in place
-    x *= math.sqrt(s.V_xx0)
+    # One block queued per helper: this thread takes over the draws of the
+    # block it needs that no helper has started.
+    rows = _StreamedRows(plan.schedule, plan.measurement, cfg, pool, helpers)
+    rec = _MomentRecorder()
+    work = np.empty((8, rows.width))  # the loop's rows, leaf-wide, for every leaf
+    x0_gen = _generator(cfg.seed, _STREAM_X0, 0)  # x(0) of one leaf after another
+    sd0 = math.sqrt(s.V_xx0)
+
+    def leaf(lo: int, hi: int) -> np.ndarray:
+        x = x0_gen.standard_normal(hi - lo)  # the loop updates it in place
+        x *= sd0
+        run_closed_loop(plan, x, rows.step, rec, work[:, : hi - lo])
+        return rec.sums
+
     try:
-        run_closed_loop(plan, x, rows.step, rec)
+        s2_err, s4_err, s2_z = _tree_sum(0, M, leaf)
     finally:
         rows.close()
 
-    emp_mse, emp_se = _mean_se(rec.s2_err, rec.s4_err, M)
-    zpow = rec.s2_z / M
+    emp_mse, emp_se = _mean_se(s2_err, s4_err, M)
+    zpow = s2_z / M
     zpow[-1] = np.nan  # no transmission at t = T
 
     return McSummary(

@@ -103,9 +103,9 @@ class Streams:
     v: Optional[np.ndarray] = None
 
     def rows(self, t):
-        """Step t's rows (w, n, n_f, v) as one slice of all trials, the
-        ``rows`` of ``run_closed_loop``."""
-        return [(self.w[t], self.n[t], self.n_f[t], None if self.v is None else self.v[t])]
+        """Step t's rows (w, n, n_f, v) of all trials, the ``rows`` of
+        ``run_closed_loop``."""
+        return self.w[t], self.n[t], self.n_f[t], None if self.v is None else self.v[t]
 
     def column(self, trial):
         """Width-1 streams holding trajectory ``trial``."""
@@ -115,11 +115,12 @@ class Streams:
 
 def keyed_streams(s, trials, seed, measurement=None):
     """The noise a ``monte_carlo`` run with ``McConfig(trials, seed)`` draws,
-    as (T, trials) arrays: each unit-normal row comes from ``simulate._row``
-    under its documented (seed, stream, t) key and is scaled here, with
-    (w, v) drawn jointly through the Cholesky factor of their covariance."""
+    as (T, trials) arrays: each unit-normal row is drawn whole by
+    ``simulate._generator`` under its documented (seed, stream, t) key and
+    is scaled here, with (w, v) drawn jointly through the Cholesky factor of
+    their covariance."""
     T = s.T
-    unit = lambda stream, t: simulate._row(seed, stream, t, np.empty(trials))
+    unit = lambda stream, t: simulate._generator(seed, stream, t).standard_normal(trials)
     x0 = math.sqrt(s.V_xx0) * unit(simulate._STREAM_X0, 0)
     w, n, n_f = np.zeros((3, T, trials))
     v = None

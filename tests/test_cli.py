@@ -316,11 +316,12 @@ def test_seed_outside_64_bits_is_one_line_validation_error(tmp_path, capsys, see
 
 @pytest.mark.parametrize("command", ["run", "compare"])
 def test_allocation_failure_is_one_line_io_error(tmp_path, capsys, command):
-    # a row of 2**59 trials needs 4 EiB, past any 64-bit address space, so
-    # its allocation fails before any memory is touched
+    # a schedule of 2**59 steps needs 4 EiB per row, past any 64-bit address
+    # space, so its allocation fails before any memory is touched
     ini = str(GOLDEN_DIR / "output_fb_compare.ini")
     out = tmp_path / "out.csv"
-    assert main([command, ini, "--trials", str(2**59), "--output", str(out)]) == cli.EXIT_IO
+    argv = [command, ini, "--set", f"schedule.T={2**59}", "--output", str(out)]
+    assert main(argv) == cli.EXIT_IO
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "4.00 EiB" in err and len(err.splitlines()) == 1
     assert not out.exists()

@@ -20,7 +20,7 @@ def _loop(plan, streams):
     """The recorder of ``plan``'s closed loop over ``streams``: every signal
     is a (T, trials) array, one trajectory per column."""
     rec = ArrayRecorder()
-    run_closed_loop(plan, streams.x0.copy(), streams.rows, rec)
+    run_closed_loop(plan, streams.x0.copy(), streams.rows, rec, np.empty((8, len(streams.x0))))
     return rec
 
 
@@ -70,27 +70,24 @@ def _hand_run(kind, x0=1.0, w=(0.5, -0.3, 0.2, 0.1), **gains):
 @pytest.mark.parametrize("kind", list(RegimeKind), ids=lambda kind: kind.value)
 def test_closed_loop_asks_for_each_steps_rows_once_in_order(kind):
     # the contract monte_carlo's reused row slots rely on: step t's rows are
-    # asked for once, after every earlier step's, as slices in trial order,
-    # and a slice is read only until the next one (or the end of the step)
-    # is asked for, so slices overwritten with NaN from then on leave every
-    # trajectory unchanged
+    # asked for once, after every earlier step's, and read only until the
+    # next step's are asked for, so rows overwritten with NaN from then on
+    # leave every trajectory unchanged
     plan = _hand_plan(kind)
-    s, trials, width = plan.schedule, 7, 3
+    s, trials = plan.schedule, 7
     streams = keyed_streams(s, trials, 41, plan.measurement)
     calls = []
 
     def rows(t):
         calls.append(t)
-        (whole,) = streams.rows(t)
-        for lo in range(0, trials, width):
-            part = tuple(None if row is None else row[lo : lo + width] for row in whole)
-            yield part
-            for row in part:
+        if t:
+            for row in streams.rows(t - 1):
                 if row is not None:
                     row[:] = math.nan
+        return streams.rows(t)
 
     rec = ArrayRecorder()
-    run_closed_loop(plan, streams.x0.copy(), rows, rec)
+    run_closed_loop(plan, streams.x0.copy(), rows, rec, np.empty((8, trials)))
     assert calls == list(range(s.T))
     ref = _loop(plan, keyed_streams(s, trials, 41, plan.measurement))
     for field in ("x", "z", "y", "y_f", "xhat", "sq_err"):

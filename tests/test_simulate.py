@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import math
 import os
@@ -102,9 +103,11 @@ def test_row_drawn_into_a_buffer_has_the_bytes_of_the_allocating_draw(m):
     expected = Generator(Philox(key=key)).standard_normal(m)
     buf = np.full((3, m), np.nan)
     row = buf[1]
-    assert simulate._row(seed, stream, t, out=row) is row
+    gens = {}
+    assert simulate._slice(gens, seed, stream, t, 0, m, m, out=row) is row
     assert row.tobytes() == expected.tobytes()
     assert np.isnan(buf[[0, 2]]).all()
+    assert not gens  # a row drawn to its end keeps no generator
 
 
 def test_mc_config_validation():
@@ -253,7 +256,8 @@ STREAMED_CASES = [
     ),
 ]
 STREAMED_IDS = [kind.value for kind, _, _ in STREAMED_CASES]
-# 500 trials: one block, drawn inline; 20000: blocks of 2 steps, drawn ahead.
+# 500 trials: one block, drawn inline; 20000: two leaves of 10000 trials, in
+# blocks of 3 steps, drawn ahead.
 STREAMED_TRIALS = (500, 20_000)
 
 
@@ -267,7 +271,7 @@ def _materialized_summary(s, kind, cfg, m):
     rec = simulate._MomentRecorder()
     plan = build_plan(s, kind, measurement=m)
     streams = keyed_streams(s, cfg.trials, cfg.seed, m)
-    run_closed_loop(plan, streams.x0.copy(), streams.rows, rec)
+    run_closed_loop(plan, streams.x0.copy(), streams.rows, rec, np.empty((8, cfg.trials)))
     mse, se = simulate._mean_se(rec.s2_err, rec.s4_err, cfg.trials)
     zpow = rec.s2_z / cfg.trials
     zpow[-1] = np.nan
@@ -289,25 +293,105 @@ def test_streamed_rows_match_materialized_streams(kind, nf, m, trials):
     _assert_same_summary(summary, _materialized_summary(s, kind, cfg, m))
 
 
+LEAF = simulate._LEAF
+# Trial counts around the leaf size: one leaf a trial short of full, one
+# full leaf, two leaves, three leaves at two depths, four leaves, and eight
+# leaves of about 12500 trials.
+LEAF_TRIALS = (LEAF - 1, LEAF, LEAF + 1, 2 * LEAF - 1, 3 * LEAF + 7, 100_003)
+
+
 @pytest.mark.parametrize("kind, nf, m", STREAMED_CASES, ids=STREAMED_IDS)
 def test_streamed_rows_are_the_keyed_reference_rows(kind, nf, m):
-    # the slices the loop reads, block by block, join into rows with the
-    # bytes of rows drawn whole under their (seed, stream, t) keys, whether
-    # a block holds two whole steps, exactly one, the widest single slice,
-    # or one of three slices of a step, the last of them shorter
+    # the rows the loop reads, leaf by leaf, join into rows with the bytes
+    # of rows drawn whole under their (seed, stream, t) keys
     plan = build_plan(_streamed_case(nf), kind, measurement=m)
-    width = simulate._BLOCK_ELEMENTS
-    for trials in (width - 1, width, width + 1, 2 * width - 1, 3 * width + 7):
+    for trials in LEAF_TRIALS:
         cfg = McConfig(trials=trials, seed=609)
         rows = simulate._StreamedRows(plan.schedule, plan.measurement, cfg, None, 0)
         ref = keyed_streams(plan.schedule, trials, cfg.seed, plan.measurement)
-        for t in range(T_STREAMED):
-            # a slice's bytes are copied before the next one is asked for
-            got = [[None if row is None else row.tobytes() for row in part] for part in rows.step(t)]
-            assert len(got) == max(trials // width, 1), (trials, t)
-            joined = [None if parts[0] is None else b"".join(parts) for parts in zip(*got)]
-            (whole,) = ref.rows(t)
-            assert joined == [None if row is None else row.tobytes() for row in whole], (trials, t)
+        leaves = list(simulate._leaves(0, trials))
+        assert [lo for lo, _ in leaves] == [0] + [hi for _, hi in leaves[:-1]], trials
+        assert leaves[-1][1] == trials and rows.width == max(hi - lo for lo, hi in leaves)
+        for lo, hi in leaves:
+            assert 0 < hi - lo <= LEAF
+            for t in range(T_STREAMED):
+                # a block's rows are compared before the next block is asked for
+                got = [None if row is None else row.tobytes() for row in rows.step(t)]
+                whole = [None if row is None else row[lo:hi].tobytes() for row in ref.rows(t)]
+                assert got == whole, (trials, lo, t)
+
+
+@pytest.mark.parametrize("trials", (*LEAF_TRIALS, 2**20 + 3))
+def test_leaf_sums_added_up_the_tree_are_np_sum_of_the_row(trials):
+    # pins the order in which numpy sums a row, which monte_carlo's
+    # combination of per-leaf sums mirrors
+    rng = np.random.default_rng(trials)
+    for row in (rng.standard_normal(trials), rng.standard_normal(trials) ** 2 * 1e3):
+        total = simulate._tree_sum(0, trials, lambda lo, hi: np.sum(row[lo:hi]))
+        assert total == np.sum(row), trials
+
+
+@pytest.mark.parametrize("trials", [1, 500, LEAF])
+def test_up_to_a_leaf_of_trials_is_one_leaf(trials):
+    assert list(simulate._leaves(0, trials)) == [(0, trials)]
+
+
+# sha256 of the monte_carlo CSV of each streamed case at seed 4242, by trial
+# count, computed when monte_carlo still ran whole (M,) rows: from 32767
+# trials on, a run covers several leaves.
+LEAF_DIGESTS = {
+    4097: {
+        "output_feedback": "c9ab70a46542cd6f43f2abce9e5baead0e7b083c6e73562604c5d240aea72d7e",
+        "no_feedback": "e0131e22f95b42465b9afa52a3ea81de936fa90d39c3829b7f72ef08c51ceece",
+        "noiseless_feedback": "2cdb6770efec4359d6ed337d685de97a0535cca3b2ff9bca583141fed4062c6c",
+        "state_estimate_feedback": "1212af7f5697a3816cb15822c73e8a77128a05a6cf756597aefa6e743cee74a4",
+        "separation_output_feedback": "c4c95f23568eb4f50ba57d9b9cbfb7f59cb2c3224e274184ee627b03818e032d",
+    },
+    32767: {
+        "output_feedback": "871a411d45a72e53658548964ca79c28dfea61f6833ba44de0b3746aab53225f",
+        "no_feedback": "4613e823fa3c560ea6a332773968dad82b695c5686f4edc4924c5e384f769328",
+        "noiseless_feedback": "9e11ae68d1d6916bff5e40ab99ba468e36b6ed56fbc69bf0b8f6d291fd2a9998",
+        "state_estimate_feedback": "e1a18de5c162ebcfb775d8dfa49d4e50b45e860c13349edff3e9b5d8e4c3a463",
+        "separation_output_feedback": "f1e46ba2c619499250c038a87fde307893c8e96378af1d871c138604ff556174",
+    },
+    32769: {
+        "output_feedback": "aba92cb9671f70dabd702d14123168cb1eacbf97783cb357359109650c8315a1",
+        "no_feedback": "a6565170efba1030a5cf8d1b0a1d8500016136bcc9baed77de33ca29a02b7aef",
+        "noiseless_feedback": "c63a0f00824f72b6550a429fe848e54247d42d38800e492095cb65c673674275",
+        "state_estimate_feedback": "6bfd1861f14b05ca3c936fe4cb999ac99ca988e6707422e3136d8f96d7e4d1be",
+        "separation_output_feedback": "22da342142b92298bc753eac5f3f3633a304dee1527067c679a0cc5795b93acf",
+    },
+    65537: {
+        "output_feedback": "8462ee94db2dee9e5b1ddcf10faf73711f90c435f4be08262fccaa20d60c1167",
+        "no_feedback": "b13058471b98d23dc1a254aea8bcf373f7bfb169ea6963e06bdbd25a11ad0e4a",
+        "noiseless_feedback": "550697769b0917dac5faa260ff2ccf52d51b2c922e0076a2a5893ca3c3cba2b1",
+        "state_estimate_feedback": "bb7545547a158e0dc2bce81127a8b49b1b0d894877775c7bf7914d3d06f1e322",
+        "separation_output_feedback": "1a801c9f5fc7339f2c6218d3b107d16df21939a3545879f5c3435acb174305d1",
+    },
+    100003: {
+        "output_feedback": "4a13fbdd411bdf2790f549b32c3cd5832a1cb10cbece8f23c8f3fd0ce07d2ddd",
+        "no_feedback": "c82b5d8a61cee75bb8bcc45ead058d42cb7577f70f8d4f2cab2e49e4149274af",
+        "noiseless_feedback": "7dd9dda7899daeb8364084003128ce03f42f961ccfbfb514363e300684b8da72",
+        "state_estimate_feedback": "1f7ade2688799ffe749c86e4bc29d01b74c665eb032af6da8ed7a372b3a6d74d",
+        "separation_output_feedback": "bdd0400dc12075c2f47653bc599cd4fda6237fdb3adb4351f0246896a7f2092b",
+    },
+    262144: {
+        "output_feedback": "1e7bb8be960d4112ed4c44b2d7d37ddfcd54ff090d707e4672459518f949a284",
+        "no_feedback": "08210d74c208b0f24f02f8792df892ea88ae64b060cd115c8d8a1792bedc06c8",
+        "noiseless_feedback": "b5e5c8c62054249b34088da43e417def0f878bee3c2c90790608d0ad16c65c8d",
+        "state_estimate_feedback": "7d8904fd7982c30e624f83655386caf4191c4e4a0dd20082b06387b7f7612dde",
+        "separation_output_feedback": "f68ff2ec16b94ed89999ad4ab76ef0206c1fb56091b8b404aa391b0a85046acd",
+    },
+}
+
+
+@pytest.mark.parametrize("trials", LEAF_DIGESTS)
+def test_monte_carlo_bytes_over_many_leaves(trials):
+    got = {}
+    for kind, nf, m in STREAMED_CASES:
+        csv = monte_carlo(_streamed_case(nf), kind, McConfig(trials=trials, seed=4242), measurement=m).to_csv()
+        got[kind.value] = hashlib.sha256(csv.encode()).hexdigest()
+    assert got == LEAF_DIGESTS[trials]
 
 
 @pytest.mark.parametrize("cpus, trials", [(1, 20_000), (None, 500)], ids=["one_cpu", "few_trials"])
@@ -324,24 +408,39 @@ def test_rows_drawn_inline_create_no_pool(monkeypatch, cpus, trials):
     _assert_same_summary(summary, _materialized_summary(s, kind, cfg, m))
 
 
-@pytest.mark.parametrize("kind, nf, m", STREAMED_CASES, ids=STREAMED_IDS)
-def test_many_helpers_and_fast_switching_keep_the_bytes(monkeypatch, kind, nf, m):
-    # more helpers than CPUs and a tiny switch interval interleave the
-    # helpers' draws and this thread's take-overs as much as possible,
-    # every slot of the slab is reused several times, and each step's rows
-    # are drawn in two slices, the second one shorter
-    s = _streamed_case(nf)
-    cfg = McConfig(trials=2 * simulate._BLOCK_ELEMENTS + 5, seed=608)
+def _with_many_helpers(monkeypatch, s, kind, cfg, m):
+    """``monte_carlo`` with six usable CPUs and a tiny switch interval."""
     monkeypatch.setattr(simulate, "_pool", None)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(6)), raising=False)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        summary = monte_carlo(s, kind, cfg, measurement=m)
+        return monte_carlo(s, kind, cfg, measurement=m)
     finally:
         sys.setswitchinterval(interval)
         if simulate._pool is not None:
             simulate._pool.shutdown(wait=True)
+
+
+@pytest.mark.parametrize("kind, nf, m", STREAMED_CASES, ids=STREAMED_IDS)
+def test_many_helpers_and_fast_switching_keep_the_bytes(monkeypatch, kind, nf, m):
+    # more helpers than CPUs and a tiny switch interval interleave the
+    # helpers' draws and this thread's take-overs as much as possible,
+    # every slot of the slab is reused several times, and the helpers draw
+    # into the next leaves, of which there are five, the last two shorter
+    s = _streamed_case(nf)
+    cfg = McConfig(trials=4 * LEAF + 5, seed=608)
+    summary = _with_many_helpers(monkeypatch, s, kind, cfg, m)
+    _assert_same_summary(summary, _materialized_summary(s, kind, cfg, m))
+
+
+def test_helpers_queued_past_the_horizon_draw_each_rows_leaves_in_order(monkeypatch):
+    # at T = 2 a leaf is one block, so the blocks queued ahead are the same
+    # rows' next leaves, each drawn after the one before
+    kind, _, m = STREAMED_CASES[-1]
+    s = SystemSchedule(T=2, a=0.9, b=0.9, P=1.3, N=0.8, N_f=0.4, V_xx0=1.1)
+    cfg = McConfig(trials=9 * LEAF + 5, seed=610)
+    summary = _with_many_helpers(monkeypatch, s, kind, cfg, m)
     _assert_same_summary(summary, _materialized_summary(s, kind, cfg, m))
 
 
@@ -590,25 +689,27 @@ _RSS_PROBE = textwrap.dedent(
     import json, resource
     import statecast as sc
     m = sc.MeasurementModel(c=0.8, d=0.6, V_ww=1.2, V_wv=0.5, V_vv=0.9)
-    s = sc.SystemSchedule(T=20, a=0.9, b=1.0, P=1.0, N=1.0, N_f=0.5, V_xx0=1.0)
+    s = sc.SystemSchedule(T=3, a=0.9, b=1.0, P=1.0, N=1.0, N_f=0.5, V_xx0=1.0)
     kind = sc.RegimeKind.SEPARATION_OUTPUT_FEEDBACK
+    peak = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     # a narrow threaded run first, so that the helpers and every code path
     # exist before the peak is read
     sc.monte_carlo(s, kind, sc.McConfig(trials=8192, seed=1), measurement=m)
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    sc.monte_carlo(s, kind, sc.McConfig(trials=1 << 18, seed=2), measurement=m)
-    after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    print(json.dumps({"kib": after - before}))
+    before = peak()
+    rise = {}
+    for trials in (1 << 16, 1 << 20):
+        sc.monte_carlo(s, kind, sc.McConfig(trials=trials, seed=2), measurement=m)
+        rise[trials] = peak() - before
+    print(json.dumps({"kib": rise}))
     """
 )
 
 
-def test_monte_carlo_holds_a_fixed_number_of_full_rows():
-    # separation holds the most (trials,) rows: the loop's 9 (x, x(t+1),
-    # xhat, z, y, y_f, a scratch row, the tracker and xb) and the
-    # recorder's squares, plus a slab of fixed size for the noise, about
-    # 12.5 rows of 2**18 trials in all; drawing whole steps ahead held 29
+def test_monte_carlo_memory_does_not_grow_with_the_trials():
+    # separation holds the most leaf-wide rows; 16 times the trials, 64
+    # leaves instead of 4, may raise the peak by at most 2 MiB, where whole
+    # (M,) rows would add about 79 MB
     if not sys.platform.startswith("linux"):
         pytest.skip("reads ru_maxrss in KiB, as Linux reports it")
-    row_kib = (1 << 18) * 8 // 1024
-    assert _probe(_RSS_PROBE)["kib"] <= 14 * row_kib
+    rise = _probe(_RSS_PROBE)["kib"]
+    assert rise[str(1 << 20)] <= rise[str(1 << 16)] + 2048, rise
