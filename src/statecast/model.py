@@ -225,7 +225,7 @@ class McConfig:
             raise ValidationError(f"trials must be >= 1, got {self.trials}")
         if not _is_int(self.seed) or not 0 <= self.seed < 1 << 64:
             raise ValidationError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
-        # Python ints: a numpy integer would wrap in the run's block arithmetic.
+        # Python ints: a numpy integer would wrap in the run's leaf arithmetic.
         object.__setattr__(self, "trials", int(self.trials))
         object.__setattr__(self, "seed", int(self.seed))
 

@@ -202,8 +202,8 @@ def run_closed_loop(plan: RegimePlan, x0, rows, recorder: Recorder, work) -> Non
     scratch row take the tracker's place.  A hook's arguments are therefore
     valid only during the hook (see ``Recorder``); the fed-back output of a
     step without feedback is a read-only row of zeros.  ``monte_carlo``
-    passes one array to the runs of all its leaves: allocating these rows
-    in each run instead raised mc_wide's peak RSS by about 0.5 MB.  Gains
+    allocates ``work`` with the other rows of a leaf, in one block, on the
+    thread that runs the leaf.  Gains
     are read from the plan (index t-1 holds step t): scale, K, rho,
     no_feedback and, for state-estimate feedback, g and c1.
 

@@ -13,24 +13,20 @@ golden files are tied to the numpy release documented in the README.
 ``monte_carlo`` runs the closed loop leaf by leaf over the trials: M trials
 split the way numpy's pairwise summation splits a row of M values, until
 each leaf holds at most ``_LEAF`` = 16384 trials (M <= 16384 is one leaf).
-A run's memory is therefore O(``_LEAF``) whatever M is, and nothing is
-allocated per step.  A run holds 10 leaf-wide rows: the loop's 8 (see
-``run_closed_loop``), allocated once, and x(0) and the recorder's squares,
-allocated for each leaf.  The noise goes through one slab of fixed size,
-with one slot per block in flight, and a block holds
-floor(``_BLOCK_ELEMENTS`` / width) =
-floor(32768 / width) whole steps of one leaf, so the slab never holds more
-than (helpers + 1) slots x 5 rows x 32768 values: 2.6 MB on 2 CPUs, 2.0
-MB at M = 1e5.  A row's leaves come from its one keyed generator in trial
-order, so they hold the bytes of the whole row.  From M = 4096 trials on,
-helper threads, one fewer than the usable CPUs (none with one CPU), draw
-the next blocks while the loop runs the current one, running on into the
-next leaves; numpy releases the GIL both in the sampler and in the
-arithmetic of the loop.  Each block is drawn stream by stream, and when
-the loop catches up with the helpers, it draws the queued streams they
-have not started itself.  Narrower rows are drawn inline, because setting
-up each row's generator holds the GIL longer than sampling it releases it.
-The results do not depend on the number of helpers, and nothing sets it.
+A leaf is the unit of parallel work: the calling thread and helper threads,
+one fewer than the usable CPUs (none with one CPU), each claim the next
+leaf and run the closed loop over all of it, drawing each step's rows when
+the loop asks for them; numpy releases the GIL both in the sampler and in
+the arithmetic of the loop.  With helpers, fewer than (helpers + 1) *
+16384 trials split into at least helpers + 1 leaves, as long as that keeps
+the leaf width at ``_THREADED_TRIALS`` = 4096 or more (see ``_leaf_width``),
+so M <= 4096 is one leaf, run inline.  A row's
+leaves come from its one keyed generator in trial order, so leaf k draws
+x(0), and each step, only after leaf k - 1 has: the rows hold the bytes of
+the whole row.  A leaf allocates 15 rows of its trials when it starts, and
+nothing per step, so a run's memory is O(``_LEAF``) per thread whatever M
+is.  The results do not depend on the number of helpers, and nothing sets
+it.
 
 Aggregation sums each per-step statistic over a leaf's trials with numpy's
 pairwise reduction and adds the leaves' sums up the same tree, left +
@@ -69,7 +65,6 @@ from __future__ import annotations
 import math
 import os
 import threading
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -88,6 +83,7 @@ from .model import (
 )
 from .schemes import (
     Recorder,
+    RegimePlan,
     build_plan,
     check_regime_consistency,
     run_closed_loop,
@@ -118,24 +114,17 @@ ORACLE_HORIZON_MAX = 12
 # past outputs' covariance in the oracle.
 _PINV_RCOND = 1e-12
 
-# Most trials in a leaf, the trials one run of the closed loop covers.  The
-# run's rows and slab grow with it, and narrower leaves take more numpy
-# calls and blocks per trial: on 2 CPUs at M = 1e5, leaves of at most 8192
-# trials took about 19% longer than leaves of at most 16384.
+# Most trials in a leaf, the trials one run of the closed loop covers.  A
+# leaf's rows grow with it, and narrower leaves take more numpy calls per
+# trial: on 2 CPUs at M = 1e5, leaves of at most 8192 trials took about 20%
+# longer than leaves of at most 16384, for 1.4 MB less peak RSS.
 _LEAF = 1 << 14
-# Most trial-steps in a block of rows drawn at once: a block holds
-# floor(_BLOCK_ELEMENTS / width) whole steps of one leaf, for the widest
-# leaf's width, so at least two.  Each block costs the loop's thread its
-# bookkeeping and a hand-over to or from a helper: on 2 CPUs at M = 1e5
-# (leaves of about 12500 trials), blocks of two steps took 6% less time
-# than blocks of one, and queueing one block per helper rather than two
-# more kept most of that gain with half the slab.
-_BLOCK_ELEMENTS = 1 << 15
-# Fewest trials for which helpers draw ahead.  A narrower row spends more of
-# its time setting up its generator under the GIL than sampling outside it,
-# so a helper mostly contends with the loop for the GIL: on 2 CPUs, drawing
-# ahead made the loop 33% slower at M = 1024, 8% faster at M = 2048 and 32%
-# faster at M = 4096.
+# Fewest trials to which ``_leaf_width`` cuts leaves so that the helpers get
+# some; a run of at most this many trials is one leaf.  The narrower a leaf,
+# the larger the share of each numpy call that holds the GIL, so threads
+# running narrow leaves mostly wait for each other: on 2 CPUs at T = 200,
+# two leaves of 1500 trials took 29% longer than one of 3000, two of 2048
+# 9% longer than one of 4096, and two of 4096 18% less than one of 8192.
 _THREADED_TRIALS = 1 << 12
 
 CSV_HEADER = "t,pred_sigma2,pred_vbar,pred_mse,emp_mse,emp_se,emp_zpow"
@@ -170,32 +159,32 @@ def _split(n: int) -> int:
     return n // 2 - (n // 2) % 8
 
 
-def _leaves(lo: int, hi: int):
+def _leaves(lo: int, hi: int, width: int):
     """The leaves of trials lo..hi-1 as (lo, hi) spans, in trial order: a
-    node of more than ``_LEAF`` trials splits where ``_split`` says."""
-    if hi - lo <= _LEAF:
+    node of more than ``width`` trials splits where ``_split`` says."""
+    if hi - lo <= width:
         yield lo, hi
     else:
         mid = lo + _split(hi - lo)
-        yield from _leaves(lo, mid)
-        yield from _leaves(mid, hi)
+        yield from _leaves(lo, mid, width)
+        yield from _leaves(mid, hi, width)
 
 
-def _tree_sum(lo: int, hi: int, leaf):
+def _tree_sum(lo: int, hi: int, width: int, leaf):
     """The sum of ``leaf(lo, hi)`` over the leaves of trials lo..hi-1, added
     left + right up the tree of ``_leaves``, which calls ``leaf`` in trial
     order.
 
     ``np.sum`` adds a contiguous row the same way: it splits a part of more
     than 128 values where ``_split`` says and returns left + right, and
-    every part split here holds more than ``_LEAF`` > 128 trials.  So when
+    every part split here holds more than ``width`` >= 128 trials.  So when
     ``leaf`` returns ``np.sum`` over its trials of a row, this is ``np.sum``
     of the whole row, bit for bit.
     """
-    if hi - lo <= _LEAF:
+    if hi - lo <= width:
         return leaf(lo, hi)
     mid = lo + _split(hi - lo)
-    return _tree_sum(lo, mid, leaf) + _tree_sum(mid, hi, leaf)
+    return _tree_sum(lo, mid, width, leaf) + _tree_sum(mid, hi, width, leaf)
 
 
 def _wv_factor(m: MeasurementModel, t: int) -> tuple[float, float, float]:
@@ -207,261 +196,199 @@ def _wv_factor(m: MeasurementModel, t: int) -> tuple[float, float, float]:
     return l11, l21, l22
 
 
-def _streams_drawn(s: SystemSchedule) -> list:
-    """The streams each step t draws: w at every step, n from t = 1 on and
-    n_f where 0 < N_f(t) < inf.  A row that a step does not draw reads as
-    zeros."""
-    W, N, NF = _STREAM_W, _STREAM_N, _STREAM_NF
-    return [(W,)] + [(W, N, NF) if 0.0 < nf < math.inf else (W, N) for nf in s.N_f.tolist()[1:]]
-
-
-def _draw(s, m, seed, stream, drawn, t0, t1, lo, hi, M, slot, gens) -> None:
-    """Draw ``stream``'s scaled rows of steps t0..t1-1, trials lo..hi-1, into
-    row ``stream - 1`` of each step of ``slot``, the (steps, rows, width)
-    part of the slab that holds one block, skipping the steps whose
-    ``drawn`` streams leave it out.
-
-    With a measurement model, w comes with v (row 3): (w, v) are drawn
-    jointly with the measurement-noise covariance, through the slot's last
-    row, which no other stream writes.
-    """
-    for t in range(t0, t1):
-        if stream not in drawn[t]:
-            continue
-        rows = slot[t - t0, :, : hi - lo]
-        row = _slice(gens, seed, stream, t, lo, hi, M, rows[stream - 1])
-        if stream != _STREAM_W:
-            row *= math.sqrt((s.N if stream == _STREAM_N else s.N_f)[t])
-        elif m is not None:
-            l11, l21, l22 = _wv_factor(m, t)
-            v = _slice(gens, seed, _STREAM_V, t, lo, hi, M, rows[_STREAM_V - 1])
-            v *= l22
-            v += np.multiply(row, l21, out=rows[-1])  # v = l21 e1 + l22 e2
-            row *= l11
+class _Stopped(Exception):
+    """Raised in a leaf that finds its run stopped, in place of drawing."""
 
 
 _pool_lock = threading.Lock()
 _pool = None  # the helper threads' executor, made by the first call that needs it
 
 
-def _helper_pool(trials: int) -> tuple:
-    """(executor, helper count) for drawing rows ahead of the closed loop.
-
-    One helper per usable CPU beyond the calling thread's, so the process
-    adds no more threads than it has CPUs; (None, 0) with one usable CPU or
-    fewer than ``_THREADED_TRIALS`` trials.
-    """
-    global _pool
-    if trials < _THREADED_TRIALS:
-        return None, 0
+def _helper_count() -> int:
+    """One helper per usable CPU beyond the calling thread's, so the process
+    adds no more threads than it has CPUs."""
     try:
-        helpers = len(os.sched_getaffinity(0)) - 1
+        return len(os.sched_getaffinity(0)) - 1
     except AttributeError:  # no CPU affinity on this platform
-        helpers = (os.cpu_count() or 1) - 1
+        return (os.cpu_count() or 1) - 1
+
+
+def _leaf_width(trials: int, helpers: int) -> int:
+    """The most trials in a leaf of a run with ``helpers``: few enough that
+    every thread gets a leaf, but at least ``_THREADED_TRIALS``.  A part of
+    n trials splits into parts of at most n / 2 + 8, so with one helper
+    trials // 2 + 8 makes two leaves."""
     if helpers < 1:
-        return None, 0
+        return _LEAF
+    return min(_LEAF, max(_THREADED_TRIALS, trials // (helpers + 1) + 8))
+
+
+def _helper_pool(helpers: int):
+    """The executor of the helper threads, made with ``helpers`` threads."""
+    global _pool
     with _pool_lock:
         if _pool is None:
             from concurrent.futures import ThreadPoolExecutor
 
-            _pool = ThreadPoolExecutor(helpers, thread_name_prefix="statecast-rows")
-    return _pool, helpers
+            _pool = ThreadPoolExecutor(helpers, thread_name_prefix="statecast-leaves")
+    return _pool
 
 
-class _Draw:
-    """One stream's rows of one block (``_draw``'s arguments), drawn once,
-    by a helper or by the loop's thread.
+class _Run:
+    """The leaves of one ``monte_carlo`` run, run side by side.
 
-    The draw of a block of any leaf but the first needs the generators that
-    the same stream's draw of the same steps in the leaf before left, so it
-    runs ``after`` that draw, and lets go of it once it is over.  If that
-    one drew nothing (it raised or was abandoned), neither does this one:
-    the run has failed or stopped before it reads this block.
+    The calling thread and the helpers each claim the next leaf from one
+    lazy walk of ``_leaves`` and run the closed loop over all of it, into
+    buffers allocated for that leaf; its ``rows(t)`` draws step t's rows
+    when the loop asks for them.  A row's leaves come from its one keyed
+    generator, which waits in ``gens`` from one leaf to the next (at most
+    4T generators of about 0.6 KB each), so leaf k draws x(0), and then
+    each step, only after leaf k - 1 has drawn it: ``progress`` counts the
+    stages each leaf has drawn.
+
+    ``take`` hands the leaves' sums to ``_tree_sum`` in trial order.  The
+    calling thread runs the leaf it needs next itself unless a helper has
+    claimed it, and a helper that has run a leaf claims no other until its
+    sums are taken, so at most one result per thread is held.  A leaf that
+    raises stops the run: every waiting thread wakes, the helpers return,
+    and ``take`` raises the first exception a leaf raised, unchanged.
     """
 
-    __slots__ = ("job", "after", "busy", "ok")
+    def __init__(self, plan: RegimePlan, cfg: McConfig, width: int):
+        self.plan, self.seed, self.M = plan, cfg.seed, cfg.trials
+        self.spans = _leaves(0, cfg.trials, width)  # the leaves not yet claimed
+        self.claimed = 0  # leaves claimed
+        self.gens = {}  # generators of rows drawn up to a leaf, by (stream, t)
+        self.cond = threading.Condition()
+        self.progress = {}  # stages drawn, x(0) and then steps 0..T-1, by leaf
+        self.results = {}  # the sums of the leaves run and not yet taken, by leaf
+        self.wanted = 0  # the leaf ``take`` returns next, None while this thread runs it
+        self.error = None  # what stopped the run
 
-    def __init__(self, job: tuple, after: Optional["_Draw"]):
-        self.job, self.after = job, after
-        self.busy = threading.Lock()  # held until this draw is over
-        self.busy.acquire()
-        self.ok = False  # the rows are drawn
+    def _claim(self) -> Optional[tuple]:
+        """The next leaf (k, lo, hi), or None if there is none or the run
+        has stopped; called holding ``cond``."""
+        span = next(self.spans, None) if self.error is None else None
+        if span is None:
+            return None
+        k = self.claimed
+        self.claimed += 1
+        self.progress[k] = 0
+        return k, *span
 
-    def ready(self) -> bool:
-        """Whether this draw can start without waiting."""
-        return self.after is None or not self.after.busy.locked()
+    def _turn(self, k: int, stage: int) -> None:
+        """Wait until leaf k may draw ``stage``: leaf k - 1 has drawn it."""
+        progress = self.progress
+        if k and progress[k - 1] <= stage:
+            with self.cond:
+                self.cond.wait_for(lambda: self.error is not None or progress[k - 1] > stage)
+        if self.error is not None:
+            raise _Stopped
 
-    def run(self) -> None:
-        try:
-            after, self.after = self.after, None
-            if after is not None:
-                with after.busy:  # wait until it is over
-                    pass
-            if after is None or after.ok:
-                _draw(*self.job)
-                self.ok = True
-        finally:
-            self.busy.release()
+    def _drew(self, k: int, stage: int) -> None:
+        """Record that leaf k has drawn ``stage``."""
+        with self.cond:
+            self.progress[k] = stage + 1
+            self.cond.notify_all()
 
+    def rows(self, k: int, lo: int, hi: int, noise: np.ndarray):
+        """Leaf k's ``rows`` for ``run_closed_loop``: step t's rows (w, n,
+        n_f, v) of trials lo..hi-1, drawn into the rows w, n, n_f, v and a
+        scratch row for (w, v) of ``noise``; v is None without a measurement
+        model."""
+        s, m, gens, seed, M = self.plan.schedule, self.plan.measurement, self.gens, self.seed, self.M
+        N, N_f = s.N.tolist(), s.N_f.tolist()
+        zeros = np.broadcast_to(0.0, (hi - lo,))
 
-def _abandon(pending: deque) -> None:
-    """End the draws left in ``pending`` without drawing them."""
-    while True:
-        try:
-            pending.popleft().busy.release()
-        except IndexError:
-            return
+        def rows(t: int) -> tuple:
+            w, n, n_f, *wv = noise
+            self._turn(k, t + 1)
+            _slice(gens, seed, _STREAM_W, t, lo, hi, M, w)
+            v = None
+            if m is not None:
+                l11, l21, l22 = _wv_factor(m, t)
+                v = _slice(gens, seed, _STREAM_V, t, lo, hi, M, wv[0])
+                v *= l22
+                v += np.multiply(w, l21, out=wv[1])  # v = l21 e1 + l22 e2
+                w *= l11
+            if t:
+                _slice(gens, seed, _STREAM_N, t, lo, hi, M, n)
+                n *= math.sqrt(N[t])
+            fed_back = t and 0.0 < N_f[t] < math.inf
+            if fed_back:
+                _slice(gens, seed, _STREAM_NF, t, lo, hi, M, n_f)
+                n_f *= math.sqrt(N_f[t])
+            self._drew(k, t + 1)
+            return w, n if t else zeros, n_f if fed_back else zeros, v
 
-
-def _drain(pending: deque) -> None:
-    """Run the draws in ``pending``, taking each off it first, until none
-    is left; another thread may be taking draws off it too.  If a draw
-    raises, the ones left are abandoned, so no later draw waits on them."""
-    try:
-        while True:
-            try:
-                draw = pending.popleft()
-            except IndexError:
-                return
-            draw.run()
-    except BaseException:
-        _abandon(pending)
-        raise
-
-
-class _StreamedRows:
-    """The noise rows of one Monte Carlo run, drawn as the closed loop needs them.
-
-    ``step`` is the ``rows`` of ``run_closed_loop``, which runs once per
-    leaf of trials (see ``_leaves``), leaf after leaf.  Rows are drawn in
-    blocks of ``_steps`` whole steps of one leaf, floor(_BLOCK_ELEMENTS /
-    ``width``) for the widest leaf's ``width``, so a block holds at most
-    _BLOCK_ELEMENTS trial-steps whatever M is.  Each block is drawn stream
-    by stream: w (with v in the separation regime), n and n_f are separate
-    draws.  A row's leaves are drawn in trial order from its one keyed
-    generator, which waits in ``_gens`` from one leaf to the next: at most
-    4T generators of about 0.6 KB each.
-
-    While the loop runs block b, the helpers draw blocks b+1 .. b+depth,
-    into the next leaves once a leaf's blocks run out.  When the loop
-    reaches a block that a helper is still drawing, this thread draws queued
-    draws that no helper has started, and whose draw in the leaf before is
-    over, instead of waiting, so a slow or starved helper costs at most the
-    draws it holds.  An exception raised in a helper comes out of the read
-    that needs its block, unchanged.
-
-    Every block is drawn into slot b % slots of one slab allocated here, one
-    slot per block in flight: depth + 1 with helpers, 1 without.  Block
-    b + depth is queued only once the loop has left block b - 1, so it
-    reuses that block's slot.  The helpers' jobs hold no reference to this
-    object, so it and its slab are freed as soon as the run drops it.
-    """
-
-    def __init__(
-        self,
-        s: SystemSchedule,
-        m: Optional[MeasurementModel],
-        cfg: McConfig,
-        pool,
-        depth: int,
-    ):
-        M = cfg.trials
-        self._s, self._m, self._seed, self._M = s, m, cfg.seed, M
-        self.width = leaves = 0  # the widest leaf's trials; the number of leaves
-        for lo, hi in _leaves(0, M):
-            self.width, leaves = max(self.width, hi - lo), leaves + 1
-        self._steps = min(_BLOCK_ELEMENTS // self.width, s.T)  # steps per block
-        self._groups = -(-s.T // self._steps)  # blocks per leaf
-        self._blocks = leaves * self._groups
-        self._drawn = _streams_drawn(s)
-        self._pool, self._depth = pool, depth
-        slots = 1 if pool is None else depth + 1
-        # rows w, n, n_f and, with a measurement model, v and the (w, v) scratch
-        self._slab = np.empty((slots, self._steps, 3 if m is None else 5, self.width))
-        self._zeros = np.zeros(self.width)
-        self._gens = {}  # generators of rows drawn up to a leaf, by (stream, t)
-        self._spans = _leaves(0, M)  # the spans of the leaves after the last block made
-        self._span = None  # the span of the last block made
-        self._ahead = deque()  # (span, draws not yet taken, helper's job) of blocks _b + 1, ...
-        self._last = {}  # the last draw made, by (stream, block of a leaf)
-        self._leaf, self._b, self._block = -1, -1, None
-
-    def _make(self, b: int) -> tuple:
-        """Block b's span (t0, t1, lo, hi), for steps t0..t1-1 of trials
-        lo..hi-1, and its draws, one per stream that its steps draw; blocks
-        are made in order."""
-        group = b % self._groups
-        if not group:
-            self._span = next(self._spans)
-        lo, hi = self._span
-        t0 = group * self._steps
-        t1 = min(t0 + self._steps, self._s.T)
-        slot = self._slab[b % len(self._slab)]
-        drawn = self._drawn
-        streams = drawn[t0] if t1 == t0 + 1 else sorted(set().union(*drawn[t0:t1]))
-        draws = deque()
-        for stream in streams:
-            job = (self._s, self._m, self._seed, stream, drawn, t0, t1, lo, hi, self._M, slot, self._gens)
-            draw = _Draw(job, self._last[stream, group] if lo else None)
-            self._last[stream, group] = draw
-            draws.append(draw)
-        return (t0, t1, lo, hi), draws
-
-    def _rows(self, b: int, span: tuple) -> list:
-        """The rows (w, n, n_f, v) to read of each step of block b."""
-        t0, t1, lo, hi = span
-        slot = self._slab[b % len(self._slab), :, :, : hi - lo]
-        zeros = self._zeros[: hi - lo]
-        rows = []
-        for t in range(t0, t1):
-            w, n, n_f, v = slot[t - t0, :4] if self._m is not None else (*slot[t - t0], None)
-            drawn = self._drawn[t]
-            rows.append((w, n if t else zeros, n_f if _STREAM_NF in drawn else zeros, v))
         return rows
 
-    def _take(self, b: int) -> list:
-        """Block b's rows, after queueing blocks up to b + depth for the helpers."""
-        ahead = self._ahead
-        span, pending, fut = ahead.popleft() if ahead else (*self._make(b), None)
-        while self._pool is not None and len(ahead) < self._depth and b + 1 + len(ahead) < self._blocks:
-            later_span, later = self._make(b + 1 + len(ahead))
-            ahead.append((later_span, later, self._pool.submit(_drain, later)))
-        _drain(pending)
-        if fut is not None and not fut.cancel():
-            # a helper is still drawing this block: run the queued blocks'
-            # draws that can start now instead of waiting
-            for _, later, _ in ahead:
-                while not fut.done():
-                    try:
-                        draw = later.popleft()
-                    except IndexError:
-                        break
-                    if not draw.ready():
-                        later.appendleft(draw)
-                        break
-                    draw.run()
-            fut.result()
-        return self._rows(b, span)
+    def _leaf(self, k: int, lo: int, hi: int) -> Optional[np.ndarray]:
+        """Run leaf k, trials lo..hi-1, and return its (3, T) sums, or None
+        if it raised, which stops the run, or found the run stopped."""
+        plan = self.plan
+        # 14 rows in every regime, so that the memory one run frees fits the
+        # next: two more than all but the separation regime use
+        bufs = np.empty((14, hi - lo))
+        x, work, noise = bufs[0], bufs[1:9], bufs[9:]
+        rec = _MomentRecorder()
+        try:
+            self._turn(k, 0)
+            _slice(self.gens, self.seed, _STREAM_X0, 0, lo, hi, self.M, x)
+            self._drew(k, 0)
+            x *= math.sqrt(plan.schedule.V_xx0)  # the loop updates it in place
+            run_closed_loop(plan, x, self.rows(k, lo, hi, noise), rec, work)
+        except BaseException as exc:  # noqa: BLE001 - ``take`` raises the first one
+            self.stop(exc)
+            return None
+        self.progress.pop(k - 1, None)  # only leaf k reads it
+        return rec.sums
 
-    def step(self, t: int) -> tuple:
-        """Step t's rows (w, n, n_f, v) of the current leaf, t = 0 starting
-        the next leaf; a block's slot is reused once the loop has moved on
-        to a later block."""
-        if not t:
-            self._leaf += 1
-        group, i = divmod(t, self._steps)
-        b = self._leaf * self._groups + group
-        if b != self._b:
-            self._block, self._b = self._take(b), b
-        return self._block[i]
+    def stop(self, exc: Optional[BaseException] = None) -> None:
+        """Stop the run, for ``exc`` unless it has stopped already."""
+        with self.cond:
+            if self.error is None:
+                self.error = exc or _Stopped()
+            self.cond.notify_all()
 
-    def close(self) -> None:
-        """Cancel the blocks no helper has started (the loop stopped early)
-        and abandon their draws, so no helper waits on them."""
-        for _, pending, fut in self._ahead:
-            if fut.cancel():
-                _abandon(pending)
-        self._ahead.clear()
+    def help(self) -> None:
+        """A helper's part: run leaves until none is left or the run stops."""
+        while True:
+            with self.cond:
+                # the leaf the calling thread wants next is its to claim
+                self.cond.wait_for(lambda: self.claimed != self.wanted or self.error is not None)
+                leaf = self._claim()
+            sums = None if leaf is None else self._leaf(*leaf)
+            if sums is None:
+                return
+            with self.cond:
+                self.results[leaf[0]] = sums
+                self.cond.notify_all()
+                self.cond.wait_for(lambda: leaf[0] not in self.results or self.error is not None)
+
+    def take(self, lo: int, hi: int) -> np.ndarray:
+        """The sums of the next leaf, trials lo..hi-1: a helper's, or this
+        thread's if no helper has claimed it."""
+        k = self.wanted
+        with self.cond:
+            while k not in self.results:
+                if self.error is not None:
+                    raise self.error
+                if self.claimed == k:
+                    self._claim()
+                    self.wanted = None  # the helpers may claim the next leaves
+                    self.cond.notify_all()
+                    break
+                self.cond.wait()
+            else:
+                self.wanted = k + 1
+                self.cond.notify_all()  # its helper may claim another leaf
+                return self.results.pop(k)
+        sums = self._leaf(k, lo, hi)
+        if sums is None:
+            raise self.error
+        self.wanted = k + 1
+        return sums
 
 
 class _MomentRecorder(Recorder):
@@ -544,25 +471,17 @@ def monte_carlo(
     """
     plan = build_plan(s, kind, measurement=measurement, form=form)
     M = cfg.trials
-    pool, helpers = _helper_pool(M)
-    # One block queued per helper: this thread takes over the draws of the
-    # block it needs that no helper has started.
-    rows = _StreamedRows(plan.schedule, plan.measurement, cfg, pool, helpers)
-    rec = _MomentRecorder()
-    work = np.empty((8, rows.width))  # the loop's rows, leaf-wide, for every leaf
-    x0_gen = _generator(cfg.seed, _STREAM_X0, 0)  # x(0) of one leaf after another
-    sd0 = math.sqrt(s.V_xx0)
-
-    def leaf(lo: int, hi: int) -> np.ndarray:
-        x = x0_gen.standard_normal(hi - lo)  # the loop updates it in place
-        x *= sd0
-        run_closed_loop(plan, x, rows.step, rec, work[:, : hi - lo])
-        return rec.sums
-
+    helpers = _helper_count()
+    width = _leaf_width(M, helpers)
+    run = _Run(plan, cfg, width)
     try:
-        s2_err, s4_err, s2_z = _tree_sum(0, M, leaf)
+        if helpers > 0 and M > width:
+            pool = _helper_pool(helpers)
+            for _ in range(helpers):
+                pool.submit(run.help)
+        s2_err, s4_err, s2_z = _tree_sum(0, M, width, run.take)
     finally:
-        rows.close()
+        run.stop()  # the helpers still waiting for a leaf return
 
     emp_mse, emp_se = _mean_se(s2_err, s4_err, M)
     zpow = s2_z / M

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+import time
 import weakref
 from pathlib import Path
 
@@ -32,6 +33,19 @@ from numpy.random import Generator, Philox
 from statecast.schemes import run_closed_loop
 from statecast.simulate import CSV_HEADER, format_float
 from statecast.stationarity import STATIONARITY_CHECKS
+
+
+@pytest.fixture(autouse=True)
+def no_stuck_helpers(monkeypatch):
+    """Give each test its own helper pool and, after the test, require a
+    no-op submitted to it to finish within 10 s: a helper left waiting then
+    fails the test that left it instead of hanging the whole run."""
+    monkeypatch.setattr(simulate, "_pool", None)
+    yield
+    pool = simulate._pool
+    if pool is not None:
+        pool.submit(int).result(timeout=10)
+        pool.shutdown(wait=True)
 
 
 def test_same_seed_gives_identical_streams():
@@ -256,8 +270,8 @@ STREAMED_CASES = [
     ),
 ]
 STREAMED_IDS = [kind.value for kind, _, _ in STREAMED_CASES]
-# 500 trials: one block, drawn inline; 20000: two leaves of 10000 trials, in
-# blocks of 3 steps, drawn ahead.
+# 500 trials: one leaf, run inline; 20000: two leaves of 10000 trials, run
+# side by side on two or more CPUs.
 STREAMED_TRIALS = (500, 20_000)
 
 
@@ -298,42 +312,63 @@ LEAF = simulate._LEAF
 # full leaf, two leaves, three leaves at two depths, four leaves, and eight
 # leaves of about 12500 trials.
 LEAF_TRIALS = (LEAF - 1, LEAF, LEAF + 1, 2 * LEAF - 1, 3 * LEAF + 7, 100_003)
+# (trials, leaf width) of runs split for the helpers: with one helper, two
+# leaves of about 2048, 5000 and 10000 trials; with six, eight leaves of
+# about 2500 and of about 8192 trials.
+HELPER_SPLITS = [
+    (trials, simulate._leaf_width(trials, helpers))
+    for trials, helpers in ((4097, 1), (10_001, 1), (20_000, 1), (20_000, 6), (4 * LEAF + 5, 6))
+]
 
 
 @pytest.mark.parametrize("kind, nf, m", STREAMED_CASES, ids=STREAMED_IDS)
 def test_streamed_rows_are_the_keyed_reference_rows(kind, nf, m):
-    # the rows the loop reads, leaf by leaf, join into rows with the bytes
+    # the rows each leaf reads, leaf by leaf, join into rows with the bytes
     # of rows drawn whole under their (seed, stream, t) keys
     plan = build_plan(_streamed_case(nf), kind, measurement=m)
-    for trials in LEAF_TRIALS:
+    for trials, width in [(trials, LEAF) for trials in LEAF_TRIALS] + HELPER_SPLITS:
         cfg = McConfig(trials=trials, seed=609)
-        rows = simulate._StreamedRows(plan.schedule, plan.measurement, cfg, None, 0)
+        run = simulate._Run(plan, cfg, width)
         ref = keyed_streams(plan.schedule, trials, cfg.seed, plan.measurement)
-        leaves = list(simulate._leaves(0, trials))
+        leaves = list(simulate._leaves(0, trials, width))
         assert [lo for lo, _ in leaves] == [0] + [hi for _, hi in leaves[:-1]], trials
-        assert leaves[-1][1] == trials and rows.width == max(hi - lo for lo, hi in leaves)
+        assert leaves[-1][1] == trials
         for lo, hi in leaves:
-            assert 0 < hi - lo <= LEAF
+            assert 0 < hi - lo <= width
+            k, *span = run._claim()
+            assert span == [lo, hi]
+            rows = run.rows(k, lo, hi, np.empty((5, hi - lo)))
             for t in range(T_STREAMED):
-                # a block's rows are compared before the next block is asked for
-                got = [None if row is None else row.tobytes() for row in rows.step(t)]
+                # a step's rows are compared before the next step's are drawn
+                got = [None if row is None else row.tobytes() for row in rows(t)]
                 whole = [None if row is None else row[lo:hi].tobytes() for row in ref.rows(t)]
                 assert got == whole, (trials, lo, t)
+        assert run._claim() is None
 
 
-@pytest.mark.parametrize("trials", (*LEAF_TRIALS, 2**20 + 3))
-def test_leaf_sums_added_up_the_tree_are_np_sum_of_the_row(trials):
+LEAF_SUM_CASES = [pytest.param(trials, LEAF, id=str(trials)) for trials in (*LEAF_TRIALS, 2**20 + 3)] + [
+    pytest.param(trials, width, id=f"{trials}-{width}") for trials, width in HELPER_SPLITS
+]
+
+
+@pytest.mark.parametrize("trials, width", LEAF_SUM_CASES)
+def test_leaf_sums_added_up_the_tree_are_np_sum_of_the_row(trials, width):
     # pins the order in which numpy sums a row, which monte_carlo's
     # combination of per-leaf sums mirrors
     rng = np.random.default_rng(trials)
     for row in (rng.standard_normal(trials), rng.standard_normal(trials) ** 2 * 1e3):
-        total = simulate._tree_sum(0, trials, lambda lo, hi: np.sum(row[lo:hi]))
+        total = simulate._tree_sum(0, trials, width, lambda lo, hi: np.sum(row[lo:hi]))
         assert total == np.sum(row), trials
 
 
-@pytest.mark.parametrize("trials", [1, 500, LEAF])
-def test_up_to_a_leaf_of_trials_is_one_leaf(trials):
-    assert list(simulate._leaves(0, trials)) == [(0, trials)]
+ONE_LEAF_CASES = [pytest.param(trials, LEAF, id=str(trials)) for trials in (1, 500, LEAF)] + [
+    pytest.param(width, width, id=f"{width}-{width}") for width in sorted({w for _, w in HELPER_SPLITS})
+]
+
+
+@pytest.mark.parametrize("trials, width", ONE_LEAF_CASES)
+def test_up_to_a_leaf_of_trials_is_one_leaf(trials, width):
+    assert list(simulate._leaves(0, trials, width)) == [(0, trials)]
 
 
 # sha256 of the monte_carlo CSV of each streamed case at seed 4242, by trial
@@ -399,7 +434,6 @@ def test_rows_drawn_inline_create_no_pool(monkeypatch, cpus, trials):
     kind, nf, m = STREAMED_CASES[-1]
     s = _streamed_case(nf)
     cfg = McConfig(trials=trials, seed=607)
-    monkeypatch.setattr(simulate, "_pool", None)
     if cpus == 1:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
@@ -409,25 +443,21 @@ def test_rows_drawn_inline_create_no_pool(monkeypatch, cpus, trials):
 
 
 def _with_many_helpers(monkeypatch, s, kind, cfg, m):
-    """``monte_carlo`` with six usable CPUs and a tiny switch interval."""
-    monkeypatch.setattr(simulate, "_pool", None)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(6)), raising=False)
+    """``monte_carlo`` with six helpers and a tiny switch interval."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(7)), raising=False)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         return monte_carlo(s, kind, cfg, measurement=m)
     finally:
         sys.setswitchinterval(interval)
-        if simulate._pool is not None:
-            simulate._pool.shutdown(wait=True)
 
 
 @pytest.mark.parametrize("kind, nf, m", STREAMED_CASES, ids=STREAMED_IDS)
 def test_many_helpers_and_fast_switching_keep_the_bytes(monkeypatch, kind, nf, m):
     # more helpers than CPUs and a tiny switch interval interleave the
-    # helpers' draws and this thread's take-overs as much as possible,
-    # every slot of the slab is reused several times, and the helpers draw
-    # into the next leaves, of which there are five, the last two shorter
+    # threads' leaves, each drawing a step's rows after the leaf before, as
+    # much as possible: the run is eight leaves of about 8192 trials
     s = _streamed_case(nf)
     cfg = McConfig(trials=4 * LEAF + 5, seed=608)
     summary = _with_many_helpers(monkeypatch, s, kind, cfg, m)
@@ -435,8 +465,9 @@ def test_many_helpers_and_fast_switching_keep_the_bytes(monkeypatch, kind, nf, m
 
 
 def test_helpers_queued_past_the_horizon_draw_each_rows_leaves_in_order(monkeypatch):
-    # at T = 2 a leaf is one block, so the blocks queued ahead are the same
-    # rows' next leaves, each drawn after the one before
+    # at T = 2 the leaves hand each row's generator on after a few numpy
+    # calls, so the threads of the 16 leaves wait on one another most of
+    # the time
     kind, _, m = STREAMED_CASES[-1]
     s = SystemSchedule(T=2, a=0.9, b=0.9, P=1.3, N=0.8, N_f=0.4, V_xx0=1.1)
     cfg = McConfig(trials=9 * LEAF + 5, seed=610)
@@ -445,21 +476,24 @@ def test_helpers_queued_past_the_horizon_draw_each_rows_leaves_in_order(monkeypa
 
 
 def test_monte_carlo_frees_its_rows_when_it_returns(monkeypatch):
-    # with the cyclic collector off, a reference cycle through the run's
-    # rows would keep them, and their slab, alive after the call
+    # with the cyclic collector off, a reference cycle through the run would
+    # keep it, and its generators, alive after the call
     runs = []
 
-    class Tracked(simulate._StreamedRows):
+    class Tracked(simulate._Run):
         def __init__(self, *args):
             super().__init__(*args)
             runs.append(weakref.ref(self))
 
-    monkeypatch.setattr(simulate, "_StreamedRows", Tracked)
+    monkeypatch.setattr(simulate, "_Run", Tracked)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     kind, nf, m = STREAMED_CASES[-1]
     enabled = gc.isenabled()
     gc.disable()
     try:
         monte_carlo(_streamed_case(nf), kind, McConfig(trials=8192, seed=5), measurement=m)
+        # the one helper lets go of the run before it runs the next job
+        simulate._pool.submit(int).result(timeout=10)
         assert len(runs) == 1
         assert runs[0]() is None
     finally:
@@ -467,30 +501,100 @@ def test_monte_carlo_frees_its_rows_when_it_returns(monkeypatch):
             gc.enable()
 
 
+class Boom(Exception):
+    pass
+
+
+def _failing_slice(monkeypatch, fails):
+    """Make ``_slice`` raise a new ``Boom`` on the calls for which
+    ``fails(stream, t)`` holds, and return it."""
+    boom = Boom("a leaf failed")
+    draw = simulate._slice
+
+    def failing(gens, seed, stream, t, *args):
+        if fails(stream, t):
+            raise boom
+        return draw(gens, seed, stream, t, *args)
+
+    monkeypatch.setattr(simulate, "_slice", failing)
+    return boom
+
+
 def test_helper_exception_comes_out_unchanged(monkeypatch):
-    class Boom(Exception):
-        pass
-
-    boom = Boom("a helper failed")
+    # the calling thread claims leaf 0 and, once it has drawn x(0), waits
+    # until the helper, on leaf 1, has failed on its first draw
     helper_raised = threading.Event()
-    philox = simulate.Philox
 
-    def failing_philox(key):
+    def fails(stream, t):
         if threading.current_thread() is not threading.main_thread():
             helper_raised.set()
-            raise boom
-        if int(key[1]) == (simulate._STREAM_W << 48) | 1:
-            # block 0 is drawn on the calling thread: let a helper fail first
+            return True
+        if stream != simulate._STREAM_X0:
             helper_raised.wait(timeout=30)
-        return philox(key=key)
+        return False
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(simulate, "Philox", failing_philox)
-    s = _streamed_case(0.5)
+    boom = _failing_slice(monkeypatch, fails)
     with pytest.raises(Boom) as info:
-        monte_carlo(s, RegimeKind.OUTPUT_FEEDBACK, McConfig(trials=20_000, seed=1))
+        monte_carlo(_streamed_case(0.5), RegimeKind.OUTPUT_FEEDBACK, McConfig(trials=20_000, seed=1))
     assert info.value is boom
     assert helper_raised.is_set()
+
+
+def test_a_failing_leaf_stops_every_helper(monkeypatch):
+    # the calling thread's leaf 0 fails on step 6's draws once each of six
+    # helpers has drawn step 5 of one of leaves 1..6 of eight, and so comes
+    # to wait for step 6 of the leaf before it; the no_stuck_helpers fixture
+    # then checks that none of them is left waiting
+    kind, nf, m = STREAMED_CASES[-1]
+    s = _streamed_case(nf)
+    cfg = McConfig(trials=4 * LEAF + 5, seed=611)
+    helpers, waiting = set(), threading.Event()
+
+    def fails(stream, t):
+        if threading.current_thread() is not threading.main_thread():
+            if (stream, t) == (simulate._STREAM_W, 5):
+                helpers.add(threading.get_ident())
+                if len(helpers) == 6:
+                    waiting.set()
+            return False
+        if (stream, t) == (simulate._STREAM_N, 6):
+            assert waiting.wait(timeout=10)
+            time.sleep(0.2)  # for the last of them to finish step 5
+            return True
+        return False
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(7)), raising=False)
+    with monkeypatch.context() as patch:
+        boom = _failing_slice(patch, fails)
+        with pytest.raises(Boom) as info:
+            monte_carlo(s, kind, cfg, measurement=m)
+    assert info.value is boom
+    assert len(list(simulate._leaves(0, cfg.trials, simulate._leaf_width(cfg.trials, 6)))) >= 5
+    pool = simulate._pool
+    summary = monte_carlo(s, kind, cfg, measurement=m)
+    assert simulate._pool is pool
+    _assert_same_summary(summary, _materialized_summary(s, kind, cfg, m))
+
+
+def test_leaf_sums_in_flight_stay_bounded(monkeypatch):
+    # each thread holds at most one leaf's sums, and the tree sum one per
+    # level, so a 64-leaf run never has all its leaves' sums alive at once
+    helpers, leaves = 6, 64
+    alive, peak = [], [0]
+    start = simulate._MomentRecorder.start
+
+    def tracked(self, T, width):
+        start(self, T, width)
+        alive.append(weakref.ref(self.sums))
+        peak[0] = max(peak[0], sum(ref() is not None for ref in alive))
+
+    monkeypatch.setattr(simulate._MomentRecorder, "start", tracked)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(helpers + 1)), raising=False)
+    s = SystemSchedule(T=3, a=0.9, b=0.9, P=1.3, N=0.8, N_f=0.4, V_xx0=1.1)
+    monte_carlo(s, RegimeKind.OUTPUT_FEEDBACK, McConfig(trials=leaves * LEAF, seed=612))
+    assert len(alive) == leaves
+    assert peak[0] <= helpers + 1 + math.ceil(math.log2(leaves)), peak
 
 
 def _counted(counts: dict, key: str, fn):
@@ -626,7 +730,7 @@ def _probe(code: str) -> dict:
 @pytest.fixture(scope="module")
 def thread_counts():
     """OS thread counts of a fresh interpreter around ``import statecast`` and
-    one multi-block ``monte_carlo``, counting only statecast's own threads."""
+    one multi-leaf ``monte_carlo``, counting only statecast's own threads."""
     if not Path("/proc/self/task").is_dir() or not hasattr(os, "sched_getaffinity"):
         pytest.skip("needs /proc/self/task and os.sched_getaffinity")
     return _probe(_THREAD_PROBE)
