@@ -274,7 +274,7 @@ def parse_config(path: str, overrides: Optional[dict] = None) -> ExperimentSpec:
     output = _require(exp, "output", "experiment").strip()
     form = exp.get("form", "proof").strip().lower()
     if form not in SIGBAR_FORMS:
-        raise ValidationError(f"form must be one of {SIGBAR_FORMS}")
+        raise ValidationError(f"form must be one of {SIGBAR_FORMS}, got {form!r}")
 
     mc = None
     if mode == "simulate":

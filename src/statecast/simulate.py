@@ -13,20 +13,25 @@ golden files are tied to the numpy release documented in the README.
 ``monte_carlo`` runs the closed loop leaf by leaf over the trials: M trials
 split the way numpy's pairwise summation splits a row of M values, until
 each leaf holds at most ``_LEAF`` = 16384 trials (M <= 16384 is one leaf).
-A leaf is the unit of parallel work: the calling thread and helper threads,
-one fewer than the usable CPUs (none with one CPU), each claim the next
-leaf and run the closed loop over all of it, drawing each step's rows when
-the loop asks for them; numpy releases the GIL both in the sampler and in
-the arithmetic of the loop.  With helpers, fewer than (helpers + 1) *
-16384 trials split into at least helpers + 1 leaves, as long as that keeps
-the leaf width at ``_THREADED_TRIALS`` = 4096 or more (see ``_leaf_width``),
-so M <= 4096 is one leaf, run inline.  A row's
-leaves come from its one keyed generator in trial order, so leaf k draws
-x(0), and each step, only after leaf k - 1 has: the rows hold the bytes of
-the whole row.  A leaf allocates 15 rows of its trials when it starts, and
-nothing per step, so a run's memory is O(``_LEAF``) per thread whatever M
-is.  The results do not depend on the number of helpers, and nothing sets
-it.
+A leaf is the unit of parallel work, run over all of its trials by one
+thread, which draws each step's rows when the loop asks for them; numpy
+releases the GIL both in the sampler and in the arithmetic of the loop.
+With h helper threads, one fewer than the usable CPUs (none with one CPU),
+the leaves run in a fixed turn order: the calling thread runs leaves 0,
+h + 1, 2(h + 1), ... itself and, before each of them, hands the next h
+leaves to the helpers' pool, whose sums it then takes in trial order.  The
+pool keeps the thread count of the call that made it.  With helpers, fewer
+than (h + 1) * 16384 trials split into at least h + 1 leaves, as long as
+that keeps the leaf width at ``_THREADED_TRIALS`` = 4096 or more (see
+``_leaf_width``), so M <= 4096 is one leaf, run inline.
+
+A row's leaves draw from its one keyed generator in trial order: leaf 0
+makes x(0)'s generator, and then each step's, and every leaf hands each
+stage's generators on to the next leaf through a queue once it has drawn
+its slices, so the rows hold the bytes of the whole row.  A leaf allocates
+15 rows of its trials when it starts, and nothing per step, so a run's
+memory is O(``_LEAF``) per thread whatever M is.  The results do not
+depend on the number of helpers, and nothing sets it.
 
 Aggregation sums each per-step statistic over a leaf's trials with numpy's
 pairwise reduction and adds the leaves' sums up the same tree, left +
@@ -64,8 +69,12 @@ from __future__ import annotations
 
 import math
 import os
+import queue
 import threading
+from collections import deque
 from dataclasses import dataclass
+from functools import partial
+from itertools import islice
 from typing import Optional
 
 import numpy as np
@@ -135,22 +144,6 @@ def _generator(seed: int, stream: int, t: int) -> Generator:
     is in [0, 2**64), as ``McConfig`` checks."""
     key = np.array([np.uint64(seed), np.uint64((stream << 48) | t)], dtype=np.uint64)
     return Generator(Philox(key=key))
-
-
-def _slice(gens: dict, seed: int, stream: int, t: int, lo: int, hi: int, M: int, out):
-    """Fill ``out`` with entries lo..hi-1 of the M unit normals keyed by
-    (seed, stream, t), and return it.
-
-    A row's slices come from one generator advanced in trial order, so they
-    hold the bytes of the whole row drawn at once: the slice at lo = 0 makes
-    the generator, and every slice but the last leaves it in ``gens`` for
-    the next one.
-    """
-    gen = gens.pop((stream, t)) if lo else _generator(seed, stream, t)
-    gen.standard_normal(out=out)
-    if hi < M:
-        gens[stream, t] = gen
-    return out
 
 
 def _split(n: int) -> int:
@@ -234,161 +227,66 @@ def _helper_pool(helpers: int):
     return _pool
 
 
-class _Run:
-    """The leaves of one ``monte_carlo`` run, run side by side.
+def _leaf(plan: RegimePlan, seed: int, lo: int, hi: int, gens_in, gens_out, stop) -> np.ndarray:
+    """Run the closed loop over trials lo..hi-1 and return their (3, T) sums.
 
-    The calling thread and the helpers each claim the next leaf from one
-    lazy walk of ``_leaves`` and run the closed loop over all of it, into
-    buffers allocated for that leaf; its ``rows(t)`` draws step t's rows
-    when the loop asks for them.  A row's leaves come from its one keyed
-    generator, which waits in ``gens`` from one leaf to the next (at most
-    4T generators of about 0.6 KB each), so leaf k draws x(0), and then
-    each step, only after leaf k - 1 has drawn it: ``progress`` counts the
-    stages each leaf has drawn.
-
-    ``take`` hands the leaves' sums to ``_tree_sum`` in trial order.  The
-    calling thread runs the leaf it needs next itself unless a helper has
-    claimed it, and a helper that has run a leaf claims no other until its
-    sums are taken, so at most one result per thread is held.  A leaf that
-    raises stops the run: every waiting thread wakes, the helpers return,
-    and ``take`` raises the first exception a leaf raised, unchanged.
+    The leaf draws x(0), and then each step's rows, into its own buffers
+    with each stage's generators: leaf 0 (``gens_in`` None) makes them with
+    ``_generator``, every other leaf takes them from ``gens_in``, and each
+    leaf but the last puts them into ``gens_out``, the next leaf's
+    ``gens_in``, once it has drawn its slices.  A row's slices therefore come
+    from its one generator in trial order and hold the bytes of the whole
+    row.  A leaf that takes None, or finds the ``stop`` event set, at a
+    hand-off raises ``_Stopped``.
     """
+    s, m = plan.schedule, plan.measurement
+    N, N_f = s.N.tolist(), s.N_f.tolist()
+    # 14 rows in every regime, so that the memory one leaf frees fits the
+    # next: two more than all but the separation regime use
+    bufs = np.empty((14, hi - lo))
+    x, work, noise = bufs[0], bufs[1:9], bufs[9:]
+    zeros = np.broadcast_to(0.0, (hi - lo,))
 
-    def __init__(self, plan: RegimePlan, cfg: McConfig, width: int):
-        self.plan, self.seed, self.M = plan, cfg.seed, cfg.trials
-        self.spans = _leaves(0, cfg.trials, width)  # the leaves not yet claimed
-        self.claimed = 0  # leaves claimed
-        self.gens = {}  # generators of rows drawn up to a leaf, by (stream, t)
-        self.cond = threading.Condition()
-        self.progress = {}  # stages drawn, x(0) and then steps 0..T-1, by leaf
-        self.results = {}  # the sums of the leaves run and not yet taken, by leaf
-        self.wanted = 0  # the leaf ``take`` returns next, None while this thread runs it
-        self.error = None  # what stopped the run
-
-    def _claim(self) -> Optional[tuple]:
-        """The next leaf (k, lo, hi), or None if there is none or the run
-        has stopped; called holding ``cond``."""
-        span = next(self.spans, None) if self.error is None else None
-        if span is None:
-            return None
-        k = self.claimed
-        self.claimed += 1
-        self.progress[k] = 0
-        return k, *span
-
-    def _turn(self, k: int, stage: int) -> None:
-        """Wait until leaf k may draw ``stage``: leaf k - 1 has drawn it."""
-        progress = self.progress
-        if k and progress[k - 1] <= stage:
-            with self.cond:
-                self.cond.wait_for(lambda: self.error is not None or progress[k - 1] > stage)
-        if self.error is not None:
+    def draw(t: int, rows: dict) -> None:
+        """Fill ``rows``, an output row by stream, with this leaf's slices of
+        the rows keyed (seed, stream, t)."""
+        gens = [_generator(seed, stream, t) for stream in rows] if gens_in is None else gens_in.get()
+        if gens is None or stop.is_set():
             raise _Stopped
+        for gen, out in zip(gens, rows.values()):
+            gen.standard_normal(out=out)
+        if gens_out is not None:
+            gens_out.put(gens)
 
-    def _drew(self, k: int, stage: int) -> None:
-        """Record that leaf k has drawn ``stage``."""
-        with self.cond:
-            self.progress[k] = stage + 1
-            self.cond.notify_all()
+    def rows(t: int) -> tuple:
+        """Step t's rows (w, n, n_f, v), the ``rows`` of ``run_closed_loop``;
+        v is None without a measurement model."""
+        w, n, n_f, v, wv = noise
+        fed_back = t and 0.0 < N_f[t] < math.inf
+        drawn = {_STREAM_W: w}
+        if m is not None:
+            drawn[_STREAM_V] = v
+        if t:
+            drawn[_STREAM_N] = n
+        if fed_back:
+            drawn[_STREAM_NF] = n_f
+        draw(t, drawn)
+        if m is not None:
+            l11, l21, l22 = _wv_factor(m, t)
+            v *= l22
+            v += np.multiply(w, l21, out=wv)  # v = l21 e1 + l22 e2
+            w *= l11
+        if t:
+            n *= math.sqrt(N[t])
+        if fed_back:
+            n_f *= math.sqrt(N_f[t])
+        return w, n if t else zeros, n_f if fed_back else zeros, None if m is None else v
 
-    def rows(self, k: int, lo: int, hi: int, noise: np.ndarray):
-        """Leaf k's ``rows`` for ``run_closed_loop``: step t's rows (w, n,
-        n_f, v) of trials lo..hi-1, drawn into the rows w, n, n_f, v and a
-        scratch row for (w, v) of ``noise``; v is None without a measurement
-        model."""
-        s, m, gens, seed, M = self.plan.schedule, self.plan.measurement, self.gens, self.seed, self.M
-        N, N_f = s.N.tolist(), s.N_f.tolist()
-        zeros = np.broadcast_to(0.0, (hi - lo,))
-
-        def rows(t: int) -> tuple:
-            w, n, n_f, *wv = noise
-            self._turn(k, t + 1)
-            _slice(gens, seed, _STREAM_W, t, lo, hi, M, w)
-            v = None
-            if m is not None:
-                l11, l21, l22 = _wv_factor(m, t)
-                v = _slice(gens, seed, _STREAM_V, t, lo, hi, M, wv[0])
-                v *= l22
-                v += np.multiply(w, l21, out=wv[1])  # v = l21 e1 + l22 e2
-                w *= l11
-            if t:
-                _slice(gens, seed, _STREAM_N, t, lo, hi, M, n)
-                n *= math.sqrt(N[t])
-            fed_back = t and 0.0 < N_f[t] < math.inf
-            if fed_back:
-                _slice(gens, seed, _STREAM_NF, t, lo, hi, M, n_f)
-                n_f *= math.sqrt(N_f[t])
-            self._drew(k, t + 1)
-            return w, n if t else zeros, n_f if fed_back else zeros, v
-
-        return rows
-
-    def _leaf(self, k: int, lo: int, hi: int) -> Optional[np.ndarray]:
-        """Run leaf k, trials lo..hi-1, and return its (3, T) sums, or None
-        if it raised, which stops the run, or found the run stopped."""
-        plan = self.plan
-        # 14 rows in every regime, so that the memory one run frees fits the
-        # next: two more than all but the separation regime use
-        bufs = np.empty((14, hi - lo))
-        x, work, noise = bufs[0], bufs[1:9], bufs[9:]
-        rec = _MomentRecorder()
-        try:
-            self._turn(k, 0)
-            _slice(self.gens, self.seed, _STREAM_X0, 0, lo, hi, self.M, x)
-            self._drew(k, 0)
-            x *= math.sqrt(plan.schedule.V_xx0)  # the loop updates it in place
-            run_closed_loop(plan, x, self.rows(k, lo, hi, noise), rec, work)
-        except BaseException as exc:  # noqa: BLE001 - ``take`` raises the first one
-            self.stop(exc)
-            return None
-        self.progress.pop(k - 1, None)  # only leaf k reads it
-        return rec.sums
-
-    def stop(self, exc: Optional[BaseException] = None) -> None:
-        """Stop the run, for ``exc`` unless it has stopped already."""
-        with self.cond:
-            if self.error is None:
-                self.error = exc or _Stopped()
-            self.cond.notify_all()
-
-    def help(self) -> None:
-        """A helper's part: run leaves until none is left or the run stops."""
-        while True:
-            with self.cond:
-                # the leaf the calling thread wants next is its to claim
-                self.cond.wait_for(lambda: self.claimed != self.wanted or self.error is not None)
-                leaf = self._claim()
-            sums = None if leaf is None else self._leaf(*leaf)
-            if sums is None:
-                return
-            with self.cond:
-                self.results[leaf[0]] = sums
-                self.cond.notify_all()
-                self.cond.wait_for(lambda: leaf[0] not in self.results or self.error is not None)
-
-    def take(self, lo: int, hi: int) -> np.ndarray:
-        """The sums of the next leaf, trials lo..hi-1: a helper's, or this
-        thread's if no helper has claimed it."""
-        k = self.wanted
-        with self.cond:
-            while k not in self.results:
-                if self.error is not None:
-                    raise self.error
-                if self.claimed == k:
-                    self._claim()
-                    self.wanted = None  # the helpers may claim the next leaves
-                    self.cond.notify_all()
-                    break
-                self.cond.wait()
-            else:
-                self.wanted = k + 1
-                self.cond.notify_all()  # its helper may claim another leaf
-                return self.results.pop(k)
-        sums = self._leaf(k, lo, hi)
-        if sums is None:
-            raise self.error
-        self.wanted = k + 1
-        return sums
+    draw(0, {_STREAM_X0: x})
+    x *= math.sqrt(s.V_xx0)  # the loop updates it in place
+    rec = _MomentRecorder()
+    run_closed_loop(plan, x, rows, rec, work)
+    return rec.sums
 
 
 class _MomentRecorder(Recorder):
@@ -473,15 +371,36 @@ def monte_carlo(
     M = cfg.trials
     helpers = _helper_count()
     width = _leaf_width(M, helpers)
-    run = _Run(plan, cfg, width)
+    spans = _leaves(0, M, width)
+    stop = threading.Event()
+    queued = deque()  # (gens_in, future) of each leaf handed to the helpers, in trial order
+    gens = None  # the queue the next leaf takes its generators from
+
+    def leaf(lo: int, hi: int) -> tuple:
+        """(gens_in, call) of leaf lo..hi-1, the next leaf in trial order."""
+        nonlocal gens
+        gens_in, gens = gens, queue.SimpleQueue() if hi < M else None
+        return gens_in, partial(_leaf, plan, cfg.seed, lo, hi, gens_in, gens, stop)
+
+    def take(lo: int, hi: int) -> np.ndarray:
+        """The sums of the next leaf, trials lo..hi-1: a helper's, or this
+        thread's, which first hands the next ``helpers`` leaves to the pool."""
+        if queued:
+            return queued.popleft()[1].result()
+        _, own = leaf(*next(spans))
+        for span in islice(spans, helpers):
+            gens_in, job = leaf(*span)
+            queued.append((gens_in, _helper_pool(helpers).submit(job)))
+        return own()
+
     try:
-        if helpers > 0 and M > width:
-            pool = _helper_pool(helpers)
-            for _ in range(helpers):
-                pool.submit(run.help)
-        s2_err, s4_err, s2_z = _tree_sum(0, M, width, run.take)
+        s2_err, s4_err, s2_z = _tree_sum(0, M, width, take)
     finally:
-        run.stop()  # the helpers still waiting for a leaf return
+        # the helpers' leaves not yet taken, if a leaf raised, stop at their
+        # next hand-off: a running one sees the event, a waiting one the None
+        stop.set()
+        for gens_in, _ in queued:
+            gens_in.put(None)
 
     emp_mse, emp_se = _mean_se(s2_err, s4_err, M)
     zpow = s2_z / M

@@ -132,7 +132,7 @@ def check_output_fb(s: SystemSchedule) -> StationaryReport:
     +inf) a stationary solution exists iff |a| < 1; the fixed point solves
     the linear pair
 
-        sigma2 = rho_s * sigma2 + b^2,   rho_s = a^2 (N^2 + P*Var(nhat-free))/...
+        sigma2 = rho_s * sigma2 + b^2,   rho_s = a^2 (N^2 + P Var(nhat)) / (P+N)^2
         vbar   = a^2 vbar + K*^2 Var(ntilde)
 
     where rho_s = a^2 N^2 (P+N+N_f) / ((P+N)^2 (N+N_f)) for finite N_f and

@@ -116,6 +116,12 @@ def test_bad_regime_and_mode_rejected(tmp_path, capsys):
     assert main(["run", str(cfg2)]) == EXIT_VALIDATION
 
 
+def test_bad_form_is_rejected_naming_the_value(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, extra="form = bogus")
+    assert main(["run", str(cfg)]) == EXIT_VALIDATION == 2
+    assert capsys.readouterr().err == "error: form must be one of ('proof', 'stated'), got 'bogus'\n"
+
+
 @pytest.mark.parametrize(
     "override",
     [

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import queue
 import subprocess
 import sys
 import textwrap
@@ -112,16 +113,22 @@ def test_correlated_measurement_noise_streams():
 
 @pytest.mark.parametrize("m", [1, 37, 5000])
 def test_row_drawn_into_a_buffer_has_the_bytes_of_the_allocating_draw(m):
+    # a leaf draws its slice of a row into its own buffer with the row's
+    # generator, which the leaf after draws on from: slices drawn in trial
+    # order hold the bytes of the row drawn whole
     seed, stream, t = 2**64 - 5, simulate._STREAM_NF, 11
     key = np.array([seed, (stream << 48) | t], dtype=np.uint64)
     expected = Generator(Philox(key=key)).standard_normal(m)
     buf = np.full((3, m), np.nan)
     row = buf[1]
-    gens = {}
-    assert simulate._slice(gens, seed, stream, t, 0, m, m, out=row) is row
+    assert simulate._generator(seed, stream, t).standard_normal(out=row) is row
     assert row.tobytes() == expected.tobytes()
     assert np.isnan(buf[[0, 2]]).all()
-    assert not gens  # a row drawn to its end keeps no generator
+    gen, mid = simulate._generator(seed, stream, t), m // 2
+    left, right = np.empty(mid), np.empty(m - mid)
+    gen.standard_normal(out=left)
+    gen.standard_normal(out=right)
+    assert left.tobytes() + right.tobytes() == expected.tobytes()
 
 
 def test_mc_config_validation():
@@ -322,28 +329,36 @@ HELPER_SPLITS = [
 
 
 @pytest.mark.parametrize("kind, nf, m", STREAMED_CASES, ids=STREAMED_IDS)
-def test_streamed_rows_are_the_keyed_reference_rows(kind, nf, m):
-    # the rows each leaf reads, leaf by leaf, join into rows with the bytes
-    # of rows drawn whole under their (seed, stream, t) keys
+def test_streamed_rows_are_the_keyed_reference_rows(monkeypatch, kind, nf, m):
+    # the rows each leaf reads, its leaves run in trial order on one thread,
+    # join into rows with the bytes of rows drawn whole under their (seed,
+    # stream, t) keys
     plan = build_plan(_streamed_case(nf), kind, measurement=m)
+    read = []
+
+    def reading_loop(plan, x0, rows, recorder, work):
+        # a step's rows are read before the next step's are drawn
+        read.append([x0.tobytes()] + [[None if r is None else r.tobytes() for r in rows(t)] for t in range(T_STREAMED)])
+        recorder.start(T_STREAMED, len(x0))
+
+    monkeypatch.setattr(simulate, "run_closed_loop", reading_loop)
     for trials, width in [(trials, LEAF) for trials in LEAF_TRIALS] + HELPER_SPLITS:
-        cfg = McConfig(trials=trials, seed=609)
-        run = simulate._Run(plan, cfg, width)
-        ref = keyed_streams(plan.schedule, trials, cfg.seed, plan.measurement)
+        seed = 609
+        ref = keyed_streams(plan.schedule, trials, seed, plan.measurement)
         leaves = list(simulate._leaves(0, trials, width))
         assert [lo for lo, _ in leaves] == [0] + [hi for _, hi in leaves[:-1]], trials
         assert leaves[-1][1] == trials
+        gens_in = None
         for lo, hi in leaves:
             assert 0 < hi - lo <= width
-            k, *span = run._claim()
-            assert span == [lo, hi]
-            rows = run.rows(k, lo, hi, np.empty((5, hi - lo)))
-            for t in range(T_STREAMED):
-                # a step's rows are compared before the next step's are drawn
-                got = [None if row is None else row.tobytes() for row in rows(t)]
-                whole = [None if row is None else row[lo:hi].tobytes() for row in ref.rows(t)]
-                assert got == whole, (trials, lo, t)
-        assert run._claim() is None
+            gens_out = queue.SimpleQueue() if hi < trials else None
+            sums = simulate._leaf(plan, seed, lo, hi, gens_in, gens_out, threading.Event())
+            assert sums.shape == (3, T_STREAMED)
+            whole = [ref.x0[lo:hi].tobytes()]
+            whole += [[None if r is None else r[lo:hi].tobytes() for r in ref.rows(t)] for t in range(T_STREAMED)]
+            assert read.pop() == whole, (trials, lo)
+            assert gens_in is None or gens_in.empty()  # the leaf took every stage handed to it
+            gens_in = gens_out
 
 
 LEAF_SUM_CASES = [pytest.param(trials, LEAF, id=str(trials)) for trials in (*LEAF_TRIALS, 2**20 + 3)] + [
@@ -476,26 +491,26 @@ def test_helpers_queued_past_the_horizon_draw_each_rows_leaves_in_order(monkeypa
 
 
 def test_monte_carlo_frees_its_rows_when_it_returns(monkeypatch):
-    # with the cyclic collector off, a reference cycle through the run would
-    # keep it, and its generators, alive after the call
-    runs = []
+    # with the cyclic collector off, a reference cycle through a leaf would
+    # keep its recorder, and the rows the leaf drew, alive after the call
+    recorders = []
+    start = simulate._MomentRecorder.start
 
-    class Tracked(simulate._Run):
-        def __init__(self, *args):
-            super().__init__(*args)
-            runs.append(weakref.ref(self))
+    def tracked(self, T, width):
+        start(self, T, width)
+        recorders.append(weakref.ref(self))
 
-    monkeypatch.setattr(simulate, "_Run", Tracked)
+    monkeypatch.setattr(simulate._MomentRecorder, "start", tracked)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     kind, nf, m = STREAMED_CASES[-1]
     enabled = gc.isenabled()
     gc.disable()
     try:
         monte_carlo(_streamed_case(nf), kind, McConfig(trials=8192, seed=5), measurement=m)
-        # the one helper lets go of the run before it runs the next job
+        # the one helper lets go of its leaf before it runs the next job
         simulate._pool.submit(int).result(timeout=10)
-        assert len(runs) == 1
-        assert runs[0]() is None
+        assert len(recorders) == 2
+        assert all(ref() is None for ref in recorders)
     finally:
         if enabled:
             gc.enable()
@@ -505,76 +520,157 @@ class Boom(Exception):
     pass
 
 
-def _failing_slice(monkeypatch, fails):
-    """Make ``_slice`` raise a new ``Boom`` on the calls for which
-    ``fails(stream, t)`` holds, and return it."""
-    boom = Boom("a leaf failed")
-    draw = simulate._slice
+class Halt(BaseException):
+    pass
 
-    def failing(gens, seed, stream, t, *args):
-        if fails(stream, t):
-            raise boom
-        return draw(gens, seed, stream, t, *args)
 
-    monkeypatch.setattr(simulate, "_slice", failing)
-    return boom
+def _failing_rows(monkeypatch, fails, error):
+    """Make each leaf's ``rows(t)`` raise ``error``, before it draws step t,
+    on the calls for which ``fails(t)`` holds, and return ``error``."""
+    loop = simulate.run_closed_loop
+
+    def failing_loop(plan, x0, rows, recorder, work):
+        def failing_rows(t):
+            if fails(t):
+                raise error
+            return rows(t)
+
+        loop(plan, x0, failing_rows, recorder, work)
+
+    monkeypatch.setattr(simulate, "run_closed_loop", failing_loop)
+    return error
 
 
 def test_helper_exception_comes_out_unchanged(monkeypatch):
-    # the calling thread claims leaf 0 and, once it has drawn x(0), waits
-    # until the helper, on leaf 1, has failed on its first draw
+    # the calling thread runs leaf 0 and, once it has drawn x(0), waits
+    # until the helper, on leaf 1, has failed on its first draw of a step
     helper_raised = threading.Event()
 
-    def fails(stream, t):
+    def fails(t):
         if threading.current_thread() is not threading.main_thread():
             helper_raised.set()
             return True
-        if stream != simulate._STREAM_X0:
-            helper_raised.wait(timeout=30)
+        helper_raised.wait(timeout=30)
         return False
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    boom = _failing_slice(monkeypatch, fails)
+    boom = _failing_rows(monkeypatch, fails, Boom("a leaf failed"))
     with pytest.raises(Boom) as info:
         monte_carlo(_streamed_case(0.5), RegimeKind.OUTPUT_FEEDBACK, McConfig(trials=20_000, seed=1))
     assert info.value is boom
     assert helper_raised.is_set()
 
 
-def test_a_failing_leaf_stops_every_helper(monkeypatch):
-    # the calling thread's leaf 0 fails on step 6's draws once each of six
-    # helpers has drawn step 5 of one of leaves 1..6 of eight, and so comes
-    # to wait for step 6 of the leaf before it; the no_stuck_helpers fixture
-    # then checks that none of them is left waiting
-    kind, nf, m = STREAMED_CASES[-1]
-    s = _streamed_case(nf)
-    cfg = McConfig(trials=4 * LEAF + 5, seed=611)
+def _six_helpers_waiting(monkeypatch, error):
+    """Make the calling thread's leaf 0 of eight raise ``error`` on step 6,
+    once each of six helpers has drawn step 5 of one of leaves 1..6 and so
+    comes to wait for step 6 of the leaf before it, and return ``error``."""
     helpers, waiting = set(), threading.Event()
 
-    def fails(stream, t):
+    def fails(t):
         if threading.current_thread() is not threading.main_thread():
-            if (stream, t) == (simulate._STREAM_W, 5):
+            if t == 6:
                 helpers.add(threading.get_ident())
                 if len(helpers) == 6:
                     waiting.set()
             return False
-        if (stream, t) == (simulate._STREAM_N, 6):
+        if t == 6:
             assert waiting.wait(timeout=10)
-            time.sleep(0.2)  # for the last of them to finish step 5
+            time.sleep(0.2)  # for the last of them to come to wait
             return True
         return False
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(7)), raising=False)
+    return _failing_rows(monkeypatch, fails, error)
+
+
+def test_a_failing_leaf_stops_every_helper(monkeypatch):
+    # the no_stuck_helpers fixture checks that none of the six helpers is
+    # left waiting
+    kind, nf, m = STREAMED_CASES[-1]
+    s = _streamed_case(nf)
+    cfg = McConfig(trials=4 * LEAF + 5, seed=611)
     with monkeypatch.context() as patch:
-        boom = _failing_slice(patch, fails)
+        boom = _six_helpers_waiting(patch, Boom("a leaf failed"))
         with pytest.raises(Boom) as info:
             monte_carlo(s, kind, cfg, measurement=m)
     assert info.value is boom
-    assert len(list(simulate._leaves(0, cfg.trials, simulate._leaf_width(cfg.trials, 6)))) >= 5
+    assert len(list(simulate._leaves(0, cfg.trials, simulate._leaf_width(cfg.trials, 6)))) >= 7
     pool = simulate._pool
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(7)), raising=False)
     summary = monte_carlo(s, kind, cfg, measurement=m)
     assert simulate._pool is pool
     _assert_same_summary(summary, _materialized_summary(s, kind, cfg, m))
+
+
+def test_a_base_exception_in_the_calling_threads_leaf_comes_out_unchanged(monkeypatch):
+    # not an Exception: the leaf still hands its stop to the helpers' leaves,
+    # and the no_stuck_helpers fixture checks that none is left waiting
+    halt = _six_helpers_waiting(monkeypatch, Halt("interrupted"))
+    with pytest.raises(Halt) as info:
+        monte_carlo(_streamed_case(0.5), RegimeKind.OUTPUT_FEEDBACK, McConfig(trials=4 * LEAF + 5, seed=613))
+    assert info.value is halt
+
+
+def test_helpers_stop_when_the_calling_thread_leaves_early(monkeypatch):
+    # the calling thread leaves once leaf 0 is done, instead of taking the
+    # sums of leaf 1, which already holds every stage leaf 0 handed on: the
+    # helper still stops at its next hand-off
+    left, stopped = threading.Event(), threading.Event()
+    tree_sum, loop = simulate._tree_sum, simulate.run_closed_loop
+
+    def leaving(lo, hi, width, leaf):
+        def leaf_0_only(lo, hi):
+            if lo:
+                raise Halt("left")
+            return leaf(lo, hi)
+
+        return tree_sum(lo, hi, width, leaf_0_only)
+
+    def watching_loop(plan, x0, rows, recorder, work):
+        def watched(t):
+            if t == 5 and threading.current_thread() is not threading.main_thread():
+                assert left.wait(timeout=10)
+                try:
+                    return rows(t)
+                except simulate._Stopped:
+                    stopped.set()
+                    raise
+            return rows(t)
+
+        loop(plan, x0, watched, recorder, work)
+
+    monkeypatch.setattr(simulate, "_tree_sum", leaving)
+    monkeypatch.setattr(simulate, "run_closed_loop", watching_loop)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    with pytest.raises(Halt):
+        monte_carlo(_streamed_case(0.5), RegimeKind.OUTPUT_FEEDBACK, McConfig(trials=20_000, seed=1))
+    left.set()
+    simulate._pool.submit(int).result(timeout=10)
+    assert stopped.is_set()
+
+
+def test_concurrent_runs_sharing_the_pool_keep_the_bytes(monkeypatch):
+    # two runs at once, from two threads, queue their leaves to the same two
+    # helpers; each gives the bytes of the same run done alone
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    cases = [(STREAMED_CASES[0], 614), (STREAMED_CASES[-1], 615)]
+    run = lambda case, seed: monte_carlo(
+        _streamed_case(case[1]), case[0], McConfig(trials=40_000, seed=seed), measurement=case[2]
+    ).to_csv()
+    alone = [run(*args) for args in cases]
+    together = [None, None]
+
+    def run_into(i):
+        together[i] = run(*cases[i])
+
+    threads = [threading.Thread(target=run_into, args=(i,)) for i in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+    assert together == alone
 
 
 def test_leaf_sums_in_flight_stay_bounded(monkeypatch):
