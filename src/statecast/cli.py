@@ -53,11 +53,10 @@ Importing this module and parsing a config load only ``statecast.model``
 (and numpy).  Each mode imports the modules it runs when it runs, each with
 what it imports itself (``recursions`` in every case):
 
-* predict: ``schemes``;
-* stationarity: ``stationarity`` and ``schemes``;
-* the ``compare`` sweep: ``stationarity``;
-* simulate, oracle and ``compare``: ``simulate`` (with ``schemes`` and
-  ``numpy.random``).
+* predict, stationarity and the ``compare`` sweep: ``schemes`` (with
+  ``stationarity``);
+* simulate, oracle and ``compare``: ``simulate`` (with ``schemes``,
+  ``stationarity`` and ``numpy.random``).
 """
 
 from __future__ import annotations
@@ -309,9 +308,9 @@ def parse_config(path: str, overrides: Optional[dict] = None) -> ExperimentSpec:
 
 def _prediction(spec: ExperimentSpec):
     """The prediction of a spec whose regime pairing has been checked."""
-    from .schemes import PREDICTORS
+    from .schemes import REGIMES
 
-    return PREDICTORS[spec.regime](spec.schedule, spec.measurement, spec.form)[0]
+    return REGIMES[spec.regime].predict(spec.schedule, spec.measurement, spec.form)[0]
 
 
 def _predict_csv(pred) -> str:
@@ -329,9 +328,9 @@ def _oracle_csv(spec: ExperimentSpec) -> str:
 
 
 def _stationarity_check(regime: RegimeKind):
-    from .stationarity import STATIONARITY_CHECKS
+    from .schemes import REGIMES
 
-    check = STATIONARITY_CHECKS.get(regime)
+    check = REGIMES[regime].stationarity
     if check is None:
         raise ValidationError(f"stationarity mode does not support regime {regime.value}")
     return check
@@ -340,8 +339,9 @@ def _stationarity_check(regime: RegimeKind):
 def _stationarity_report(spec: ExperimentSpec):
     from .schemes import check_regime_consistency
 
+    check = _stationarity_check(spec.regime)  # separation, the one that reads a model, has none
     check_regime_consistency(spec.schedule, spec.regime)
-    return _stationarity_check(spec.regime)(spec.schedule, spec.form)
+    return check(spec.schedule, spec.form)
 
 
 def _write(path: str, text: str) -> None:
@@ -354,8 +354,8 @@ def run(spec: ExperimentSpec) -> int:
     if spec.mode == "predict":
         from .schemes import check_regime_consistency
 
-        check_regime_consistency(spec.schedule, spec.regime)
-        _write(spec.output, _predict_csv(_prediction(spec)))
+        regime, m = check_regime_consistency(spec.schedule, spec.regime, spec.measurement)
+        _write(spec.output, _predict_csv(regime.predict(spec.schedule, m, spec.form)[0]))
         return EXIT_OK
     if spec.mode == "simulate":
         from .simulate import monte_carlo

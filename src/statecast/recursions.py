@@ -20,8 +20,8 @@ variance directly from the filter's state equations gives
              + a^2 * P * N / (P + N)^2 * sigma2
 
 (``form="proof"``, the default), while the alternative carries an extra
-``N_f`` factor on the first term (``form="stated"``).  The two match only at
-``N_f = 0``; the "stated" form diverges as ``N_f -> inf`` instead of
+``N_f`` factor on the first term (``form="stated"``).  The two match at
+``N_f = 0`` and at ``N_f = 1``; the "stated" form diverges as ``N_f -> inf`` instead of
 recovering the no-feedback recursion, and only the default agrees with the
 exact conditioning oracle and with Monte Carlo, so the default is the
 correct update and "stated" is kept for comparison only.

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -28,11 +28,12 @@ from .model import (
     ValidationError,
     VariancePrediction,
 )
-from . import recursions
+from . import recursions, stationarity
 
 __all__ = [
+    "REGIMES",
+    "Regime",
     "RegimeKind",
-    "PREDICTORS",
     "RegimePlan",
     "Recorder",
     "build_plan",
@@ -41,35 +42,66 @@ __all__ = [
 ]
 
 
-#: Each regime's variance predictor: ``PREDICTORS[kind](s, measurement, form)``
-#: returns the prediction and the separation pipeline's pre-filter (None in
-#: the other regimes).  The lambdas look the predictors up in ``recursions``
-#: at call time, so a wrapper installed there is seen.
-PREDICTORS = {
-    RegimeKind.OUTPUT_FEEDBACK: lambda s, m, form: (recursions.predict_output_fb(s), None),
-    RegimeKind.NO_FEEDBACK: lambda s, m, form: (recursions.predict_output_fb(s), None),
-    RegimeKind.NOISELESS_FEEDBACK: lambda s, m, form: (recursions.predict_noiseless_fb(s), None),
-    RegimeKind.STATE_ESTIMATE_FEEDBACK: lambda s, m, form: (
-        recursions.predict_state_estimate_fb(s, form=form),
-        None,
+@dataclass(frozen=True)
+class Regime:
+    """A row of ``REGIMES``: the predictor ``(s, measurement, form) ->
+    (prediction, pre-filter or None)``, the stationarity check ``(s, form)``
+    (None: the regime has none), the N_f rule ``(test of N_f(1..T-1),
+    message)`` (None: any N_f goes) and whether a measurement model is read."""
+
+    predict: Callable
+    stationarity: Optional[Callable]
+    nf_rule: Optional[tuple[Callable, str]] = None
+    measured: bool = False
+
+
+#: Every regime's row.  The lambdas look the predictors and checks up at
+#: call time, so a wrapper installed in their modules is seen.
+REGIMES = {
+    RegimeKind.OUTPUT_FEEDBACK: Regime(
+        lambda s, m, form: (recursions.predict_output_fb(s), None),
+        lambda s, form: stationarity.check_output_fb(s),
     ),
-    RegimeKind.SEPARATION_OUTPUT_FEEDBACK: lambda s, m, form: recursions.separation_total(s, m),
+    RegimeKind.NO_FEEDBACK: Regime(
+        lambda s, m, form: (recursions.predict_output_fb(s), None),
+        lambda s, form: stationarity.check_output_fb(s),
+        (lambda nf: np.all(np.isinf(nf)), "no-feedback regime requires N_f = +inf throughout"),
+    ),
+    RegimeKind.NOISELESS_FEEDBACK: Regime(
+        lambda s, m, form: (recursions.predict_noiseless_fb(s), None),
+        lambda s, form: stationarity.check_noiseless(s),
+        (lambda nf: np.all(nf == 0.0), "noiseless-feedback regime requires N_f = 0 throughout"),
+    ),
+    RegimeKind.STATE_ESTIMATE_FEEDBACK: Regime(
+        lambda s, m, form: (recursions.predict_state_estimate_fb(s, form=form), None),
+        lambda s, form: stationarity.solve_state_estimate_fp(s, form=form),
+        (lambda nf: not np.isinf(nf).any(),
+         "state-estimate feedback requires finite N_f; use the no-feedback regime"),
+    ),
+    RegimeKind.SEPARATION_OUTPUT_FEEDBACK: Regime(
+        lambda s, m, form: recursions.separation_total(s, m), None, measured=True
+    ),
 }
 
 
-def check_regime_consistency(s: SystemSchedule, kind: RegimeKind) -> None:
-    """Reject regime/schedule combinations whose filters and predictions
-    would assume different feedback noise.  Output feedback accepts any
-    N_f (its 0 and +inf limits are the other two regimes' filters)."""
-    active = s.N_f[1:]  # index 0 carries no transmission
-    if kind is RegimeKind.NO_FEEDBACK and not np.all(np.isinf(active)):
-        raise ValidationError("no-feedback regime requires N_f = +inf throughout")
-    if kind is RegimeKind.NOISELESS_FEEDBACK and not np.all(active == 0.0):
-        raise ValidationError("noiseless-feedback regime requires N_f = 0 throughout")
-    if kind is RegimeKind.STATE_ESTIMATE_FEEDBACK and np.isinf(active).any():
-        raise ValidationError(
-            "state-estimate feedback requires finite N_f; use the no-feedback regime"
-        )
+def check_regime_consistency(
+    s: SystemSchedule, kind: RegimeKind, measurement: Optional[MeasurementModel] = None
+) -> tuple[Regime, Optional[MeasurementModel]]:
+    """The regime's row and the measurement model it reads (None if it reads
+    none), after rejecting an unknown regime, an N_f that breaks the row's
+    rule (output feedback accepts any: its 0 and +inf limits are the other
+    two regimes' filters) and a missing model or one not sized for t = 0..T."""
+    regime = REGIMES.get(kind)
+    if regime is None:
+        raise ValidationError(f"unknown regime {kind!r}")
+    if regime.nf_rule and not regime.nf_rule[0](s.N_f[1:]):  # N_f(0) carries no transmission
+        raise ValidationError(regime.nf_rule[1])
+    if not regime.measured:
+        return regime, None
+    if measurement is None:
+        raise ValidationError("separation regime requires a measurement model")
+    measurement.check_horizon(s.T)
+    return regime, measurement
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,18 +139,11 @@ def build_plan(
     The measurement model is kept only for the separation regime; the other
     regimes observe x(t) itself and ignore it.
     """
-    check_regime_consistency(s, kind)
+    regime, measurement = check_regime_consistency(s, kind, measurement)
     T = s.T
     g = None
     c1 = None
-    predictor = PREDICTORS.get(kind)
-    if predictor is None:
-        raise ValidationError(f"unknown regime {kind!r}")
-    if kind is not RegimeKind.SEPARATION_OUTPUT_FEEDBACK:
-        measurement = None
-    elif measurement is None:
-        raise ValidationError("separation regime requires a measurement model")
-    prediction, kf = predictor(s, measurement, form)
+    prediction, kf = regime.predict(s, measurement, form)
 
     a, P, N, N_f = (seq.tolist() for seq in (s.a, s.P, s.N, s.N_f))
     scale = np.zeros(T)
@@ -130,7 +155,7 @@ def build_plan(
         gn = recursions.gains(a[t], P[t], N[t], sigma2[t - 1])
         scale[t - 1] = gn.scale
         K[t - 1] = gn.K
-        if math.isinf(N_f[t]) or kind is RegimeKind.NO_FEEDBACK:
+        if math.isinf(N_f[t]):
             nofb[t - 1] = True
         else:
             rho[t - 1] = N[t] / (N[t] + N_f[t])

@@ -51,7 +51,7 @@ basis of unit-variance noises and reports two exact per-step error series:
   same coefficients with no recourse to the variance recursions.
 
 Each signal is a row of D coefficients, one per noise (x(0), w(0..T-1),
-n(1..T-1), n_f(1..T-1) and, for separation, v(0..T-1); ``_Unroller`` gives
+n(1..T-1), n_f(1..T-1) and, for separation, v(0..T-1); ``_unroll`` gives
 the indices), kept in preallocated (T, D) arrays for x and xhat and a
 (T-1, D) array for y, so every dot product runs over the same D entries in
 the same order.  Conditioning on y(1..t-1) takes ``np.linalg.pinv`` of the
@@ -434,8 +434,11 @@ class OracleResult:
     open_loop_var: np.ndarray
 
 
-class _Unroller:
-    """Closed-loop signals as rows of coefficients over unit-variance noises.
+def _unroll(s: SystemSchedule, kind: RegimeKind, m: Optional[MeasurementModel], perturb):
+    """Coefficient rows (X, Y, Xh) of x(t), y(t) and xhat(t) over the
+    unit-variance noises: X and Xh hold t = 1..T at row t-1, Y holds
+    t = 1..T-1 at row t-1.  ``m`` is the separation regime's measurement
+    model, None in every other regime.
 
     A row has D entries, one per noise: x(0) at index 0, w(t) at 1 + t
     (t = 0..T-1), n(t) at T + t and n_f(t) at 2T - 1 + t (t = 1..T-1) and,
@@ -452,82 +455,65 @@ class _Unroller:
     encoder.  For the nominal scheme these gains reproduce the recursions'
     gains to rounding.
     """
-
-    def __init__(
-        self,
-        s: SystemSchedule,
-        kind: RegimeKind,
-        measurement: Optional[MeasurementModel],
-        perturb: Optional[dict],
-    ):
-        self.s = s
-        self.kind = kind
-        self.m = measurement
-        self.perturb = perturb or {}
-        self.sep = kind is RegimeKind.SEPARATION_OUTPUT_FEEDBACK
-        self.D = 3 * s.T - 1 + (s.T if self.sep else 0)
-
-    def run(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Coefficient rows (X, Y, Xh) of x(t), y(t) and xhat(t): X and Xh
-        hold t = 1..T at row t-1, Y holds t = 1..T-1 at row t-1."""
-        s, T, m, sep = self.s, self.s.T, self.m, self.sep
-        se = self.kind is RegimeKind.STATE_ESTIMATE_FEEDBACK
-        a, b, P, N, N_f = (seq.tolist() for seq in (s.a, s.b, s.P, s.N, s.N_f))
-        X, Y, Xh = np.zeros((T, self.D)), np.zeros((T - 1, self.D)), np.zeros((T, self.D))
-        x = np.zeros(self.D)  # x(t), from x(0)
-        x[0] = math.sqrt(s.V_xx0)
-        strk = xb_pred = np.zeros(self.D)  # decoder tracker; pre-filter prediction
-        i_w, i_n, i_nf, i_v = 1, T, 2 * T - 1, 3 * T - 1  # w(t) sits at i_w + t, and so on
-        l11 = 1.0
-        for t in range(T):
-            if sep:  # pre-filter update on gamma(t) = c x(t) + d v(t)
-                l11, l21, l22 = _wv_factor(m, t)
-                gamma = m.c * x
-                gamma[i_w + t] += m.d * l21
-                gamma[i_v + t] += m.d * l22
-                innov = gamma - m.c * xb_pred
-                denom = float(innov @ innov)
-                if denom <= 0.0:
-                    raise ValidationError(f"degenerate innovation variance at step {t}")
-                xb_filt = xb_pred + (float((x - xb_pred) @ innov) / denom) * innov
-                xb_pred = a[t] * xb_filt
-            if t > 0:  # transmission at step t
-                i = t - 1
-                factor = float(self.perturb["factor"]) if self.perturb.get("t") == t else 1.0
-                if not se:
-                    xck = (xb_filt if sep else x) - strk
-                sigma = math.sqrt(xck @ xck)
-                scale = math.sqrt(P[t]) / sigma if sigma > 0.0 else 0.0
-                z = scale * xck
-                y = Y[i]
-                y[:] = z
-                y[i_n + t] += math.sqrt(N[t])
-                K = a[t] * (float(xck @ y) / float(y @ y))
-                if se:
-                    y_f = Xh[i].copy()
-                    if math.isfinite(N_f[t]):
-                        y_f[i_nf + t] += math.sqrt(N_f[t])
-                    xbar = (x - Xh[i]) - xck
-                    sigbar2 = float(xbar @ xbar)
-                    den = sigbar2 + N_f[t]
-                    g = factor * (a[t] * sigbar2 / den if 0.0 < den < math.inf else 0.0)
-                    c1 = a[t] * N[t] / (P[t] + N[t])
-                else:
-                    # z becomes z + nhat, nhat = rho (n(t) + n_f(t)) the
-                    # encoder's estimate of the channel noise
-                    if not math.isinf(N_f[t]):
-                        rho = N[t] / (N[t] + N_f[t])
-                        z[i_n + t] += rho * math.sqrt(N[t])
-                        if N_f[t] > 0.0:
-                            z[i_nf + t] += rho * math.sqrt(N_f[t])
-                    strk = a[t] * strk + (factor * K) * z
-                Xh[t] = a[t] * Xh[i] + K * y
-            X[t] = a[t] * x
-            X[t, i_w + t] += b[t] * l11
+    T, sep, perturb = s.T, m is not None, perturb or {}
+    se = kind is RegimeKind.STATE_ESTIMATE_FEEDBACK
+    D = 3 * T - 1 + (T if sep else 0)
+    a, b, P, N, N_f = (seq.tolist() for seq in (s.a, s.b, s.P, s.N, s.N_f))
+    X, Y, Xh = np.zeros((T, D)), np.zeros((T - 1, D)), np.zeros((T, D))
+    x = np.zeros(D)  # x(t), from x(0)
+    x[0] = math.sqrt(s.V_xx0)
+    strk = xb_pred = np.zeros(D)  # decoder tracker; pre-filter prediction
+    i_w, i_n, i_nf, i_v = 1, T, 2 * T - 1, 3 * T - 1  # w(t) sits at i_w + t, and so on
+    l11 = 1.0
+    for t in range(T):
+        if sep:  # pre-filter update on gamma(t) = c x(t) + d v(t)
+            l11, l21, l22 = _wv_factor(m, t)
+            gamma = m.c * x
+            gamma[i_w + t] += m.d * l21
+            gamma[i_v + t] += m.d * l22
+            innov = gamma - m.c * xb_pred
+            denom = float(innov @ innov)
+            if denom <= 0.0:
+                raise ValidationError(f"degenerate innovation variance at step {t}")
+            xb_filt = xb_pred + (float((x - xb_pred) @ innov) / denom) * innov
+            xb_pred = a[t] * xb_filt
+        if t > 0:  # transmission at step t
+            i = t - 1
+            factor = float(perturb["factor"]) if perturb.get("t") == t else 1.0
+            if not se:
+                xck = (xb_filt if sep else x) - strk
+            sigma = math.sqrt(xck @ xck)
+            scale = math.sqrt(P[t]) / sigma if sigma > 0.0 else 0.0
+            z = scale * xck
+            y = Y[i]
+            y[:] = z
+            y[i_n + t] += math.sqrt(N[t])
+            K = a[t] * (float(xck @ y) / float(y @ y))
             if se:
-                xck = X[t].copy() if t == 0 else c1 * xck + (X[t] - a[t] * x) + g * (x - xck - y_f)
-            x = X[t]
-        return X, Y, Xh
+                y_f = Xh[i].copy()
+                if math.isfinite(N_f[t]):
+                    y_f[i_nf + t] += math.sqrt(N_f[t])
+                xbar = (x - Xh[i]) - xck
+                sigbar2 = float(xbar @ xbar)
+                den = sigbar2 + N_f[t]
+                g = factor * (a[t] * sigbar2 / den if 0.0 < den < math.inf else 0.0)
+                c1 = a[t] * N[t] / (P[t] + N[t])
+            else:
+                # z becomes z + nhat, nhat = rho (n(t) + n_f(t)) the
+                # encoder's estimate of the channel noise
+                if not math.isinf(N_f[t]):
+                    rho = N[t] / (N[t] + N_f[t])
+                    z[i_n + t] += rho * math.sqrt(N[t])
+                    if N_f[t] > 0.0:
+                        z[i_nf + t] += rho * math.sqrt(N_f[t])
+                strk = a[t] * strk + (factor * K) * z
+            Xh[t] = a[t] * Xh[i] + K * y
+        X[t] = a[t] * x
+        X[t, i_w + t] += b[t] * l11
+        if se:
+            xck = X[t].copy() if t == 0 else c1 * xck + (X[t] - a[t] * x) + g * (x - xck - y_f)
+        x = X[t]
+    return X, Y, Xh
 
 
 def exact_conditioning_oracle(
@@ -544,17 +530,13 @@ def exact_conditioning_oracle(
     the true transmit variance, so the perturbed encoder still meets the
     per-symbol power constraint exactly.
     """
-    check_regime_consistency(s, kind)
+    _, measurement = check_regime_consistency(s, kind, measurement)
     if s.T > ORACLE_HORIZON_MAX:
         raise ValidationError(
             f"oracle horizon T={s.T} exceeds the supported maximum {ORACLE_HORIZON_MAX}"
         )
-    if kind is RegimeKind.SEPARATION_OUTPUT_FEEDBACK:
-        if measurement is None:
-            raise ValidationError("separation regime requires a measurement model")
-        measurement.check_horizon(s.T)
 
-    X, Y, Xh = _Unroller(s, kind, measurement, perturb).run()
+    X, Y, Xh = _unroll(s, kind, measurement, perturb)
     T = s.T
     mse = np.empty(T)
     scheme = np.empty(T)

@@ -29,7 +29,6 @@ from .model import SIGBAR_FORMS, RegimeKind, SystemSchedule, ValidationError, co
 from .recursions import ntilde_variance, se_step
 
 __all__ = [
-    "STATIONARITY_CHECKS",
     "StationaryReport",
     "channel_capacity",
     "check_noiseless",
@@ -268,13 +267,3 @@ def solve_state_estimate_fp(s: SystemSchedule, form: str = "proof") -> Stationar
         residuals=_se_residuals(point, a, b, P, N, N_f, form),
     )
 
-
-#: Each regime's stationarity check: ``STATIONARITY_CHECKS[kind](s, form)``.
-#: The separation regime has none.  The lambdas look the checks up at call
-#: time, so a wrapper installed in this module is seen.
-STATIONARITY_CHECKS = {
-    RegimeKind.OUTPUT_FEEDBACK: lambda s, form: check_output_fb(s),
-    RegimeKind.NO_FEEDBACK: lambda s, form: check_output_fb(s),
-    RegimeKind.NOISELESS_FEEDBACK: lambda s, form: check_noiseless(s),
-    RegimeKind.STATE_ESTIMATE_FEEDBACK: lambda s, form: solve_state_estimate_fp(s, form=form),
-}

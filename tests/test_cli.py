@@ -463,13 +463,13 @@ _COLD_START_PROBE = """
 import sys
 import statecast
 from statecast import cli
-sim_ini, stat_ini, out = sys.argv[1:]
+sim_ini, run_ini = sys.argv[1:]
 cli.parse_config(sim_ini)
 parsed = sorted(sys.modules)
-code = cli.main(["run", stat_ini, "--output", out])
+code = cli.main(["run", run_ini])
 loaded = sorted(sys.modules)
 import json
-print(json.dumps({"parsed": parsed, "stationarity": loaded, "code": code}))
+print(json.dumps({"parsed": parsed, "run": loaded, "code": code}))
 """
 # Modules a config parse does not need: the package's other modules, numpy's
 # sampler, and the CLI's argument and JSON handling.
@@ -479,21 +479,35 @@ _NOT_FOR_PARSING = (
 )
 
 
-def test_parsing_and_stationarity_mode_load_only_what_they_run(tmp_path):
-    stat_ini = write_cfg(tmp_path, T=2, a=0.9, N_f=0.1, regime="output_feedback",
-                         mode="stationarity", output=str(tmp_path / "r.json"))
+def _cold_start(tmp_path, mode: str) -> dict:
+    """The modules a fresh interpreter holds after parsing a simulate config
+    and then after ``statecast run`` of a ``mode`` config, and the run's exit
+    code; the run writes ``tmp_path / "out"``."""
+    ini = write_cfg(tmp_path, T=2, a=0.9, N_f=0.1, regime="output_feedback",
+                    mode=mode, output=str(tmp_path / "out"))
     env = dict(os.environ)
     src = str(Path(cli.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-c", _COLD_START_PROBE, str(GOLDEN_DIR / "noiseless_sim.ini"),
-         str(stat_ini), str(tmp_path / "r.json")],
+        [sys.executable, "-c", _COLD_START_PROBE, str(GOLDEN_DIR / "noiseless_sim.ini"), str(ini)],
         env=env, capture_output=True, text=True, timeout=120, check=True,
     )
     probe = json.loads(proc.stdout.splitlines()[-1])
-    assert probe["code"] == 0 and (tmp_path / "r.json").exists()
+    assert probe["code"] == 0 and (tmp_path / "out").exists()
+    return probe
+
+
+def test_parsing_and_stationarity_mode_load_only_what_they_run(tmp_path):
+    probe = _cold_start(tmp_path, "stationarity")
     assert [m for m in _NOT_FOR_PARSING if m in probe["parsed"]] == []
-    assert [m for m in ("statecast.simulate", "numpy.random") if m in probe["stationarity"]] == []
+    assert [m for m in ("statecast.simulate", "numpy.random") if m in probe["run"]] == []
+
+
+def test_predict_mode_loads_no_sampler(tmp_path):
+    # schemes imports stationarity for its regime table; neither draws noise
+    probe = _cold_start(tmp_path, "predict")
+    assert "statecast.schemes" in probe["run"]
+    assert [m for m in ("statecast.simulate", "numpy.random") if m in probe["run"]] == []
 
 
 _HEAD = "[schedule]\nT = 2\na = 0.5\nb = 1\nP = 1\nN = 1\nN_f = 0\nV_xx0 = 1\n"

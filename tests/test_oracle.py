@@ -124,12 +124,11 @@ def test_separation_with_correlated_noise_breaks_the_additive_split():
 
 def test_transmit_power_is_exact_in_the_unrolled_loop(rng):
     # the coefficient norm of z equals sqrt(P) at every transmitting step
-    from statecast.simulate import _Unroller
+    from statecast.simulate import _unroll
 
     for kind in (RegimeKind.OUTPUT_FEEDBACK, RegimeKind.STATE_ESTIMATE_FEEDBACK):
         s = random_schedule(rng, T=6, nf="finite")
-        un = _Unroller(s, kind, None, None)
-        xs, ys, xhats = un.run()
+        xs, ys, xhats = _unroll(s, kind, None, None)
         for t in range(1, s.T):
             y = ys[t - 1]
             n_var = s.N[t]
@@ -138,11 +137,10 @@ def test_transmit_power_is_exact_in_the_unrolled_loop(rng):
 
 
 def test_perturbed_encoder_keeps_exact_power(rng):
-    from statecast.simulate import _Unroller
+    from statecast.simulate import _unroll
 
     s = random_schedule(rng, T=6, nf="zero")
-    un = _Unroller(s, RegimeKind.NOISELESS_FEEDBACK, None, {"t": 2, "factor": 1.001})
-    xs, ys, _ = un.run()
+    xs, ys, _ = _unroll(s, RegimeKind.NOISELESS_FEEDBACK, None, {"t": 2, "factor": 1.001})
     for t in range(1, s.T):
         z_power = float(ys[t - 1] @ ys[t - 1]) - s.N[t]
         assert z_power == pytest.approx(s.P[t], rel=1e-10)

@@ -6,14 +6,18 @@ import pytest
 
 from conftest import ArrayRecorder, Streams, keyed_streams
 from statecast import (
+    McConfig,
     MeasurementModel,
     RegimeKind,
     SystemSchedule,
     ValidationError,
     build_plan,
+    check_regime_consistency,
+    exact_conditioning_oracle,
+    monte_carlo,
     predict_noiseless_fb,
 )
-from statecast.schemes import run_closed_loop
+from statecast.schemes import REGIMES, run_closed_loop
 
 
 def _loop(plan, streams):
@@ -129,8 +133,6 @@ def test_encoder_zero_variance_clamps_to_zero():
 
 
 def test_regime_schedule_consistency_enforced():
-    from statecast import check_regime_consistency
-
     finite = SystemSchedule(T=4, a=0.9, b=1, P=1, N=1, N_f=0.5, V_xx0=1)
     inf = SystemSchedule(T=4, a=0.9, b=1, P=1, N=1, N_f=math.inf, V_xx0=1)
     zero = SystemSchedule(T=4, a=0.9, b=1, P=1, N=1, N_f=0.0, V_xx0=1)
@@ -143,6 +145,45 @@ def test_regime_schedule_consistency_enforced():
     # output feedback accepts any N_f, including both limits
     for s in (finite, inf, zero):
         check_regime_consistency(s, RegimeKind.OUTPUT_FEEDBACK)
+
+
+# Each library entry point that takes a regime, as (schedule, kind, model).
+_ENTRY_POINTS = {
+    "build_plan": lambda s, kind, m: build_plan(s, kind, measurement=m),
+    "monte_carlo": lambda s, kind, m: monte_carlo(s, kind, McConfig(trials=8, seed=1), measurement=m),
+    "oracle": lambda s, kind, m: exact_conditioning_oracle(s, kind, measurement=m),
+}
+
+
+@pytest.mark.parametrize("entry", _ENTRY_POINTS)
+def test_unknown_regime_is_rejected_at_every_entry_point(entry):
+    # a regime's name is not the regime: it must not run as some other regime
+    s = SystemSchedule(T=6, a=0.9, b=1, P=1, N=1, N_f=0.5, V_xx0=1)
+    with pytest.raises(ValidationError) as info:
+        _ENTRY_POINTS[entry](s, "state_estimate_feedback", None)
+    assert str(info.value) == "unknown regime 'state_estimate_feedback'"
+
+
+@pytest.mark.parametrize("entry", _ENTRY_POINTS)
+def test_separation_requires_a_measurement_model(entry):
+    # (test_measurement_horizon_mismatch_reads_no_entry covers a model of the wrong length)
+    s = SystemSchedule(T=6, a=0.9, b=1, P=1, N=1, N_f=0.5, V_xx0=1)
+    with pytest.raises(ValidationError) as info:
+        _ENTRY_POINTS[entry](s, RegimeKind.SEPARATION_OUTPUT_FEEDBACK, None)
+    assert str(info.value) == "separation regime requires a measurement model"
+
+
+def test_consistency_check_returns_the_row_and_the_model_it_reads():
+    m = MeasurementModel(c=1.0, d=1.0)
+    for kind in RegimeKind:
+        s = SystemSchedule(T=4, a=0.8, b=1, P=1, N=1, N_f=_HAND_N_F[kind], V_xx0=1)
+        row, model = check_regime_consistency(s, kind, m)
+        assert row is REGIMES[kind]
+        assert model is (m if kind is RegimeKind.SEPARATION_OUTPUT_FEEDBACK else None)
+    # separation is the one regime without a stationarity check
+    assert [k for k, row in REGIMES.items() if row.stationarity is None] == [
+        RegimeKind.SEPARATION_OUTPUT_FEEDBACK
+    ]
 
 
 def test_output_fb_at_zero_feedback_noise_equals_noiseless_scheme():

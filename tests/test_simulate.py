@@ -31,9 +31,8 @@ from statecast import (
 )
 from statecast import simulate
 from numpy.random import Generator, Philox
-from statecast.schemes import run_closed_loop
+from statecast.schemes import REGIMES, run_closed_loop
 from statecast.simulate import CSV_HEADER, format_float
-from statecast.stationarity import STATIONARITY_CHECKS
 
 
 @pytest.fixture(autouse=True)
@@ -786,8 +785,9 @@ def test_output_feedback_paths_build_no_schedule(monkeypatch, nf):
     predict_noiseless_fb(s)
     predict_state_estimate_fb(s)
     exact_conditioning_oracle(s, kind)
-    for check in STATIONARITY_CHECKS.values():
-        check(s, "proof")
+    for regime in REGIMES.values():
+        if regime.stationarity is not None:
+            regime.stationarity(s, "proof")
     assert counts == {"schedules": 0, "measurements": 0, "pairings": 3}
 
 
