@@ -225,12 +225,13 @@ def predict_state_estimate_fb(
 
     Starts from sigma2(1) = a(0)^2 V_xx0 + b(0)^2 and sigbar2(1) = 0 (the
     receiver's first estimate is deterministic, so the transmitter knows the
-    full error), then iterates ``se_step``.  Requires finite N_f.  A variance
-    that overflows is a ``ValidationError`` naming its step.
+    full error), then iterates ``se_step``.  Requires finite N_f(1..T-1)
+    (N_f(0) carries no transmission).  A variance that overflows is a
+    ``ValidationError`` naming its step.
     """
     if form not in SIGBAR_FORMS:
         raise ValidationError(f"form must be one of {SIGBAR_FORMS}, got {form!r}")
-    if np.isinf(s.N_f).any():
+    if np.isinf(s.N_f[1:]).any():
         raise ValidationError(
             "state-estimate feedback requires finite N_f; use the no-feedback regime"
         )

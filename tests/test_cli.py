@@ -18,6 +18,7 @@ from statecast.cli import (
     parse_config,
     run,
 )
+from statecast.model import format_float
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -650,3 +651,90 @@ def test_overflowing_prediction_is_one_line_error(tmp_path, capsys, regime, N_f,
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert f"predicted mse at step {step} is not finite" in err
+
+
+_EXPERIMENT = "[experiment]\nmode = predict\nregime = noiseless_feedback\noutput = o.csv\n"
+_SCHEDULE = "[schedule]\nT = 2\na = 0.5\nb = 1\nP = 1\nN = 1\nN_f = 0\nV_xx0 = 1\n"
+
+
+@pytest.mark.parametrize(
+    "text, flags, message",
+    [
+        (None, ["--set", "schedule.a="], "empty numeric value for schedule.a: ''"),
+        (None, ["--set", "schedule=0.5"], "override 'schedule' must look like section.key"),
+        (_EXPERIMENT, [], "missing [schedule] section"),
+        (_SCHEDULE, [], "missing [experiment] section"),
+        (None, ["--set", "experiment.regime=separation_output_feedback"],
+         "separation regime requires a [measurement] section"),
+        (None, ["--set", "schedule.a"], "--set expects SECTION.KEY=VALUE, got 'schedule.a'"),
+    ],
+    ids=["empty_value", "override_without_dot", "no_schedule", "no_experiment",
+         "separation_without_measurement", "set_without_equals"],
+)
+def test_config_and_flag_errors_are_one_exact_line(tmp_path, capsys, text, flags, message):
+    if text is None:
+        ini = write_cfg(tmp_path)
+    else:
+        ini = tmp_path / "part.ini"
+        ini.write_text(text)
+    assert main(["run", str(ini), *flags]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out.csv").exists()
+
+
+def _sweep_csv(tmp_path, regime, a, N_f, sweep):
+    """The text ``statecast compare`` writes for a T = 2 ``regime`` config
+    at pole ``a`` and schedule feedback noise ``N_f`` with ``[sweep] N_f =
+    sweep``."""
+    out = tmp_path / f"{regime}_{a}.csv"
+    cfg = write_cfg(
+        tmp_path, name=f"{regime}_{a}.ini", T=2, a=a, N_f=N_f, regime=regime,
+        mode="simulate", output=str(out), extra=f"trials = 10\nseed = 1\n\n[sweep]\nN_f = {sweep}",
+    )
+    assert main(["compare", str(cfg)]) == 0
+    return out.read_text()
+
+
+def test_sweep_rows_and_the_regimes_that_share_output_feedback_check(tmp_path):
+    # state-estimate feedback is bounded iff |a| < a*(1, 1) ~ 1.2496, whatever N_f
+    sweep = [0.0, 0.1, 1.0]
+    text = ", ".join(map(str, sweep))
+    for a, bounded in ((1.2, True), (1.3, False)):
+        rows = _sweep_csv(tmp_path, "state_estimate_feedback", a, 0.5, text).splitlines()
+        assert rows[0] == "N_f,bounded,sigma2,sigbar2,mse" and len(rows) == 4
+        for nf, row in zip(sweep, rows[1:]):
+            cells = row.split(",")
+            assert cells[:2] == [format_float(nf), "true" if bounded else "false"]
+            if bounded:
+                assert all(math.isfinite(float(c)) for c in cells[2:])
+            else:
+                assert cells[2:] == ["nan", "nan", "nan"]
+    # the noiseless and no-feedback configs sweep N_f through output
+    # feedback's check, which reads 0, finite and +inf alike
+    for a in (0.9, 1.1):
+        texts = [
+            _sweep_csv(tmp_path, regime, a, N_f, "0, 0.1, 1, inf")
+            for regime, N_f in (("output_feedback", 0.1), ("noiseless_feedback", 0),
+                                ("no_feedback", "inf"))
+        ]
+        assert texts[1] == texts[0] and texts[2] == texts[0]
+    # at a = 1.1 only N_f = 0 (noiseless, log2|a| < C) stays bounded
+    assert [row.split(",")[1] for row in texts[0].splitlines()[1:]] == [
+        "true", "false", "false", "false"
+    ]
+
+
+@pytest.mark.parametrize("mode", ["predict", "simulate", "oracle"])
+def test_state_estimate_feedback_ignores_an_infinite_N_f_at_step_0(tmp_path, mode):
+    # N_f(0) carries no transmission, so a run reads only N_f(1..T-1)
+    artifacts = []
+    for first in ("inf", "0.5"):
+        out = tmp_path / f"{first}.csv"
+        cfg = write_cfg(
+            tmp_path, name=f"{first}.ini", T=4, a=0.9, N_f=f"{first}, 0.5, 0.5, 0.5",
+            regime="state_estimate_feedback", mode=mode, output=str(out),
+            extra="trials = 2000\nseed = 3",
+        )
+        assert main(["run", str(cfg)]) == 0
+        artifacts.append(out.read_bytes())
+    assert artifacts[0] == artifacts[1]
