@@ -44,8 +44,13 @@ The file is read as UTF-8, in one pass over its lines, as this INI subset:
 Any other line, a duplicate key or section, and a line before the first
 header is a one-line ``malformed config: <path> line <n>: ...`` error.
 
-Flags override file keys (``--set section.key=value``).  Exit codes:
-0 success, 1 I/O or memory failure, 2 validation error (including a
+Usage: ``statecast [-h] [--set SECTION.KEY=VALUE] [--output OUTPUT]
+[--seed SEED] [--trials TRIALS] {run,compare} config``.  One parser reads
+the command, the config path and the flags; flags may come before or after
+the command, and ``statecast -h`` lists both commands.  ``--output``,
+``--seed`` and ``--trials`` set the ``[experiment]`` key of the same name,
+``--set section.key=value`` any key, and flags override file keys.  Exit
+codes: 0 success, 1 I/O or memory failure, 2 validation error (including a
 malformed config, a value that does not parse as a number and a file that
 is not UTF-8), 3 stationarity mode reported an unbounded system.
 
@@ -313,35 +318,22 @@ def _prediction(spec: ExperimentSpec):
     return REGIMES[spec.regime].predict(spec.schedule, spec.measurement, spec.form)[0]
 
 
-def _predict_csv(pred) -> str:
-    return csv_table("t,pred_sigma2,pred_vbar,pred_mse", (pred.sigma2, pred.vbar, pred.mse))
+def _summary(spec: ExperimentSpec):
+    """The Monte Carlo summary of a simulate spec."""
+    from .simulate import monte_carlo
 
-
-def _oracle_csv(spec: ExperimentSpec) -> str:
-    from .simulate import exact_conditioning_oracle
-
-    res = exact_conditioning_oracle(
-        spec.schedule, spec.regime, measurement=spec.measurement
+    return monte_carlo(
+        spec.schedule, spec.regime, spec.mc, measurement=spec.measurement, form=spec.form
     )
-    pred = _prediction(spec)
-    return csv_table("t,oracle_mse,scheme_mse,pred_mse", (res.mse, res.scheme_mse, pred.mse))
 
 
 def _stationarity_check(regime: RegimeKind):
     from .schemes import REGIMES
 
-    check = REGIMES[regime].stationarity
+    check = REGIMES[regime].stationarity  # None for separation, the one that reads a model
     if check is None:
         raise ValidationError(f"stationarity mode does not support regime {regime.value}")
     return check
-
-
-def _stationarity_report(spec: ExperimentSpec):
-    from .schemes import check_regime_consistency
-
-    check = _stationarity_check(spec.regime)  # separation, the one that reads a model, has none
-    check_regime_consistency(spec.schedule, spec.regime)
-    return check(spec.schedule, spec.form)
 
 
 def _write(path: str, text: str) -> None:
@@ -351,60 +343,50 @@ def _write(path: str, text: str) -> None:
 
 def run(spec: ExperimentSpec) -> int:
     """Run the configured mode, write its artifact, return the exit code."""
+    from .schemes import check_regime_consistency
+
+    code = EXIT_OK
     if spec.mode == "predict":
-        from .schemes import check_regime_consistency
+        check_regime_consistency(spec.schedule, spec.regime, spec.measurement)
+        pred = _prediction(spec)
+        text = csv_table("t,pred_sigma2,pred_vbar,pred_mse", (pred.sigma2, pred.vbar, pred.mse))
+    elif spec.mode == "simulate":
+        text = _summary(spec).to_csv()
+    elif spec.mode == "oracle":
+        from .simulate import exact_conditioning_oracle
 
-        regime, m = check_regime_consistency(spec.schedule, spec.regime, spec.measurement)
-        _write(spec.output, _predict_csv(regime.predict(spec.schedule, m, spec.form)[0]))
-        return EXIT_OK
-    if spec.mode == "simulate":
-        from .simulate import monte_carlo
+        res = exact_conditioning_oracle(spec.schedule, spec.regime, measurement=spec.measurement)
+        columns = (res.mse, res.scheme_mse, _prediction(spec).mse)  # the oracle checked the pairing
+        text = csv_table("t,oracle_mse,scheme_mse,pred_mse", columns)
+    else:
+        import json
 
-        summary = monte_carlo(
-            spec.schedule,
-            spec.regime,
-            spec.mc,
-            measurement=spec.measurement,
-            form=spec.form,
-        )
-        _write(spec.output, summary.to_csv())
-        return EXIT_OK
-    if spec.mode == "oracle":
-        _write(spec.output, _oracle_csv(spec))
-        return EXIT_OK
-    import json
-
-    report = _stationarity_report(spec)
-    _write(
-        spec.output,
-        json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n",
-    )
-    return EXIT_OK if report.bounded else EXIT_NOT_STATIONARY
+        check = _stationarity_check(spec.regime)
+        check_regime_consistency(spec.schedule, spec.regime)
+        report = check(spec.schedule, spec.form)
+        text = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
+        code = EXIT_OK if report.bounded else EXIT_NOT_STATIONARY
+    _write(spec.output, text)
+    return code
 
 
 def _sweep_csv(spec: ExperimentSpec) -> str:
     if not spec.sweep_N_f:
         raise ValidationError("empty N_f sweep")
     lines = ["N_f,bounded,sigma2,sigbar2,mse"]
-    # A swept N_f may be 0, finite or +inf: of the regimes that share the
-    # output-feedback filters, only output feedback accepts all three.
+    # A swept N_f may be 0, finite or +inf.  The noiseless check reads no
+    # N_f, so that regime sweeps output feedback's, which reads all three.
     kind = spec.regime
-    if kind in (RegimeKind.NO_FEEDBACK, RegimeKind.NOISELESS_FEEDBACK):
+    if kind is RegimeKind.NOISELESS_FEEDBACK:
         kind = RegimeKind.OUTPUT_FEEDBACK
     check = _stationarity_check(kind)
     for nf in spec.sweep_N_f:
         rep = check(replace(spec.schedule, N_f=nf), spec.form)
         if rep.fixed_point is None:
-            cells = [format_float(nf), "false", "nan", "nan", "nan"]
+            cells = ["false", "nan", "nan", "nan"]
         else:
-            cells = [
-                format_float(nf),
-                "true",
-                format_float(rep.fixed_point[0]),
-                format_float(rep.fixed_point[1]),
-                format_float(rep.mse),
-            ]
-        lines.append(",".join(cells))
+            cells = ["true", *map(format_float, (*rep.fixed_point, rep.mse))]
+        lines.append(",".join([format_float(nf), *cells]))
     return "\n".join(lines) + "\n"
 
 
@@ -419,15 +401,9 @@ def compare(spec: ExperimentSpec) -> int:
         return EXIT_OK
     if spec.mode != "simulate":
         raise ValidationError("compare requires mode = simulate")
-    from .simulate import CSV_HEADER, ORACLE_HORIZON_MAX, exact_conditioning_oracle, monte_carlo
+    from .simulate import CSV_HEADER, ORACLE_HORIZON_MAX, exact_conditioning_oracle
 
-    summary = monte_carlo(
-        spec.schedule,
-        spec.regime,
-        spec.mc,
-        measurement=spec.measurement,
-        form=spec.form,
-    )
+    summary = _summary(spec)
     oracle = None
     if spec.schedule.T <= ORACLE_HORIZON_MAX:
         oracle = exact_conditioning_oracle(
@@ -452,6 +428,10 @@ def compare(spec: ExperimentSpec) -> int:
     return EXIT_OK
 
 
+#: The flags that override an [experiment] key of the same name.
+_FLAG_KEYS = ("output", "seed", "trials")
+
+
 @functools.cache
 def _parser():
     """The ``statecast`` ``argparse.ArgumentParser``, built on first use and
@@ -466,24 +446,23 @@ def _parser():
         prog="statecast",
         description="Run channel-communication experiments from a config file.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("run", "run the configured mode and write its artifact"),
-        ("compare", "join prediction, Monte Carlo and oracle columns"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("config", help="path to the experiment config file")
-        p.add_argument(
-            "--set",
-            action="append",
-            default=[],
-            metavar="SECTION.KEY=VALUE",
-            help="override a config key (repeatable)",
-        )
-        p.add_argument("--output", help="override [experiment] output")
-        # Parsed by parse_config, so a bad value gets its one-line error.
-        p.add_argument("--seed", help="override [experiment] seed")
-        p.add_argument("--trials", help="override [experiment] trials")
+    parser.add_argument(
+        "command",
+        choices=("run", "compare"),
+        help="run: run the configured mode and write its artifact; "
+        "compare: join prediction, Monte Carlo and oracle columns",
+    )
+    parser.add_argument("config", help="path to the experiment config file")
+    parser.add_argument(
+        "--set",
+        action="append",
+        default=[],
+        metavar="SECTION.KEY=VALUE",
+        help="override a config key (repeatable)",
+    )
+    # Parsed by parse_config, so a bad value gets its one-line error.
+    for key in _FLAG_KEYS:
+        parser.add_argument(f"--{key}", help=f"override [experiment] {key}")
     return parser
 
 
@@ -497,12 +476,9 @@ def main(argv: Optional[list[str]] = None) -> int:
             return EXIT_VALIDATION
         key, value = item.split("=", 1)
         overrides[key.strip()] = value.strip()
-    if args.output is not None:
-        overrides["experiment.output"] = args.output
-    if args.seed is not None:
-        overrides["experiment.seed"] = args.seed
-    if args.trials is not None:
-        overrides["experiment.trials"] = args.trials
+    for key in _FLAG_KEYS:
+        if getattr(args, key) is not None:
+            overrides[f"experiment.{key}"] = getattr(args, key)
 
     try:
         spec = parse_config(args.config, overrides)

@@ -444,6 +444,27 @@ def test_usage_error_between_calls_leaves_the_parser_usable(tmp_path, capsys):
     assert out.read_bytes() == (GOLDEN_DIR / "noiseless_sim.csv").read_bytes()
 
 
+@pytest.mark.parametrize("where", ["before", "between"])
+def test_flags_may_also_come_before_the_command_or_the_config(tmp_path, where):
+    # flags after the config are what every other test passes
+    ini = str(GOLDEN_DIR / "noiseless_sim.ini")
+    out = tmp_path / "o.csv"
+    flags = ["--output", str(out)]
+    argv = [*flags, "run", ini] if where == "before" else ["run", *flags, ini]
+    assert main(argv) == 0
+    assert out.read_bytes() == (GOLDEN_DIR / "noiseless_sim.csv").read_bytes()
+
+
+def test_help_lists_both_commands(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["-h"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "{run,compare} config" in text
+    assert "run: run the configured mode and write its artifact;" in text
+    assert "compare: join prediction, Monte Carlo and oracle columns" in text
+
+
 def test_import_builds_no_parser():
     code = "import statecast.cli as c; print(c._parser.cache_info().currsize)"
     proc = subprocess.run(

@@ -10,9 +10,9 @@ import pytest
 
 SUBMODULES = ("model", "recursions", "schemes", "simulate", "stationarity", "cli")
 README = Path(__file__).resolve().parent.parent / "README.md"
-# A backticked Python name such as `predict_output_fb`; `y_f = y` and
-# `statecast run` are expressions and commands, not names.
-_NAME = re.compile(r"`([A-Za-z_]\w*)`")
+# A backticked Python name such as `predict_output_fb` or `schemes.REGIMES`;
+# `y_f = y` and `statecast run` are expressions and commands, not names.
+_NAME = re.compile(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)`")
 
 
 @pytest.mark.parametrize("name", ("statecast",) + tuple(f"statecast.{m}" for m in SUBMODULES))
@@ -82,18 +82,33 @@ def _table(heading: str) -> list:
     return [[cell.strip() for cell in row.strip("|").split("|")] for row in rows]
 
 
+def _missing(obj, text: str) -> list:
+    """The backticked names in ``text`` that do not resolve: a dotted name
+    whose first part is a package submodule resolves from the package, any
+    other name from ``obj``."""
+    package = importlib.import_module("statecast")
+    missing = []
+    for name in _NAME.findall(text):
+        parts = name.split(".")
+        found = package if len(parts) > 1 and parts[0] in SUBMODULES else obj
+        for part in parts:
+            if not hasattr(found, part):
+                missing.append(f"{getattr(obj, '__name__', obj)}: {name}")
+                break
+            found = getattr(found, part)
+    return missing
+
+
 def test_readme_tables_name_only_existing_objects():
     missing = []
     for module, contents in _table("Layout")[1:]:
-        mod = importlib.import_module(module.strip("`"))
-        missing += [f"{mod.__name__}.{n}" for n in _NAME.findall(contents) if not hasattr(mod, n)]
+        missing += _missing(importlib.import_module(module.strip("`")), contents)
     header, *rows = _table("Regimes")
     schemes = importlib.import_module("statecast.schemes")
     recursions = importlib.import_module("statecast.recursions")
-    missing += [f"schemes.{n}" for n in _NAME.findall(header[0]) if not hasattr(schemes, n)]
+    missing += _missing(schemes, header[0])
     for kind, _feedback, predictor in rows:
-        missing += [f"RegimeKind.{n}" for n in _NAME.findall(kind) if not hasattr(schemes.RegimeKind, n)]
-        missing += [f"recursions.{n}" for n in _NAME.findall(predictor) if not hasattr(recursions, n)]
+        missing += _missing(schemes.RegimeKind, kind) + _missing(recursions, predictor)
     assert len(rows) == len(schemes.RegimeKind)
     assert not missing, f"README names objects the package lacks: {missing}"
 
