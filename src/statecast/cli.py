@@ -44,15 +44,14 @@ The file is read as UTF-8, in one pass over its lines, as this INI subset:
 Any other line, a duplicate key or section, and a line before the first
 header is a one-line ``malformed config: <path> line <n>: ...`` error.
 
-Usage: ``statecast [-h] [--set SECTION.KEY=VALUE] [--output OUTPUT]
-[--seed SEED] [--trials TRIALS] {run,compare} config``.  One parser reads
-the command, the config path and the flags; flags may come before or after
-the command, and ``statecast -h`` lists both commands.  ``--output``,
-``--seed`` and ``--trials`` set the ``[experiment]`` key of the same name,
-``--set section.key=value`` any key, and flags override file keys.  Exit
-codes: 0 success, 1 I/O or memory failure, 2 validation error (including a
-malformed config, a value that does not parse as a number and a file that
-is not UTF-8), 3 stationarity mode reported an unbounded system.
+One parser reads the command (``run`` or ``compare``), the config path and
+the flags; flags may come before or after the command, and ``statecast -h``
+lists both commands.  ``--output``, ``--seed`` and ``--trials`` set the
+``[experiment]`` key of the same name, ``--set section.key=value`` any key,
+and flags override file keys.  Exit codes: 0 success, 1 I/O or memory
+failure, 2 validation error (including a malformed config, a value that
+does not parse as a number and a file that is not UTF-8), 3 stationarity
+mode reported an unbounded system.
 
 Importing this module and parsing a config load only ``statecast.model``
 (and numpy).  Each mode imports the modules it runs when it runs, each with
@@ -311,13 +310,6 @@ def parse_config(path: str, overrides: Optional[dict] = None) -> ExperimentSpec:
     )
 
 
-def _prediction(spec: ExperimentSpec):
-    """The prediction of a spec whose regime pairing has been checked."""
-    from .schemes import REGIMES
-
-    return REGIMES[spec.regime].predict(spec.schedule, spec.measurement, spec.form)[0]
-
-
 def _summary(spec: ExperimentSpec):
     """The Monte Carlo summary of a simulate spec."""
     from .simulate import monte_carlo
@@ -343,12 +335,12 @@ def _write(path: str, text: str) -> None:
 
 def run(spec: ExperimentSpec) -> int:
     """Run the configured mode, write its artifact, return the exit code."""
-    from .schemes import check_regime_consistency
+    from .schemes import REGIMES, check_regime_consistency
 
     code = EXIT_OK
     if spec.mode == "predict":
-        check_regime_consistency(spec.schedule, spec.regime, spec.measurement)
-        pred = _prediction(spec)
+        regime, m = check_regime_consistency(spec.schedule, spec.regime, spec.measurement)
+        pred = regime.predict(spec.schedule, m, spec.form)[0]
         text = csv_table("t,pred_sigma2,pred_vbar,pred_mse", (pred.sigma2, pred.vbar, pred.mse))
     elif spec.mode == "simulate":
         text = _summary(spec).to_csv()
@@ -356,7 +348,9 @@ def run(spec: ExperimentSpec) -> int:
         from .simulate import exact_conditioning_oracle
 
         res = exact_conditioning_oracle(spec.schedule, spec.regime, measurement=spec.measurement)
-        columns = (res.mse, res.scheme_mse, _prediction(spec).mse)  # the oracle checked the pairing
+        # the oracle checked the pairing
+        pred = REGIMES[spec.regime].predict(spec.schedule, spec.measurement, spec.form)[0]
+        columns = (res.mse, res.scheme_mse, pred.mse)
         text = csv_table("t,oracle_mse,scheme_mse,pred_mse", columns)
     else:
         import json

@@ -120,8 +120,10 @@ class SystemSchedule:
 
 def constant_values(s: SystemSchedule) -> Optional[tuple]:
     """(a, b, P, N, N_f) of a schedule, or None when some parameter changes
-    over the horizon."""
-    seqs = (s.a, s.b, s.P, s.N, s.N_f)
+    over the steps that read it: a and b over 0..T-1, P, N and N_f over
+    1..T-1 (step 0 carries no transmission)."""
+    first = 1 if s.T > 1 else 0
+    seqs = (s.a, s.b, s.P[first:], s.N[first:], s.N_f[first:])
     for seq in seqs:
         values = seq.tolist()
         if values.count(values[0]) != len(values):

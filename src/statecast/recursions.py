@@ -126,8 +126,7 @@ def predict_output_fb(s: SystemSchedule) -> VariancePrediction:
     applies the transmission update with its own parameters:
     A cov A' + diag(K^2 * Var(nhat), b^2) with
     A = [[aN/(P+N), aP/(P+N)], [0, a]], kept symmetric through its (0, 1)
-    entry.  The numpy 2x2 product (A cov) A', into arrays allocated once,
-    defines the bits.  sigma2 = V_ss - 2 V_sx
+    entry.  The numpy 2x2 product defines the bits.  sigma2 = V_ss - 2 V_sx
     + V_xx, and vbar accumulates the unestimable channel-noise remainder:
     vbar(t+1) = a^2 vbar(t) + K(t)^2 * Var(ntilde).  A covariance that stops
     being finite and PSD, or whose sigma2 overflows or cancels to a negative
@@ -139,16 +138,14 @@ def predict_output_fb(s: SystemSchedule) -> VariancePrediction:
     sigma2 = np.empty(T)
     vbar = np.empty(T)
     vbar[0] = 0.0
-    A, C, AC, m = np.zeros((2, 2)), np.empty((2, 2)), np.empty((2, 2)), np.empty((2, 2))
     with np.errstate(over="ignore", invalid="ignore"):
         vss, vsx, vxx = 0.0, 0.0, _sq(a_[0]) * s.V_xx0 + _sq(b_[0])
         sigma2[0] = vss - 2.0 * vsx + vxx
         for t in range(1, T):
             a, b, P, N, N_f = a_[t], b_[t], P_[t], N_[t], N_f_[t]
             K = gains(a, P, N, sigma2[t - 1]).K
-            A[0, 0], A[0, 1], A[1, 1] = a * N / (P + N), a * P / (P + N), a
-            C[0, 0], C[0, 1], C[1, 0], C[1, 1] = vss, vsx, vsx, vxx
-            np.matmul(np.matmul(A, C, out=AC), A.T, out=m)
+            A = np.array([[a * N / (P + N), a * P / (P + N)], [0.0, a]])
+            m = A @ np.array([[vss, vsx], [vsx, vxx]]) @ A.T
             vss = m[0, 0] + K * K * nhat_variance(N, N_f)
             vsx = m[0, 1]
             vxx = m[1, 1] + b * b

@@ -745,9 +745,10 @@ def test_sweep_rows_and_the_regimes_that_share_output_feedback_check(tmp_path):
     ]
 
 
-@pytest.mark.parametrize("mode", ["predict", "simulate", "oracle"])
+@pytest.mark.parametrize("mode", ["predict", "simulate", "oracle", "stationarity"])
 def test_state_estimate_feedback_ignores_an_infinite_N_f_at_step_0(tmp_path, mode):
-    # N_f(0) carries no transmission, so a run reads only N_f(1..T-1)
+    # N_f(0) carries no transmission, so a run reads only N_f(1..T-1) and
+    # stationarity mode takes the schedule as constant
     artifacts = []
     for first in ("inf", "0.5"):
         out = tmp_path / f"{first}.csv"

@@ -116,9 +116,13 @@ def test_constant_helpers():
     assert constant_values(s) == (0.5, 1.0, 1.0, 2.0, 0.0)
     no_fb = SystemSchedule(T=3, a=0.5, b=1, P=1, N=2, N_f=math.inf, V_xx0=1)
     assert constant_values(no_fb) == (0.5, 1.0, 1.0, 2.0, math.inf)
+    # P(0), N(0) and N_f(0) carry no transmission, so they may differ
+    step0 = SystemSchedule(T=3, a=0.5, b=1, P=[3, 1, 1], N=[5, 2, 2], N_f=[math.inf, 0, 0])
+    assert constant_values(step0) == (0.5, 1.0, 1.0, 2.0, 0.0)
     for tv in (
         SystemSchedule(T=2, a=[0.5, 0.6], b=1, P=1, N=1, N_f=0, V_xx0=1),
         SystemSchedule(T=4, a=0.5, b=1, P=1, N=1, N_f=[0.5, 0.5, 0.5, 0.6], V_xx0=1),
+        SystemSchedule(T=2, a=0.5, b=[1, 2], P=1, N=1, N_f=0, V_xx0=1),
     ):
         assert constant_values(tv) is None
 
