@@ -68,7 +68,7 @@ from __future__ import annotations
 import functools
 import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -80,6 +80,7 @@ from .model import (
     RegimeKind,
     SystemSchedule,
     ValidationError,
+    constant_values,
     csv_table,
     format_float,
 )
@@ -357,7 +358,7 @@ def run(spec: ExperimentSpec) -> int:
 
         check = _stationarity_check(spec.regime)
         check_regime_consistency(spec.schedule, spec.regime)
-        report = check(spec.schedule, spec.form)
+        report = check(constant_values(spec.schedule), spec.form)
         text = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
         code = EXIT_OK if report.bounded else EXIT_NOT_STATIONARY
     _write(spec.output, text)
@@ -374,8 +375,9 @@ def _sweep_csv(spec: ExperimentSpec) -> str:
     if kind is RegimeKind.NOISELESS_FEEDBACK:
         kind = RegimeKind.OUTPUT_FEEDBACK
     check = _stationarity_check(kind)
+    abPN = constant_values(spec.schedule, ("a", "b", "P", "N"))  # N_f is swept
     for nf in spec.sweep_N_f:
-        rep = check(replace(spec.schedule, N_f=nf), spec.form)
+        rep = check((*abPN, nf), spec.form)
         if rep.fixed_point is None:
             cells = ["false", "nan", "nan", "nan"]
         else:

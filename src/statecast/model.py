@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -118,16 +118,15 @@ class SystemSchedule:
             object.__setattr__(self, name, value)
 
 
-def constant_values(s: SystemSchedule) -> Optional[tuple]:
-    """(a, b, P, N, N_f) of a schedule, or None when some parameter changes
-    over the steps that read it: a and b over 0..T-1, P, N and N_f over
-    1..T-1 (step 0 carries no transmission)."""
+def constant_values(s: SystemSchedule, names=("a", "b", "P", "N", "N_f")) -> tuple:
+    """The named parameters of a schedule as floats, by default the five
+    constants the stationarity checks take; a ``ValidationError`` when one
+    changes over the steps that read it: a and b over 0..T-1, P, N and N_f
+    over 1..T-1 (step 0 carries no transmission)."""
     first = 1 if s.T > 1 else 0
-    seqs = (s.a, s.b, s.P[first:], s.N[first:], s.N_f[first:])
-    for seq in seqs:
-        values = seq.tolist()
-        if values.count(values[0]) != len(values):
-            return None
+    seqs = [getattr(s, n).tolist()[0 if n in ("a", "b") else first:] for n in names]
+    if any(seq.count(seq[0]) != len(seq) for seq in seqs):
+        raise ValidationError("stationarity checks require a constant schedule")
     return tuple(seq[0] for seq in seqs)
 
 

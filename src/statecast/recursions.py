@@ -278,6 +278,7 @@ class KalmanPrefilter:
         return np.sqrt(self.beta2)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def kalman_prefilter(s: SystemSchedule, m: MeasurementModel) -> KalmanPrefilter:
     """Scalar Kalman filter for the transmitter's measurement chain.
 
@@ -286,7 +287,8 @@ def kalman_prefilter(s: SystemSchedule, m: MeasurementModel) -> KalmanPrefilter:
     propagates as xi(t+1) = (a - aLc) xi(t) + b w(t) - a L d v(t), so the
     drive term is the quadratic form of [b, -aLd] with the joint noise
     covariance.  V_xixi(0) = V_xx0.  A zero innovation variance at any step
-    is reported as an error.
+    is reported as an error, as is a gain or variance that overflows or
+    becomes NaN.
     """
     m.check_horizon(s.T)
     T = s.T
@@ -310,7 +312,9 @@ def kalman_prefilter(s: SystemSchedule, m: MeasurementModel) -> KalmanPrefilter:
             a, b = a_[t], b_[t]
             noise = np.array([b, -a * L[t] * d])
             V[t + 1] = (a - a * L[t] * c) ** 2 * V[t] + noise @ m.noise_cov(t) @ noise
-    V_xbreve0 = L[0] ** 2 * (c**2 * s.V_xx0 + d**2 * m.at(0)[2])
+    V_xbreve0 = L[0] ** 2 * (_sq(c) * s.V_xx0 + _sq(d) * m.at(0)[2])
+    if not all(np.isfinite(x).all() for x in (L, V, V_filt, beta2, V_xbreve0)):
+        raise ValidationError("pre-filter gain or variance is not finite")
     return KalmanPrefilter(
         L=L, V_xixi=V, beta2=beta2, V_xixi_filt=V_filt, V_xbreve0=V_xbreve0
     )

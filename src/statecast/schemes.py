@@ -45,7 +45,8 @@ __all__ = [
 @dataclass(frozen=True)
 class Regime:
     """A row of ``REGIMES``: the predictor ``(s, measurement, form) ->
-    (prediction, pre-filter or None)``, the stationarity check ``(s, form)``
+    (prediction, pre-filter or None)``, the stationarity check ``(constants,
+    form)`` on the five constants (a, b, P, N, N_f) of ``constant_values``
     (None: the regime has none), the N_f rule ``(test of N_f(1..T-1),
     message)`` (None: any N_f goes) and whether a measurement model is read."""
 
@@ -60,21 +61,21 @@ class Regime:
 REGIMES = {
     RegimeKind.OUTPUT_FEEDBACK: Regime(
         lambda s, m, form: (recursions.predict_output_fb(s), None),
-        lambda s, form: stationarity.check_output_fb(s),
+        lambda c, form: stationarity.check_output_fb(*c),
     ),
     RegimeKind.NO_FEEDBACK: Regime(
         lambda s, m, form: (recursions.predict_output_fb(s), None),
-        lambda s, form: stationarity.check_output_fb(s),
+        lambda c, form: stationarity.check_output_fb(*c),
         (lambda nf: np.all(np.isinf(nf)), "no-feedback regime requires N_f = +inf throughout"),
     ),
     RegimeKind.NOISELESS_FEEDBACK: Regime(
         lambda s, m, form: (recursions.predict_noiseless_fb(s), None),
-        lambda s, form: stationarity.check_noiseless(s),
+        lambda c, form: stationarity.check_noiseless(*c[:4]),
         (lambda nf: np.all(nf == 0.0), "noiseless-feedback regime requires N_f = 0 throughout"),
     ),
     RegimeKind.STATE_ESTIMATE_FEEDBACK: Regime(
         lambda s, m, form: (recursions.predict_state_estimate_fb(s, form=form), None),
-        lambda s, form: stationarity.solve_state_estimate_fp(s, form=form),
+        lambda c, form: stationarity.solve_state_estimate_fp(*c, form=form),
         (lambda nf: not np.isinf(nf).any(),
          "state-estimate feedback requires finite N_f; use the no-feedback regime"),
     ),

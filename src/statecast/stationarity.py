@@ -1,4 +1,9 @@
-"""Boundedness tests and stationary fixed points for constant schedules.
+"""Boundedness tests and stationary fixed points for a constant system.
+
+Each check takes the paper's five constants a, b, P, N, N_f as plain
+floats; ``model.constant_values`` reads them from a schedule that holds
+them constant.  A report never carries inf or NaN: a quantity that leaves
+the floating-point range is a ``ValidationError``.
 
 Boundedness here means the total decoder error mse(t) = sigma2(t) + vbar(t)
 stays bounded as the horizon grows.  Thresholds:
@@ -21,11 +26,12 @@ stays bounded as the horizon grows.  Thresholds:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .model import SIGBAR_FORMS, RegimeKind, SystemSchedule, ValidationError, constant_values
+from .model import SIGBAR_FORMS, RegimeKind, ValidationError
 from .recursions import ntilde_variance, se_step
 
 __all__ = [
@@ -53,6 +59,17 @@ class StationaryReport:
     capacity: float
     fixed_point: Optional[tuple[float, float]] = None
     residuals: tuple[float, ...] = ()
+
+    def __post_init__(self):
+        # inf and NaN are no JSON numbers: an overflow is an error, not a report
+        named = [("channel capacity", self.capacity)]
+        if self.fixed_point is not None:
+            named += zip(("stationary sigma2", "stationary sigbar2", "stationary mse"),
+                         (*self.fixed_point, self.mse))
+        named += [("stationary residual", r) for r in self.residuals]
+        for name, v in named:
+            if not math.isfinite(v):
+                raise ValidationError(f"{name} is not finite")
 
     @property
     def mse(self) -> Optional[float]:
@@ -85,19 +102,29 @@ def channel_capacity(P: float, N: float) -> float:
     return 0.5 * math.log2(1.0 + P / N)
 
 
-def _constants(s: SystemSchedule) -> tuple[float, float, float, float, float]:
-    values = constant_values(s)
-    if values is None:
-        raise ValidationError("stationarity checks require a constant schedule")
-    return tuple(float(v) for v in values)
+def _in_range(check):
+    """``check``, with Python's float ``OverflowError`` and the
+    ``ZeroDivisionError`` of a divisor that underflowed to 0 reported as a
+    ``ValidationError``."""
+
+    @functools.wraps(check)
+    def checked(*args, **kwargs):
+        try:
+            return check(*args, **kwargs)
+        except (OverflowError, ZeroDivisionError):
+            raise ValidationError(
+                "the stationary equations leave the floating-point range"
+            ) from None
+
+    return checked
 
 
-def check_noiseless(s: SystemSchedule) -> StationaryReport:
+@_in_range
+def check_noiseless(a: float, b: float, P: float, N: float) -> StationaryReport:
     """Noiseless-feedback boundedness: log2|a| < C, strictly.
 
     Bounded case: sigma2* = b^2 / (1 - a^2 N/(N+P)), residual zero.
     """
-    a, b, P, N, _ = _constants(s)
     C = channel_capacity(P, N)
     ratio = a * a * N / (N + P)
     bounded = ratio < 1.0
@@ -124,8 +151,9 @@ def check_noiseless(s: SystemSchedule) -> StationaryReport:
     )
 
 
-def check_output_fb(s: SystemSchedule) -> StationaryReport:
-    """Output-feedback boundedness and fixed point for a constant schedule.
+@_in_range
+def check_output_fb(a: float, b: float, P: float, N: float, N_f: float) -> StationaryReport:
+    """Output-feedback boundedness and fixed point.
 
     N_f = 0 delegates to the noiseless check.  For N_f > 0 (finite or
     +inf) a stationary solution exists iff |a| < 1; the fixed point solves
@@ -137,9 +165,8 @@ def check_output_fb(s: SystemSchedule) -> StationaryReport:
     where rho_s = a^2 N^2 (P+N+N_f) / ((P+N)^2 (N+N_f)) for finite N_f and
     a^2 N^2/(P+N)^2 without feedback.
     """
-    a, b, P, N, N_f = _constants(s)
     if N_f == 0.0:
-        return replace(check_noiseless(s), regime=RegimeKind.OUTPUT_FEEDBACK)
+        return replace(check_noiseless(a, b, P, N), regime=RegimeKind.OUTPUT_FEEDBACK)
     C = channel_capacity(P, N)
     regime = (
         RegimeKind.NO_FEEDBACK if math.isinf(N_f) else RegimeKind.OUTPUT_FEEDBACK
@@ -203,7 +230,10 @@ def _least_root(A: float, B: float, C: float) -> Optional[float]:
     return min((abs(x) for x in roots if x >= 0.0), default=None)  # abs: -0.0 -> 0.0
 
 
-def solve_state_estimate_fp(s: SystemSchedule, form: str = "proof") -> StationaryReport:
+@_in_range
+def solve_state_estimate_fp(
+    a: float, b: float, P: float, N: float, N_f: float, form: str = "proof"
+) -> StationaryReport:
     """Stationary pair (sigma2, sigbar2) for state-estimate feedback.
 
     ``se_step`` is monotone in (sigma2, sigbar2), so the recursion from
@@ -220,7 +250,6 @@ def solve_state_estimate_fp(s: SystemSchedule, form: str = "proof") -> Stationar
     b != 0.  The residuals of the stationary equations at the returned
     point are reported.
     """
-    a, b, P, N, N_f = _constants(s)
     if math.isinf(N_f):
         raise ValidationError("state-estimate feedback requires finite N_f")
     if form not in SIGBAR_FORMS:

@@ -42,6 +42,7 @@ from statecast import (
     solve_state_estimate_fp,
 )
 from statecast.cli import main as cli_main
+from statecast.model import constant_values
 from statecast.recursions import se_step
 
 from conftest import random_measurement, random_schedule
@@ -267,10 +268,10 @@ def test_criterion_05c_state_estimate_zero_noise_equals_noiseless():
 
 def test_criterion_06_output_fb_stationarity_dichotomy():
     s_ok = SystemSchedule(T=2, a=0.99, b=1.0, P=1.0, N=1.0, N_f=0.1, V_xx0=0.0)
-    rep = check_output_fb(s_ok)
+    rep = check_output_fb(*constant_values(s_ok))
     bounded_ok = rep.bounded and max(rep.residuals) < 1e-10
     s_bad = SystemSchedule(T=2, a=1.0, b=1.0, P=1.0, N=1.0, N_f=0.1, V_xx0=0.0)
-    rep_bad = check_output_fb(s_bad)
+    rep_bad = check_output_fb(*constant_values(s_bad))
     long = predict_output_fb(
         SystemSchedule(T=500, a=1.0, b=1.0, P=1.0, N=1.0, N_f=0.1, V_xx0=0.0)
     )
@@ -296,7 +297,7 @@ def test_criterion_06_output_fb_stationarity_dichotomy():
 
 def test_criterion_07_quartic_fixed_point():
     s = SystemSchedule(T=2, a=0.9, b=1.0, P=1.0, N=1.0, N_f=0.5, V_xx0=0.0)
-    rep = solve_state_estimate_fp(s)
+    rep = solve_state_estimate_fp(*constant_values(s))
     long = predict_state_estimate_fb(
         SystemSchedule(T=10_000, a=0.9, b=1.0, P=1.0, N=1.0, N_f=0.5, V_xx0=0.0)
     )

@@ -703,13 +703,13 @@ def test_config_and_flag_errors_are_one_exact_line(tmp_path, capsys, text, flags
     assert not (tmp_path / "out.csv").exists()
 
 
-def _sweep_csv(tmp_path, regime, a, N_f, sweep):
-    """The text ``statecast compare`` writes for a T = 2 ``regime`` config
-    at pole ``a`` and schedule feedback noise ``N_f`` with ``[sweep] N_f =
-    sweep``."""
+def _sweep_csv(tmp_path, regime, a, N_f, sweep, T=2):
+    """The text ``statecast compare`` writes for a horizon-``T`` ``regime``
+    config at pole ``a`` and schedule feedback noise ``N_f`` with ``[sweep]
+    N_f = sweep``."""
     out = tmp_path / f"{regime}_{a}.csv"
     cfg = write_cfg(
-        tmp_path, name=f"{regime}_{a}.ini", T=2, a=a, N_f=N_f, regime=regime,
+        tmp_path, name=f"{regime}_{a}.ini", T=T, a=a, N_f=N_f, regime=regime,
         mode="simulate", output=str(out), extra=f"trials = 10\nseed = 1\n\n[sweep]\nN_f = {sweep}",
     )
     assert main(["compare", str(cfg)]) == 0
@@ -743,6 +743,48 @@ def test_sweep_rows_and_the_regimes_that_share_output_feedback_check(tmp_path):
     assert [row.split(",")[1] for row in texts[0].splitlines()[1:]] == [
         "true", "false", "false", "false"
     ]
+    # the sweep replaces the schedule's N_f, so one that varies by step
+    # sweeps as a constant one does
+    assert _sweep_csv(
+        tmp_path, "output_feedback", 0.9, "0.3, 0.5, 2, inf", "0, 0.5, inf", T=4
+    ).splitlines() == [
+        "N_f,bounded,sigma2,sigbar2,mse",
+        "0,true,1.680672268907563,0,1.680672268907563",
+        "0.5,true,1.5094339622641513,0.53624627606752762,2.0456802383316788",
+        "inf,true,1.2539184952978057,1.336413133146346,2.5903316284441518",
+    ]
+
+
+@pytest.mark.parametrize(
+    "regime, mode, sets, extra",
+    [
+        ("output_feedback", "stationarity", ["P=1e300", "N_f=0.5"], ""),
+        ("state_estimate_feedback", "stationarity", ["P=0.5", "N=1e154", "N_f=0.5"], ""),
+        ("state_estimate_feedback", "stationarity", ["P=1e-170", "N=1e-300", "N_f=0.5"], ""),
+        ("output_feedback", "stationarity", ["b=1e300", "N_f=inf"], ""),
+        ("noiseless_feedback", "stationarity", ["b=1e200"], ""),
+        ("separation_output_feedback", "predict", ["N_f=0.5"],
+         "[measurement]\nc = 1e300\nd = 1e-170\nV_ww = 1e300\n"),
+    ],
+    ids=["output_fb_P_1e300", "se_N_1e154", "se_P_1e-170_N_1e-300", "output_fb_b_1e300",
+         "noiseless_b_1e200", "separation_c_1e300"],
+)
+def test_extreme_magnitudes_give_a_finite_artifact_or_one_error_line(
+    tmp_path, capsys, regime, mode, sets, extra
+):
+    # an overflow or underflow in the arithmetic is neither a traceback nor
+    # an inf/NaN in the artifact (a leaked RuntimeWarning fails the suite)
+    out = tmp_path / "out.txt"
+    cfg = write_cfg(tmp_path, T=4, a=0.5, regime=regime, mode=mode, output=str(out), extra=extra)
+    code = main(["run", str(cfg), *(f for kv in sets for f in ("--set", f"schedule.{kv}"))])
+    err = capsys.readouterr().err
+    assert code in (0, EXIT_VALIDATION, EXIT_NOT_STATIONARY)
+    if code == EXIT_VALIDATION:
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+    else:
+        text = out.read_text().lower()
+        assert err == "" and "inf" not in text and "nan" not in text
 
 
 @pytest.mark.parametrize("mode", ["predict", "simulate", "oracle", "stationarity"])

@@ -119,12 +119,17 @@ def test_constant_helpers():
     # P(0), N(0) and N_f(0) carry no transmission, so they may differ
     step0 = SystemSchedule(T=3, a=0.5, b=1, P=[3, 1, 1], N=[5, 2, 2], N_f=[math.inf, 0, 0])
     assert constant_values(step0) == (0.5, 1.0, 1.0, 2.0, 0.0)
+    assert all(type(v) is float for v in constant_values(s))
     for tv in (
         SystemSchedule(T=2, a=[0.5, 0.6], b=1, P=1, N=1, N_f=0, V_xx0=1),
         SystemSchedule(T=4, a=0.5, b=1, P=1, N=1, N_f=[0.5, 0.5, 0.5, 0.6], V_xx0=1),
         SystemSchedule(T=2, a=0.5, b=[1, 2], P=1, N=1, N_f=0, V_xx0=1),
     ):
-        assert constant_values(tv) is None
+        with pytest.raises(ValidationError, match="require a constant schedule"):
+            constant_values(tv)
+    # named parameters are read alone: a sweep reads a, b, P, N and not N_f
+    tv_nf = SystemSchedule(T=4, a=0.5, b=1, P=1, N=2, N_f=[0.3, 0.5, 2, math.inf])
+    assert constant_values(tv_nf, ("a", "b", "P", "N")) == (0.5, 1.0, 1.0, 2.0)
 
 
 def test_measurement_validation():

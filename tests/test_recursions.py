@@ -24,6 +24,7 @@ from statecast import (
     predict_state_estimate_fb,
     solve_state_estimate_fp,
 )
+from statecast.model import constant_values
 from statecast.recursions import nhat_variance, ntilde_variance, se_step
 
 from conftest import random_measurement, random_schedule
@@ -207,7 +208,7 @@ def test_output_fb_memoryless_plant():
 def test_output_fb_converges_to_solver_fixed_point():
     s = SystemSchedule(T=50, a=0.9, b=1, P=1, N=1, N_f=0.1, V_xx0=1)
     p = predict_output_fb(s)
-    rep = check_output_fb(s)
+    rep = check_output_fb(*constant_values(s))
     assert rep.bounded
     assert math.isfinite(p.sigma2[-1])
     # 50 steps of a contraction get within ~1e-4; full agreement tested at 1e4 steps
@@ -364,7 +365,7 @@ def test_se_memoryless_plant():
 def test_se_long_run_matches_fixed_point_solver():
     s = SystemSchedule(T=200, a=0.9, b=1, P=1, N=1, N_f=0.5, V_xx0=0)
     p = predict_state_estimate_fb(s)
-    rep = solve_state_estimate_fp(s)
+    rep = solve_state_estimate_fp(*constant_values(s))
     assert rep.bounded
     assert abs(p.sigma2[-1] - rep.fixed_point[0]) < 1e-8
     assert abs(p.vbar[-1] - rep.fixed_point[1]) < 1e-8

@@ -31,6 +31,7 @@ from statecast import (
 )
 from statecast import simulate
 from numpy.random import Generator, Philox
+from statecast.model import constant_values
 from statecast.schemes import REGIMES, run_closed_loop
 from statecast.simulate import CSV_HEADER, format_float
 
@@ -787,7 +788,7 @@ def test_output_feedback_paths_build_no_schedule(monkeypatch, nf):
     exact_conditioning_oracle(s, kind)
     for regime in REGIMES.values():
         if regime.stationarity is not None:
-            regime.stationarity(s, "proof")
+            regime.stationarity(constant_values(s), "proof")
     assert counts == {"schedules": 0, "measurements": 0, "pairings": 3}
 
 

@@ -14,11 +14,13 @@ from statecast import (
     predict_state_estimate_fb,
     solve_state_estimate_fp,
 )
+from statecast.model import constant_values
 from statecast.recursions import se_step
 
 
-def _const(a, b=1.0, P=1.0, N=1.0, N_f=0.1, V0=0.0, T=2):
-    return SystemSchedule(T=T, a=a, b=b, P=P, N=N, N_f=N_f, V_xx0=V0)
+def _const(a, b=1.0, P=1.0, N=1.0, N_f=0.1):
+    """The five constants (a, b, P, N, N_f) the checks take."""
+    return (a, b, P, N, N_f)
 
 
 def test_capacity_values():
@@ -30,9 +32,9 @@ def test_capacity_values():
 
 
 def test_noiseless_threshold_is_strict():
-    assert not check_noiseless(_const(2.0, P=3.0, N=1.0, N_f=0.0)).bounded
-    assert check_noiseless(_const(1.9, P=3.0, N=1.0, N_f=0.0)).bounded
-    rep = check_noiseless(_const(0.5, N_f=0.0, b=1.0))
+    assert not check_noiseless(*_const(2.0, P=3.0, N=1.0, N_f=0.0)[:4]).bounded
+    assert check_noiseless(*_const(1.9, P=3.0, N=1.0, N_f=0.0)[:4]).bounded
+    rep = check_noiseless(*_const(0.5, N_f=0.0, b=1.0)[:4])
     assert rep.bounded
     assert rep.fixed_point[0] == pytest.approx(8.0 / 7.0, abs=1e-15)
     assert rep.fixed_point[1] == 0.0
@@ -41,7 +43,7 @@ def test_noiseless_threshold_is_strict():
 
 def test_noiseless_boundedness_monotone_in_power():
     bounded = [
-        check_noiseless(_const(1.3, P=P, N=1.0, N_f=0.0)).bounded
+        check_noiseless(*_const(1.3, P=P, N=1.0, N_f=0.0)[:4]).bounded
         for P in (0.1, 0.3, 0.69, 0.7, 1.0, 3.0, 10.0)
     ]
     # once bounded, stays bounded as P grows
@@ -49,10 +51,10 @@ def test_noiseless_boundedness_monotone_in_power():
 
 
 def test_output_fb_dichotomy_at_unit_pole():
-    assert check_output_fb(_const(0.99)).bounded
-    assert not check_output_fb(_const(1.0)).bounded
-    assert not check_output_fb(_const(-1.0)).bounded
-    assert check_output_fb(_const(-0.99)).bounded
+    assert check_output_fb(*_const(0.99)).bounded
+    assert not check_output_fb(*_const(1.0)).bounded
+    assert not check_output_fb(*_const(-1.0)).bounded
+    assert check_output_fb(*_const(-0.99)).bounded
 
 
 def test_output_fb_divergence_visible_in_iteration():
@@ -65,8 +67,7 @@ def test_output_fb_divergence_visible_in_iteration():
 
 
 def test_output_fb_fixed_point_matches_long_iteration():
-    s = _const(0.9, N_f=0.1)
-    rep = check_output_fb(s)
+    rep = check_output_fb(*_const(0.9, N_f=0.1))
     assert rep.bounded
     long = predict_output_fb(
         SystemSchedule(T=10_000, a=0.9, b=1.0, P=1.0, N=1.0, N_f=0.1, V_xx0=0.0)
@@ -77,24 +78,24 @@ def test_output_fb_fixed_point_matches_long_iteration():
 
 
 def test_output_fb_delegates_noiseless_at_zero_feedback_noise():
-    rep = check_output_fb(_const(0.5, N_f=0.0))
-    ref = check_noiseless(_const(0.5, N_f=0.0))
+    rep = check_output_fb(*_const(0.5, N_f=0.0))
+    ref = check_noiseless(*_const(0.5, N_f=0.0)[:4])
     assert rep.bounded == ref.bounded
     assert rep.fixed_point == ref.fixed_point
     assert rep.regime is RegimeKind.OUTPUT_FEEDBACK
     # both checks report the same verdict across a parameter sweep
     for a in (0.3, 0.9, 1.2, 1.9, 2.0, 2.5):
         assert (
-            check_output_fb(_const(a, P=3.0, N=1.0, N_f=0.0)).bounded
-            == check_noiseless(_const(a, P=3.0, N=1.0, N_f=0.0)).bounded
+            check_output_fb(*_const(a, P=3.0, N=1.0, N_f=0.0)).bounded
+            == check_noiseless(*_const(a, P=3.0, N=1.0, N_f=0.0)[:4]).bounded
         )
 
 
 def test_output_fb_no_feedback_threshold():
     # without feedback the residual still accumulates at rate a^2
-    rep = check_output_fb(_const(0.95, N_f=math.inf))
+    rep = check_output_fb(*_const(0.95, N_f=math.inf))
     assert rep.bounded and rep.regime is RegimeKind.NO_FEEDBACK
-    assert not check_output_fb(_const(1.01, N_f=math.inf)).bounded
+    assert not check_output_fb(*_const(1.01, N_f=math.inf)).bounded
     # matches a long iteration of the zero-drive recursion
     long = predict_output_fb(
         SystemSchedule(T=20_000, a=0.95, b=1.0, P=1.0, N=1.0, N_f=math.inf, V_xx0=0.0)
@@ -106,7 +107,7 @@ def test_output_fb_no_feedback_threshold():
 def test_output_fb_rejects_time_varying():
     s = SystemSchedule(T=3, a=[0.5, 0.6, 0.7], b=1, P=1, N=1, N_f=0.1, V_xx0=0)
     with pytest.raises(ValidationError, match="constant"):
-        check_output_fb(s)
+        check_output_fb(*constant_values(s))
 
 
 def test_fixed_point_residuals_small_over_random_stable_draws(rng):
@@ -119,7 +120,7 @@ def test_fixed_point_residuals_small_over_random_stable_draws(rng):
             N=float(rng.uniform(0.3, 3)),
             N_f=float(rng.choice([0.0, 0.1, 1.0, math.inf])),
         )
-        rep = check_output_fb(s)
+        rep = check_output_fb(*s)
         assert rep.bounded
         assert max(rep.residuals) < 1e-10
 
@@ -130,15 +131,14 @@ def test_fixed_point_residuals_small_over_random_stable_draws(rng):
 
 
 def test_se_memoryless_fixed_point():
-    rep = solve_state_estimate_fp(_const(0.0, b=1.3, N_f=0.5))
+    rep = solve_state_estimate_fp(*_const(0.0, b=1.3, N_f=0.5))
     assert rep.bounded
     assert rep.fixed_point[0] == pytest.approx(1.3**2, abs=1e-12)
     assert rep.fixed_point[1] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_se_solver_matches_long_iteration():
-    s = _const(0.9, N_f=0.5)
-    rep = solve_state_estimate_fp(s)
+    rep = solve_state_estimate_fp(*_const(0.9, N_f=0.5))
     assert rep.bounded
     long = predict_state_estimate_fb(
         SystemSchedule(T=10_000, a=0.9, b=1.0, P=1.0, N=1.0, N_f=0.5, V_xx0=0.0)
@@ -154,21 +154,21 @@ def test_se_zero_noise_limit():
     #   sigma2  = sigma2/16 + a^2*sigbar2 + 1  =>  sigma2 = 64/59
     # The limit stays strictly above the noiseless-output-feedback fixed
     # point 8/7: the fed-back estimate is one step stale.
-    rep = solve_state_estimate_fp(_const(0.5, N_f=1e-8))
+    rep = solve_state_estimate_fp(*_const(0.5, N_f=1e-8))
     assert rep.bounded
     assert rep.fixed_point[0] == pytest.approx(64.0 / 59.0, abs=1e-4)
     assert rep.fixed_point[1] == pytest.approx(4.0 / 59.0, abs=1e-4)
-    noiseless = check_noiseless(_const(0.5, N_f=0.0)).fixed_point[0]
+    noiseless = check_noiseless(*_const(0.5, N_f=0.0)[:4]).fixed_point[0]
     assert rep.mse > noiseless + 5e-3
     # exactly at N_f = 0 as well
-    rep0 = solve_state_estimate_fp(_const(0.5, N_f=0.0))
+    rep0 = solve_state_estimate_fp(*_const(0.5, N_f=0.0))
     assert rep0.fixed_point[0] == pytest.approx(64.0 / 59.0, abs=1e-12)
     assert rep0.fixed_point[1] == pytest.approx(4.0 / 59.0, abs=1e-12)
 
 
 def test_se_supports_moderately_unstable_poles():
     # with state-estimate feedback a stationary pair can exist past |a| = 1
-    rep = solve_state_estimate_fp(_const(1.2, N_f=0.5))
+    rep = solve_state_estimate_fp(*_const(1.2, N_f=0.5))
     assert rep.bounded
     f = se_step(*rep.fixed_point, 1.2, 1.0, 1.0, 1.0, 0.5)
     assert abs(f[0] - rep.fixed_point[0]) < 1e-10
@@ -180,7 +180,7 @@ def test_se_supports_moderately_unstable_poles():
 
 
 def test_se_divergence_reported_not_raised():
-    rep = solve_state_estimate_fp(_const(1.5, N_f=0.5))
+    rep = solve_state_estimate_fp(*_const(1.5, N_f=0.5))
     assert not rep.bounded
     assert rep.fixed_point is None
     assert "diverged" in rep.condition or "convergence" in rep.condition
@@ -190,23 +190,23 @@ def test_se_undriven_recursion_stays_at_origin():
     # with b = 0 the recursion from (0, 0) never moves, even past a*(P, N)
     for a in (0.5, 2.0):
         for N_f in (0.0, 0.5):
-            rep = solve_state_estimate_fp(_const(a, b=0.0, N_f=N_f))
+            rep = solve_state_estimate_fp(*_const(a, b=0.0, N_f=N_f))
             assert rep.bounded and rep.fixed_point == (0.0, 0.0)
 
 
 def test_se_rejects_infinite_feedback_noise():
     with pytest.raises(ValidationError):
-        solve_state_estimate_fp(_const(0.5, N_f=math.inf))
+        solve_state_estimate_fp(*_const(0.5, N_f=math.inf))
 
 
 def test_report_serialization():
-    rep = check_output_fb(_const(0.9, N_f=0.1))
+    rep = check_output_fb(*_const(0.9, N_f=0.1))
     d = rep.to_dict()
     assert d["bounded"] is True
     assert d["regime"] == "output_feedback"
     assert set(d["fixed_point"]) == {"sigma2", "sigbar2", "mse"}
     assert d["fixed_point"]["mse"] == pytest.approx(rep.mse)
-    rep2 = check_output_fb(_const(1.5, N_f=0.1))
+    rep2 = check_output_fb(*_const(1.5, N_f=0.1))
     assert rep2.to_dict()["fixed_point"] is None
 
 
@@ -218,8 +218,8 @@ def _a_star(P, N):
 @pytest.mark.parametrize("P,N,N_f", [(1.0, 1.0, 0.5), (2.5, 0.7, 1.5)])
 def test_se_verdict_matches_threshold_next_to_it(P, N, N_f):
     a_star = _a_star(P, N)
-    inside = solve_state_estimate_fp(_const(a_star * (1.0 - 6e-5), P=P, N=N, N_f=N_f))
-    outside = solve_state_estimate_fp(_const(a_star * (1.0 + 6e-5), P=P, N=N, N_f=N_f))
+    inside = solve_state_estimate_fp(*_const(a_star * (1.0 - 6e-5), P=P, N=N, N_f=N_f))
+    outside = solve_state_estimate_fp(*_const(a_star * (1.0 + 6e-5), P=P, N=N, N_f=N_f))
     assert inside.bounded and not outside.bounded
     assert outside.fixed_point is None
     assert max(inside.residuals) < 1e-12 * inside.mse
@@ -230,7 +230,7 @@ def test_se_stated_form_takes_least_of_two_positive_roots():
     # 1 - k a^2 < 0 here, yet the stationary quadratic has two positive roots;
     # the recursion from (0, 0) stops at the smaller one
     kw = dict(a=3.0, b=0.01, P=10.0, N=1.0, N_f=0.05)
-    rep = solve_state_estimate_fp(_const(**kw), form="stated")
+    rep = solve_state_estimate_fp(*_const(**kw), form="stated")
     assert rep.bounded
     long = predict_state_estimate_fb(SystemSchedule(T=20_000, V_xx0=0.0, **kw), form="stated")
     assert abs(long.sigma2[-1] - rep.fixed_point[0]) < 1e-10
