@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -48,13 +49,12 @@ class StationaryReport:
     """Outcome of a stationarity check.
 
     ``fixed_point`` is (sigma2, sigbar2) when a bounded stationary solution
-    exists (sigbar2 carries the feedback-residual variance; stationary mse
-    is their sum); ``residuals`` are the absolute defects of the stationary
-    equations at the reported point.
+    exists and None otherwise (sigbar2 carries the feedback-residual
+    variance; stationary mse is their sum); ``residuals`` are the absolute
+    defects of the stationary equations at the reported point.
     """
 
     regime: RegimeKind
-    bounded: bool
     condition: str
     capacity: float
     fixed_point: Optional[tuple[float, float]] = None
@@ -70,6 +70,10 @@ class StationaryReport:
         for name, v in named:
             if not math.isfinite(v):
                 raise ValidationError(f"{name} is not finite")
+
+    @property
+    def bounded(self) -> bool:
+        return self.fixed_point is not None
 
     @property
     def mse(self) -> Optional[float]:
@@ -102,6 +106,9 @@ def channel_capacity(P: float, N: float) -> float:
     return 0.5 * math.log2(1.0 + P / N)
 
 
+_OUT_OF_RANGE = "the stationary equations leave the floating-point range"
+
+
 def _in_range(check):
     """``check``, with Python's float ``OverflowError`` and the
     ``ZeroDivisionError`` of a divisor that underflowed to 0 reported as a
@@ -112,9 +119,7 @@ def _in_range(check):
         try:
             return check(*args, **kwargs)
         except (OverflowError, ZeroDivisionError):
-            raise ValidationError(
-                "the stationary equations leave the floating-point range"
-            ) from None
+            raise ValidationError(_OUT_OF_RANGE) from None
 
     return checked
 
@@ -133,22 +138,10 @@ def check_noiseless(a: float, b: float, P: float, N: float) -> StationaryReport:
         f"{'<' if bounded else '>='} C = {C:.6g} (need strict inequality)"
     )
     if not bounded:
-        return StationaryReport(
-            regime=RegimeKind.NOISELESS_FEEDBACK,
-            bounded=False,
-            condition=cond,
-            capacity=C,
-        )
+        return StationaryReport(RegimeKind.NOISELESS_FEEDBACK, cond, C)
     sigma2 = b * b / (1.0 - ratio)
     res = abs(sigma2 - (ratio * sigma2 + b * b))
-    return StationaryReport(
-        regime=RegimeKind.NOISELESS_FEEDBACK,
-        bounded=True,
-        condition=cond,
-        capacity=C,
-        fixed_point=(sigma2, 0.0),
-        residuals=(res,),
-    )
+    return StationaryReport(RegimeKind.NOISELESS_FEEDBACK, cond, C, (sigma2, 0.0), (res,))
 
 
 @_in_range
@@ -178,7 +171,7 @@ def check_output_fb(a: float, b: float, P: float, N: float, N_f: float) -> Stati
             f"; transmit-side sigma2 alone is bounded iff |a| < (P+N)/N = {(P+N)/N:.6g}"
         )
     if not bounded:
-        return StationaryReport(regime=regime, bounded=False, condition=cond, capacity=C)
+        return StationaryReport(regime, cond, C)
     if math.isinf(N_f):
         rho_s = a * a * N * N / (P + N) ** 2
     else:
@@ -191,43 +184,48 @@ def check_output_fb(a: float, b: float, P: float, N: float, N_f: float) -> Stati
         abs(sigma2 - (rho_s * sigma2 + b * b)),
         abs(vbar - (a * a * vbar + drive)),
     )
-    return StationaryReport(
-        regime=regime,
-        bounded=True,
-        condition=cond,
-        capacity=C,
-        fixed_point=(sigma2, vbar),
-        residuals=residuals,
-    )
-
-
-def _se_residuals(
-    v: tuple[float, float], a, b, P, N, N_f, form
-) -> tuple[float, float]:
-    f1, f2 = se_step(v[0], v[1], a, b, P, N, N_f, form)
-    return (abs(f1 - v[0]), abs(f2 - v[1]))
+    return StationaryReport(regime, cond, C, (sigma2, vbar), residuals)
 
 
 def _a_star(P: float, N: float) -> float:
     """Largest |a| with a stationary point under the "proof" residual form.
 
     1 - k a^2 > 0 reads P N u^2 + N^2 u - (P+N)^2 < 0 in u = a^2; this is
-    its positive root, written without cancellation.
+    its positive root, written without cancellation.  Where N^4 overflows,
+    4 P N (P+N)^2 leaves the normal double range or u overflows, the root
+    comes from the shares s = P/(P+N), r = N/(P+N) as
+    u = 2/(r^2 + sqrt(r^4 + 4 s r)).
     """
-    r = math.sqrt(N**4 + 4.0 * P * N * (P + N) ** 2)
-    return math.sqrt(2.0 * (P + N) ** 2 / (N * N + r))
+    try:
+        m = 4.0 * P * N * (P + N) ** 2
+        u = 2.0 * (P + N) ** 2 / (N * N + math.sqrt(N**4 + m))
+    except OverflowError:
+        m = u = 0.0
+    if not (sys.float_info.min <= m < math.inf and 0.0 < u < math.inf):
+        s, r = P / (P + N), N / (P + N)
+        u = 2.0 / (r * r + math.sqrt(r**4 + 4.0 * s * r))
+    return math.sqrt(u)
 
 
 def _least_root(A: float, B: float, C: float) -> Optional[float]:
-    """Least nonnegative root of A x^2 + B x + C, or None if it has none."""
-    disc = B * B - 4.0 * A * C
+    """Least nonnegative root of A x^2 + B x + C, or None if it has none.
+
+    Where B^2 - 4AC overflows, its square root is taken over the
+    coefficients divided by the largest of them and scaled back.
+    """
+    disc, m = B * B - 4.0 * A * C, 1.0
+    if not math.isfinite(disc):
+        m = max(abs(A), abs(B), abs(C))
+        disc = (B / m) ** 2 - 4.0 * (A / m) * (C / m)
     if disc < 0.0:
         return None
-    q = -0.5 * (B + math.copysign(math.sqrt(disc), B))
+    q = -0.5 * (B + math.copysign(m * math.sqrt(disc), B))
     if q == 0.0:  # B = 0 and A*C = 0
         return 0.0 if C == 0.0 else None
     roots = [C / q] + ([q / A] if A != 0.0 else [])
-    return min((abs(x) for x in roots if x >= 0.0), default=None)  # abs: -0.0 -> 0.0
+    # -0.0 is a root only if C = 0; otherwise it is a negative root that underflowed
+    ok = lambda x: math.copysign(1.0, x) > 0.0 or C == 0.0 == x
+    return min((abs(x) for x in roots if ok(x)), default=None)  # abs: -0.0 -> 0.0
 
 
 @_in_range
@@ -267,10 +265,17 @@ def solve_state_estimate_fp(
         if c_s < 1.0:
             k = a2 * P * N / (P + N) ** 2 / (1.0 - c_s)
             f = N_f if form == "proof" else N_f * N_f
-            A, B = 1.0 - k * a2, N_f - a2 * f - k * b2
             # At N_f = 0, h = sb (A sb + B), and sb = 0 is no fixed point
             # (se_step takes its den = 0 branch), so only A sb + B counts.
-            sb = _least_root(A, B, -k * b2 * N_f) if N_f > 0.0 else _least_root(0.0, A, B)
+            A, B = 1.0 - k * a2, N_f - a2 * f - k * b2
+            h = (A, B, -k * b2 * N_f) if N_f > 0.0 else (0.0, A, B)
+            # A term of h that overflowed (a NaN is 0 * inf), or a constant
+            # term that underflowed and took the least root with it, leaves
+            # only the proof form's verdict: a point iff A > 0.
+            if all(map(math.isfinite, h)) and (k == 0.0 or abs(h[2]) >= sys.float_info.min):
+                sb = _least_root(*h)
+            elif form == "stated" or A > 0.0:
+                raise ValidationError(_OUT_OF_RANGE)
         point = None
         if sb is not None:
             # se_step(0, sb)[0] = a^2 sb^2/(sb + N_f) + b^2, guarded at sb + N_f = 0
@@ -286,13 +291,7 @@ def solve_state_estimate_fp(
                 f"a*(P, N) = {_a_star(P, N):.6g}; {cond}"
             )
     if point is None:
-        return StationaryReport(regime=regime, bounded=False, condition=cond, capacity=C)
-    return StationaryReport(
-        regime=regime,
-        bounded=True,
-        condition=cond,
-        capacity=C,
-        fixed_point=point,
-        residuals=_se_residuals(point, a, b, P, N, N_f, form),
-    )
+        return StationaryReport(regime, cond, C)
+    f1, f2 = se_step(*point, a, b, P, N, N_f, form)
+    return StationaryReport(regime, cond, C, point, (abs(f1 - point[0]), abs(f2 - point[1])))
 

@@ -356,10 +356,20 @@ def test_parse_config_roundtrip_values(tmp_path):
     assert spec.schedule.T == 3
 
 
+def _checkout_env() -> dict:
+    """The environment with this checkout's ``src`` first on PYTHONPATH, so a
+    child interpreter imports the code under test, not an installed copy."""
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
 def test_console_script_entry_point(tmp_path):
     cfg = write_cfg(tmp_path, T=10, output=str(tmp_path / "cli_out.csv"))
     proc = subprocess.run(
         [sys.executable, "-m", "statecast.cli", "run", str(cfg)],
+        env=_checkout_env(),
         capture_output=True,
         text=True,
     )
@@ -468,7 +478,8 @@ def test_help_lists_both_commands(capsys):
 def test_import_builds_no_parser():
     code = "import statecast.cli as c; print(c._parser.cache_info().currsize)"
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        [sys.executable, "-c", code], env=_checkout_env(), capture_output=True, text=True,
+        check=True,
     )
     assert proc.stdout.strip() == "0"
 
@@ -476,7 +487,8 @@ def test_import_builds_no_parser():
 def test_import_leaves_configparser_out():
     code = "import sys, statecast.cli; print('configparser' in sys.modules)"
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        [sys.executable, "-c", code], env=_checkout_env(), capture_output=True, text=True,
+        check=True,
     )
     assert proc.stdout.strip() == "False"
 
@@ -507,12 +519,9 @@ def _cold_start(tmp_path, mode: str) -> dict:
     code; the run writes ``tmp_path / "out"``."""
     ini = write_cfg(tmp_path, T=2, a=0.9, N_f=0.1, regime="output_feedback",
                     mode=mode, output=str(tmp_path / "out"))
-    env = dict(os.environ)
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-c", _COLD_START_PROBE, str(GOLDEN_DIR / "noiseless_sim.ini"), str(ini)],
-        env=env, capture_output=True, text=True, timeout=120, check=True,
+        env=_checkout_env(), capture_output=True, text=True, timeout=120, check=True,
     )
     probe = json.loads(proc.stdout.splitlines()[-1])
     assert probe["code"] == 0 and (tmp_path / "out").exists()
@@ -753,6 +762,21 @@ def test_sweep_rows_and_the_regimes_that_share_output_feedback_check(tmp_path):
         "0.5,true,1.5094339622641513,0.53624627606752762,2.0456802383316788",
         "inf,true,1.2539184952978057,1.336413133146346,2.5903316284441518",
     ]
+
+
+def test_state_estimate_verdict_past_a_star_survives_an_overflowing_quadratic(tmp_path, capsys):
+    # |a| = 1.3 >= a*(1, 1) is unbounded whatever N_f or b, also where h's
+    # B^2 leaves the double range
+    rows = _sweep_csv(tmp_path, "state_estimate_feedback", 1.3, 0.5, "0.5, 1e150, 1e160")
+    assert [row.split(",")[1] for row in rows.splitlines()[1:]] == ["false"] * 3
+    out = tmp_path / "fp.json"
+    cfg = write_cfg(tmp_path, T=4, a=1.3, N_f=0.5, regime="state_estimate_feedback",
+                    mode="stationarity", output=str(out))
+    assert main(["run", str(cfg), "--set", "schedule.b=1e100"]) == EXIT_NOT_STATIONARY
+    rep = json.loads(out.read_text())
+    assert rep["bounded"] is False and rep["fixed_point"] is None
+    assert rep["condition"].startswith("|a| = 1.3 >= a*(P, N) = 1.24962;")
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -211,8 +212,14 @@ def test_report_serialization():
 
 
 def _a_star(P, N):
-    # positive root u of P N u^2 + N^2 u - (P+N)^2, the "proof"-form threshold on a^2
-    return math.sqrt((-N * N + math.sqrt(N**4 + 4.0 * P * N * (P + N) ** 2)) / (2.0 * P * N))
+    # positive root u of P N u^2 + N^2 u - (P+N)^2, the "proof"-form threshold
+    # on a^2, in the shares s = P/(P+N) and r = N/(P+N) so no term leaves the range
+    s, r = P / (P + N), N / (P + N)
+    return math.sqrt(2.0 / (r * r + math.sqrt(r**4 + 4.0 * s * r)))
+
+
+def _shown_a_star(rep):
+    return re.search(r"a\*\(P, N\) = ([^;]+);", rep.condition).group(1)
 
 
 @pytest.mark.parametrize("P,N,N_f", [(1.0, 1.0, 0.5), (2.5, 0.7, 1.5)])
@@ -236,3 +243,82 @@ def test_se_stated_form_takes_least_of_two_positive_roots():
     assert abs(long.sigma2[-1] - rep.fixed_point[0]) < 1e-10
     assert abs(long.vbar[-1] - rep.fixed_point[1]) < 1e-10
     assert rep.fixed_point == pytest.approx((1.1250e-4, 1.5177e-4), rel=1e-4)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [(1.3, 1.0, 1.0, 1.0, 1e160), (1.3, 1e100, 1.0, 1.0, 0.5), (1.3, 1e160, 1.0, 1.0, 0.5)],
+    ids=["N_f_1e160", "b_1e100", "b_1e160"],
+)
+def test_se_unbounded_past_a_star_when_the_quadratic_overflows(args):
+    # past a* no N_f or b gives a fixed point; B^2 (or b^2) overflowing must
+    # not turn a cancelled root into sigbar2 = 0
+    rep = solve_state_estimate_fp(*args)
+    assert not rep.bounded and rep.fixed_point is None
+    assert rep.condition.startswith("|a| = 1.3 >= a*(P, N) = 1.24962; no stationary point")
+
+
+def test_se_stated_form_unbounded_when_the_discriminant_overflows():
+    # h = -0.236 sb^2 - 1.69e200 sb - 7.3e99 has no nonnegative root
+    rep = solve_state_estimate_fp(1.3, 1.0, 1.0, 1.0, 1e100, form="stated")
+    assert not rep.bounded
+
+
+def test_se_fixed_point_when_the_discriminant_overflows():
+    # N_f = 1e160 squares past the double range; the least root is
+    # 0.08888888888888889 (the same quadratic in 300-digit arithmetic)
+    rep = solve_state_estimate_fp(0.5, 1.0, 1.0, 1.0, 1e160)
+    assert rep.fixed_point == pytest.approx((16.0 / 15.0, 0.08888888888888889), rel=1e-15)
+    assert max(rep.residuals) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "args",
+    [(0.5, 1e78, 1.0, 1.0, 0.5), (0.0, 1e160, 1.0, 1.0, 0.5), (0.0, 1e160, 1.0, 1.0, 0.0)],
+    ids=["point_1e156", "b2_overflow", "b2_overflow_N_f_0"],
+)
+def test_se_point_past_the_double_range_is_one_error(args):
+    # (0.5, 1e78, ...) has sigma2 = 1.0847e156 and sigbar2 = 6.7797e154, whose
+    # squares overflow; at a = 0 sigma2 = b^2 = 1e320
+    with pytest.raises(ValidationError, match="^the stationary equations leave the"):
+        solve_state_estimate_fp(*args)
+
+
+@pytest.mark.parametrize(
+    "P,N,shown,bounded",
+    [(1e-100, 1e-100, "1.24962", False), (1e154, 1e-100, "3.16228e+63", True),
+     (1e100, 1e100, "1.24962", False)],
+)
+def test_se_condition_states_a_star_at_extreme_powers(P, N, shown, bounded):
+    # a*(P, N) depends on P/N only; N^4 and 4 P N (P+N)^2 leave the range here
+    rep = solve_state_estimate_fp(1.3, 1.0, P, N, 0.5)
+    assert _shown_a_star(rep) == shown == f"{_a_star(P, N):.6g}"
+    assert rep.bounded is bounded
+
+
+def test_se_grid_verdict_residuals_and_a_star_or_one_error():
+    # b, P, N log-uniform over 1e+-150 keep b^2 and mse normal; N_f spans
+    # 1e+-300, so h's terms over- and underflow on part of the grid
+    rng = np.random.default_rng(30)
+    n = 5000
+    a = rng.uniform(-2.0, 2.0, n)
+    a[::20] = 0.0
+    b, P, N = 10.0 ** rng.uniform(-150.0, 150.0, (3, n))
+    N_f = 10.0 ** rng.uniform(-300.0, 300.0, n)
+    forms = rng.choice(["proof", "stated"], n)
+    checked = 0
+    for args in zip(a.tolist(), b.tolist(), P.tolist(), N.tolist(), N_f.tolist(), forms.tolist()):
+        try:
+            rep = solve_state_estimate_fp(*args)
+        except ValidationError as exc:
+            assert "\n" not in str(exc)
+            continue
+        checked += 1
+        if rep.bounded:
+            assert max(rep.residuals) <= 1e-12 * rep.mse, args
+        if args[5] == "proof":
+            a_star = _a_star(args[2], args[3])
+            assert _shown_a_star(rep) == f"{a_star:.6g}", args
+            if abs(abs(args[0]) - a_star) > 1e-12 * a_star:
+                assert rep.bounded == (abs(args[0]) < a_star), args
+    assert checked > n // 2
