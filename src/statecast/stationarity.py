@@ -141,7 +141,9 @@ def check_noiseless(a: float, b: float, P: float, N: float) -> StationaryReport:
         return StationaryReport(RegimeKind.NOISELESS_FEEDBACK, cond, C)
     sigma2 = b * b / (1.0 - ratio)
     res = abs(sigma2 - (ratio * sigma2 + b * b))
-    return StationaryReport(RegimeKind.NOISELESS_FEEDBACK, cond, C, (sigma2, 0.0), (res,))
+    return StationaryReport(
+        RegimeKind.NOISELESS_FEEDBACK, cond, C, fixed_point=(sigma2, 0.0), residuals=(res,)
+    )
 
 
 @_in_range
@@ -184,48 +186,40 @@ def check_output_fb(a: float, b: float, P: float, N: float, N_f: float) -> Stati
         abs(sigma2 - (rho_s * sigma2 + b * b)),
         abs(vbar - (a * a * vbar + drive)),
     )
-    return StationaryReport(regime, cond, C, (sigma2, vbar), residuals)
+    return StationaryReport(regime, cond, C, fixed_point=(sigma2, vbar), residuals=residuals)
 
 
 def _a_star(P: float, N: float) -> float:
     """Largest |a| with a stationary point under the "proof" residual form.
 
     1 - k a^2 > 0 reads P N u^2 + N^2 u - (P+N)^2 < 0 in u = a^2; this is
-    its positive root, written without cancellation.  Where N^4 overflows,
-    4 P N (P+N)^2 leaves the normal double range or u overflows, the root
-    comes from the shares s = P/(P+N), r = N/(P+N) as
-    u = 2/(r^2 + sqrt(r^4 + 4 s r)).
+    its positive root, written without cancellation in the shares
+    s = P/(P+N) and r = N/(P+N), so no term leaves the range at any scale.
     """
-    try:
-        m = 4.0 * P * N * (P + N) ** 2
-        u = 2.0 * (P + N) ** 2 / (N * N + math.sqrt(N**4 + m))
-    except OverflowError:
-        m = u = 0.0
-    if not (sys.float_info.min <= m < math.inf and 0.0 < u < math.inf):
-        s, r = P / (P + N), N / (P + N)
-        u = 2.0 / (r * r + math.sqrt(r**4 + 4.0 * s * r))
-    return math.sqrt(u)
+    s, r = P / (P + N), N / (P + N)
+    return math.sqrt(2.0 / (r * r + math.sqrt(r**4 + 4.0 * s * r)))
 
 
 def _least_root(A: float, B: float, C: float) -> Optional[float]:
     """Least nonnegative root of A x^2 + B x + C, or None if it has none.
 
-    Where B^2 - 4AC overflows, its square root is taken over the
-    coefficients divided by the largest of them and scaled back.
+    Where B^2 - 4AC overflows, the quadratic is divided through by its
+    largest coefficient, which leaves its roots where they are.
     """
-    disc, m = B * B - 4.0 * A * C, 1.0
-    if not math.isfinite(disc):
+    if C == 0.0:
+        return 0.0
+    if not math.isfinite(B * B - 4.0 * A * C):
         m = max(abs(A), abs(B), abs(C))
-        disc = (B / m) ** 2 - 4.0 * (A / m) * (C / m)
+        A, B, C = A / m, B / m, C / m
+    disc = B * B - 4.0 * A * C
     if disc < 0.0:
         return None
-    q = -0.5 * (B + math.copysign(m * math.sqrt(disc), B))
-    if q == 0.0:  # B = 0 and A*C = 0
-        return 0.0 if C == 0.0 else None
+    q = -0.5 * (B + math.copysign(math.sqrt(disc), B))
+    if q == 0.0:  # B = 0 and A = 0
+        return None
     roots = [C / q] + ([q / A] if A != 0.0 else [])
-    # -0.0 is a root only if C = 0; otherwise it is a negative root that underflowed
-    ok = lambda x: math.copysign(1.0, x) > 0.0 or C == 0.0 == x
-    return min((abs(x) for x in roots if ok(x)), default=None)  # abs: -0.0 -> 0.0
+    # C != 0, so a -0.0 is a negative root that underflowed
+    return min((x for x in roots if math.copysign(1.0, x) > 0.0), default=None)
 
 
 @_in_range
@@ -265,12 +259,19 @@ def solve_state_estimate_fp(
         if c_s < 1.0:
             k = a2 * P * N / (P + N) ** 2 / (1.0 - c_s)
             f = N_f if form == "proof" else N_f * N_f
-            # At N_f = 0, h = sb (A sb + B), and sb = 0 is no fixed point
-            # (se_step takes its den = 0 branch), so only A sb + B counts.
             A, B = 1.0 - k * a2, N_f - a2 * f - k * b2
-            h = (A, B, -k * b2 * N_f) if N_f > 0.0 else (0.0, A, B)
+            h = (A, B, -k * b2 * N_f)
+            # h = sb (A sb + B) + h[2].  At N_f = 0, h[2] = 0 and sb = 0 is no
+            # fixed point (se_step takes its den = 0 branch).  Where h[2]
+            # underflowed (k != 0) but B <= -2^-484, it only moves the negative
+            # root next to 0: the positive one, -B/A >= 2^-484 (A <= 1), moves
+            # by under 2^-54 of itself and keeps its square normal for se_step.
+            # In both, only A sb + B counts.
+            lost = k != 0.0 and abs(h[2]) < sys.float_info.min
+            if N_f == 0.0 or (lost and B <= -(2.0**-484)):
+                h = (0.0, A, B)
             # A term of h that overflowed (a NaN is 0 * inf), or a constant
-            # term that underflowed and took the least root with it, leaves
+            # term that underflowed and so decides the least root, leaves
             # only the proof form's verdict: a point iff A > 0.
             if all(map(math.isfinite, h)) and (k == 0.0 or abs(h[2]) >= sys.float_info.min):
                 sb = _least_root(*h)
@@ -293,5 +294,6 @@ def solve_state_estimate_fp(
     if point is None:
         return StationaryReport(regime, cond, C)
     f1, f2 = se_step(*point, a, b, P, N, N_f, form)
-    return StationaryReport(regime, cond, C, point, (abs(f1 - point[0]), abs(f2 - point[1])))
+    residuals = (abs(f1 - point[0]), abs(f2 - point[1]))
+    return StationaryReport(regime, cond, C, fixed_point=point, residuals=residuals)
 

@@ -1,3 +1,4 @@
+import decimal
 import math
 import re
 
@@ -212,10 +213,18 @@ def test_report_serialization():
 
 
 def _a_star(P, N):
-    # positive root u of P N u^2 + N^2 u - (P+N)^2, the "proof"-form threshold
-    # on a^2, in the shares s = P/(P+N) and r = N/(P+N) so no term leaves the range
-    s, r = P / (P + N), N / (P + N)
-    return math.sqrt(2.0 / (r * r + math.sqrt(r**4 + 4.0 * s * r)))
+    # positive root u of P N u^2 + N^2 u - (P+N)^2, the "proof"-form threshold on a^2
+    return math.sqrt((-N * N + math.sqrt(N**4 + 4.0 * P * N * (P + N) ** 2)) / (2.0 * P * N))
+
+
+def _a_star_decimal(P, N):
+    # the same root in 40-digit decimal arithmetic, whose exponent range holds
+    # N^4 and P N (P+N)^2 at any double P, N
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        P, N = decimal.Decimal(P), decimal.Decimal(N)
+        u = 2 * (P + N) ** 2 / (N * N + (N**4 + 4 * P * N * (P + N) ** 2).sqrt())
+        return float(u.sqrt())
 
 
 def _shown_a_star(rep):
@@ -264,11 +273,18 @@ def test_se_stated_form_unbounded_when_the_discriminant_overflows():
     assert not rep.bounded
 
 
-def test_se_fixed_point_when_the_discriminant_overflows():
-    # N_f = 1e160 squares past the double range; the least root is
-    # 0.08888888888888889 (the same quadratic in 300-digit arithmetic)
-    rep = solve_state_estimate_fp(0.5, 1.0, 1.0, 1.0, 1e160)
-    assert rep.fixed_point == pytest.approx((16.0 / 15.0, 0.08888888888888889), rel=1e-15)
+@pytest.mark.parametrize(
+    "N_f, point",
+    [(1e160, (16.0 / 15.0, 0.08888888888888889)), (1.5e308, (16.0 / 15.0, 0.08888888888888889)),
+     (1e-309, (64.0 / 59.0, 4.0 / 59.0))],
+)
+def test_se_fixed_point_at_extreme_N_f(N_f, point):
+    # the least root in 300-digit arithmetic, never the 0 of a cancelled root.
+    # N_f^2 overflows at 1e160, and B = 0.75 N_f - 1/15 too at 1.5e308; at
+    # 1e-309 the constant term k b^2 N_f is no normal double, yet B ~ -1/15
+    # fixes the positive root at the N_f -> 0 limit 4/59
+    rep = solve_state_estimate_fp(0.5, 1.0, 1.0, 1.0, N_f)
+    assert rep.fixed_point == pytest.approx(point, rel=1e-15)
     assert max(rep.residuals) <= 1e-15
 
 
@@ -292,7 +308,7 @@ def test_se_point_past_the_double_range_is_one_error(args):
 def test_se_condition_states_a_star_at_extreme_powers(P, N, shown, bounded):
     # a*(P, N) depends on P/N only; N^4 and 4 P N (P+N)^2 leave the range here
     rep = solve_state_estimate_fp(1.3, 1.0, P, N, 0.5)
-    assert _shown_a_star(rep) == shown == f"{_a_star(P, N):.6g}"
+    assert _shown_a_star(rep) == shown
     assert rep.bounded is bounded
 
 
@@ -317,7 +333,7 @@ def test_se_grid_verdict_residuals_and_a_star_or_one_error():
         if rep.bounded:
             assert max(rep.residuals) <= 1e-12 * rep.mse, args
         if args[5] == "proof":
-            a_star = _a_star(args[2], args[3])
+            a_star = _a_star_decimal(args[2], args[3])
             assert _shown_a_star(rep) == f"{a_star:.6g}", args
             if abs(abs(args[0]) - a_star) > 1e-12 * a_star:
                 assert rep.bounded == (abs(args[0]) < a_star), args
